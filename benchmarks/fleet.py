@@ -1,8 +1,8 @@
 """Cross-config benchmark fleet: the perf matrix as ledger history.
 
 Expands a matrix over {workload (Table II names, ``fuzz@<seed>`` and
-other engine request names), resolution scale, ``--jobs``, raster
-backend} and runs one small PATU evaluation per cell — a baseline +
+other engine request names), resolution scale, ``--jobs``} and runs
+one small PATU evaluation per cell — a baseline +
 ``patu`` design point over ``--frames`` frames — under the same
 telemetry span harness ``benchmarks/hotpath.py`` uses. Every cell
 appends one ``fleet`` record to the persistent run ledger, so
@@ -18,7 +18,7 @@ Usage::
     PYTHONPATH=src python benchmarks/fleet.py --quick         # 2x2 CI smoke
     PYTHONPATH=src python benchmarks/fleet.py \
         --workloads wolf-640x480 fuzz@3:grazing --scales 0.125 0.25 \
-        --jobs 1 2 --rasters binned legacy
+        --jobs 1 2
 
 A summary of all cells goes to ``bench_results/fleet.json``.
 """
@@ -43,12 +43,11 @@ SCHEMA = 1
 DEFAULT_WORKLOADS = ("wolf-640x480", "doom3-640x480", "fuzz@0", "fuzz@1:grazing")
 DEFAULT_SCALES = (0.125,)
 DEFAULT_JOBS = (1,)
-DEFAULT_RASTERS = ("binned",)
 
-#: The 2x2 CI smoke matrix: one real game and one generated scenario
-#: through both raster backends.
+#: The 2x2 CI smoke matrix: one real game and one generated scenario,
+#: each serial and on a two-process pool.
 QUICK_WORKLOADS = ("wolf-640x480", "fuzz@0")
-QUICK_RASTERS = ("binned", "legacy")
+QUICK_JOBS = (1, 2)
 QUICK_SCALE = 0.0625
 
 
@@ -59,11 +58,10 @@ class FleetCell:
     workload: str
     scale: float
     jobs: int
-    raster: str
 
     @property
     def label(self) -> str:
-        return f"{self.workload} s{self.scale:g} j{self.jobs} {self.raster}"
+        return f"{self.workload} s{self.scale:g} j{self.jobs}"
 
     def config(self) -> "dict[str, object]":
         """The cell's run-shaping dict (the ledger digest is over this)."""
@@ -71,29 +69,24 @@ class FleetCell:
             "workload": self.workload,
             "scale": self.scale,
             "jobs": self.jobs,
-            "raster": self.raster,
         }
 
 
-def expand_matrix(
-    workloads, scales, jobs, rasters
-) -> "list[FleetCell]":
+def expand_matrix(workloads, scales, jobs) -> "list[FleetCell]":
     """The deduplicated cell list of a matrix, in stable axis order."""
     seen: "set[FleetCell]" = set()
     cells: "list[FleetCell]" = []
     for workload in workloads:
         for scale in scales:
             for n_jobs in jobs:
-                for raster in rasters:
-                    cell = FleetCell(
-                        workload=str(workload),
-                        scale=float(scale),
-                        jobs=int(n_jobs),
-                        raster=str(raster),
-                    )
-                    if cell not in seen:
-                        seen.add(cell)
-                        cells.append(cell)
+                cell = FleetCell(
+                    workload=str(workload),
+                    scale=float(scale),
+                    jobs=int(n_jobs),
+                )
+                if cell not in seen:
+                    seen.add(cell)
+                    cells.append(cell)
     return cells
 
 
@@ -104,9 +97,8 @@ def run_cell(
 
     Runs a baseline + ``patu`` evaluation of the cell's workload
     through the real engine (so the ``jobs`` axis exercises the
-    process backend and the ``raster`` axis the chosen G-buffer
-    pipeline), with telemetry armed hotpath-style: the cell's ledger
-    record carries per-stage self-times next to the wall clock.
+    process backend), with telemetry armed hotpath-style: the cell's
+    ledger record carries per-stage self-times next to the wall clock.
     """
     from repro.engine.jobs import eval_job
     from repro.experiments.runner import ExperimentContext
@@ -121,7 +113,6 @@ def run_cell(
         frames=frames,
         workloads=(cell.workload,),
         jobs=cell.jobs,
-        raster=cell.raster,
     ) as ctx:
         jobs = []
         for frame in range(frames):
@@ -154,8 +145,6 @@ def main(argv=None) -> int:
                         default=list(DEFAULT_SCALES))
     parser.add_argument("--jobs", nargs="+", type=int, default=list(DEFAULT_JOBS),
                         help="worker-process counts (1 = serial)")
-    parser.add_argument("--rasters", nargs="+", default=list(DEFAULT_RASTERS),
-                        choices=("binned", "legacy"))
     parser.add_argument("--frames", type=int, default=1)
     parser.add_argument("--threshold", type=float, default=0.4)
     parser.add_argument("--quick", action="store_true",
@@ -168,16 +157,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.quick:
         args.workloads = list(QUICK_WORKLOADS)
-        args.rasters = list(QUICK_RASTERS)
         args.scales = [QUICK_SCALE]
-        args.jobs = [1]
+        args.jobs = list(QUICK_JOBS)
         args.frames = 1
 
     from repro.ioutil import atomic_write_text
     from repro.obs import append_record, build_record
     from repro.obs.machine import calibration_token, machine_info
 
-    cells = expand_matrix(args.workloads, args.scales, args.jobs, args.rasters)
+    cells = expand_matrix(args.workloads, args.scales, args.jobs)
     print(f"fleet: {len(cells)} cell(s)")
     calibration_ms = round(calibration_token(), 3)
     summary: "list[dict[str, object]]" = []
@@ -219,7 +207,6 @@ def main(argv=None) -> int:
             "workloads": args.workloads,
             "scales": args.scales,
             "jobs": args.jobs,
-            "rasters": args.rasters,
             "frames": args.frames,
             "threshold": args.threshold,
             "quick": args.quick,

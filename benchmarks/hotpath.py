@@ -7,9 +7,7 @@ wall-clock, on a seeded synthetic fragment batch whose anisotropy
 distribution resembles a real game frame (log-uniform derivative
 magnitudes over ~4 decades, a few degenerate footprints). A second
 section renders one real game frame per :data:`RASTER_SCENARIOS`
-through *both* rasterizer backends (``raster.<backend>.<label>``
-spans) and prints the binned-vs-legacy speedup of the sort-middle
-pipeline.
+through the binned rasterizer (``raster.binned.<label>`` spans).
 
 Results go to ``bench_results/hotpath.json``. The file carries two
 sections: ``spans`` (the latest run) and ``baseline`` (a pinned earlier
@@ -58,9 +56,9 @@ TRACKED_SPANS = (
 )
 
 #: Rasterizer scenarios: one real game frame each, rendered through
-#: both G-buffer backends (``raster.<backend>.<label>`` spans). doom3
-#: is the many-triangles indoor scene, stal the high-resolution one —
-#: the two workloads the sort-middle rewrite targets.
+#: the binned rasterizer (``raster.binned.<label>`` spans). doom3 is
+#: the many-triangles indoor scene, stal the high-resolution one — the
+#: two workloads the sort-middle rewrite targets.
 RASTER_SCENARIOS = (
     ("doom3", "doom3-640x480"),
     ("stal", "stal-1280x1024"),
@@ -110,7 +108,7 @@ def run_once(unit, frags, telemetry) -> "dict[str, float]":
 
 
 def measure_raster(args) -> "dict[str, dict]":
-    """Best-of wall-clock of one frame's G-buffer per backend."""
+    """Best-of wall-clock of one frame's G-buffer per scenario."""
     from repro.renderer.pipeline import render_gbuffer
     from repro.workloads.games import get_workload
 
@@ -124,17 +122,14 @@ def measure_raster(args) -> "dict[str, dict]":
         workload = get_workload(name)
         width, height = workload.scaled_size(scale)
         camera = workload.camera(0)
-        for backend in ("legacy", "binned"):
-            best = float("inf")
-            for rep in range(args.repeats + 1):  # first pass is warmup
-                t0 = time.perf_counter()
-                render_gbuffer(
-                    workload.scene, camera, width, height, raster=backend
-                )
-                ms = (time.perf_counter() - t0) * 1e3
-                if rep:
-                    best = min(best, ms)
-            spans[f"raster.{backend}.{label}"] = {"best_ms": round(best, 3)}
+        best = float("inf")
+        for rep in range(args.repeats + 1):  # first pass is warmup
+            t0 = time.perf_counter()
+            render_gbuffer(workload.scene, camera, width, height)
+            ms = (time.perf_counter() - t0) * 1e3
+            if rep:
+                best = min(best, ms)
+        spans[f"raster.binned.{label}"] = {"best_ms": round(best, 3)}
     return spans
 
 
@@ -237,24 +232,10 @@ def main(argv=None) -> int:
             and entry["best_ms"] > 0
         }
 
-    # Binned-vs-legacy within the same run: the sort-middle pipeline's
-    # headline ratio, independent of any pinned baseline.
-    payload["raster_speedup"] = {
-        label: round(
-            payload["spans"][f"raster.legacy.{label}"]["best_ms"]
-            / payload["spans"][f"raster.binned.{label}"]["best_ms"],
-            3,
-        )
-        for label, _ in RASTER_SCENARIOS
-        if payload["spans"].get(f"raster.binned.{label}", {}).get("best_ms")
-    }
-
     for name, entry in payload["spans"].items():
         ratio = payload.get("speedup_vs_baseline", {}).get(name)
         suffix = f"  ({ratio:.2f}x vs baseline)" if ratio else ""
         print(f"{name:<28} {entry['best_ms']:>10.3f} ms{suffix}")
-    for label, ratio in payload["raster_speedup"].items():
-        print(f"raster {label}: binned is {ratio:.2f}x vs legacy")
 
     out.parent.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out, json.dumps(payload, indent=2) + "\n")

@@ -31,7 +31,7 @@ Usage::
     PYTHONPATH=src python benchmarks/service_bench.py            # default
     PYTHONPATH=src python benchmarks/service_bench.py --quick    # CI smoke
     PYTHONPATH=src python benchmarks/service_bench.py \
-        --backend remote --jobs 2 --chaos-worker-kill 0.3
+        --jobs 2 --chaos-worker-kill 0.3
 """
 
 from __future__ import annotations
@@ -130,8 +130,6 @@ class Server:
             "--store-prefix", str(args.store_prefix),
             "--max-batch", str(args.max_batch),
         ]
-        if args.backend:
-            command += ["--backend", args.backend]
         if args.chaos_worker_kill:
             command += [
                 "--chaos-worker-kill", str(args.chaos_worker_kill),
@@ -213,9 +211,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=float, default=0.125)
     parser.add_argument("--jobs", type=int, default=2,
                         help="server worker count (default 2)")
-    parser.add_argument("--backend", default=None,
-                        choices=(None, "serial", "process", "remote"),
-                        help="server backend (default: process)")
     parser.add_argument("--port", type=int, default=0,
                         help="server port (default 0 = ephemeral)")
     parser.add_argument("--store", default=None, metavar="DIR",
@@ -271,8 +266,7 @@ def main(argv=None) -> int:
     try:
         control = ServiceClient("127.0.0.1", server.port)
         print(f"== service_bench: {len(requests)} design point(s), "
-              f"{args.clients} client(s), backend "
-              f"{args.backend or 'process'}, jobs {args.jobs} ==")
+              f"{args.clients} client(s), jobs {args.jobs} ==")
 
         # Phase 1: warm (untimed) — store + metric caches, chaos kills.
         t0 = time.perf_counter()
@@ -432,7 +426,6 @@ def main(argv=None) -> int:
         "thresholds": list(args.thresholds),
         "scale": args.scale,
         "jobs": args.jobs,
-        "backend": args.backend or "process",
         "store_prefix": args.store_prefix,
         "max_batch": args.max_batch,
         "chaos_worker_kill": args.chaos_worker_kill,

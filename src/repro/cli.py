@@ -21,10 +21,8 @@ Subcommands:
   past runs; ``--check`` exits nonzero on flagged regressions.
 * ``serve`` — run the render service: an asyncio JSON-lines front-end
   that coalesces concurrent eval/render requests into engine batches
-  and executes them on the in-process pool or remote socket workers
+  and executes them serially or on a ``--jobs N`` process pool
   (``docs/architecture.md``, service section).
-* ``worker`` — run one remote socket worker that dials into a serve
-  parent (normally spawned automatically by ``--backend remote``).
 * ``store`` — capture-store maintenance: ``store stats`` reports
   per-shard entry counts/bytes plus the ``.corrupt/`` quarantine,
   ``store prune`` applies the size-bounded LRU eviction offline.
@@ -34,12 +32,6 @@ schema-versioned record per run to the run ledger (default
 ``.repro/ledger``, override with ``--ledger DIR``, suppress with
 ``--no-ledger``) — the history ``trends`` analyzes. See
 ``docs/observability.md``.
-
-Commands that render (``experiment``/``render``/``compare``/``report``/
-``profile``) accept ``--raster {binned,legacy}`` to pick the raster
-backend (the sort-middle tiled pipeline is the default; the legacy
-per-triangle rasterizer is the bit-identical differential reference)
-and ``--tile-size PX`` to tune the binned backend's tile edge.
 
 ``experiment``/``render``/``compare``/``report`` accept ``--trace`` and
 ``--metrics`` to capture the same artifacts for any run, and
@@ -97,7 +89,6 @@ from .obs.trends import (
 from .resilience import DEFAULT_MAX_PENDING, FAULTS, FaultPlan
 from .quality.imageio import write_pgm, write_ppm
 from .quality.ssim import ssim_map
-from .renderer.pipeline import DEFAULT_RASTER, DEFAULT_RASTER_TILE, RASTER_MODES
 from .renderer.session import RenderSession
 from .workloads.games import get_workload, workload_names
 
@@ -110,16 +101,6 @@ def _info(message: str) -> None:
 def _add_session_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=0.25,
                         help="render-resolution scale factor (default 0.25)")
-    parser.add_argument("--raster", choices=RASTER_MODES,
-                        default=DEFAULT_RASTER,
-                        help="raster backend: 'binned' = sort-middle tiled "
-                             "pipeline with hierarchical-Z culling (default), "
-                             "'legacy' = per-triangle bounding-box reference")
-    parser.add_argument("--tile-size", type=int, default=DEFAULT_RASTER_TILE,
-                        dest="raster_tile", metavar="PX",
-                        help="binned-raster tile edge in pixels "
-                             f"(default {DEFAULT_RASTER_TILE}; see "
-                             "docs/performance.md for tuning)")
 
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
@@ -447,7 +428,6 @@ def _cmd_experiment(args) -> int:
         checkpoint_path=_checkpoint_path(args),
         jobs=args.jobs, capture_cache=args.capture_cache,
         job_timeout=args.job_timeout,
-        raster=args.raster, raster_tile=args.raster_tile,
     )
     _resume_begin(args, ctx)
     try:
@@ -509,9 +489,7 @@ def _plot_result(result) -> "str | None":
 
 
 def _cmd_render(args) -> int:
-    session = RenderSession(
-        scale=args.scale, raster=args.raster, raster_tile=args.raster_tile
-    )
+    session = RenderSession(scale=args.scale)
     workload = _resolve_workload(args.workload)
     scenario = get_scenario(args.scenario)
     capture = session.capture_frame(workload, args.frame)
@@ -555,7 +533,6 @@ def _cmd_report(args) -> int:
         checkpoint_path=_checkpoint_path(args),
         jobs=args.jobs, capture_cache=args.capture_cache,
         job_timeout=args.job_timeout,
-        raster=args.raster, raster_tile=args.raster_tile,
     )
     _resume_begin(args, ctx)
     ids = tuple(args.experiments) if args.experiments else None
@@ -577,9 +554,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    session = RenderSession(
-        scale=args.scale, raster=args.raster, raster_tile=args.raster_tile
-    )
+    session = RenderSession(scale=args.scale)
     workload = _resolve_workload(args.workload)
     capture = session.capture_frame(workload, args.frame)
     baseline = session.evaluate(capture, SCENARIOS["baseline"], 1.0)
@@ -679,9 +654,7 @@ def _cmd_profile(args) -> int:
 
     workload = _resolve_workload(args.workload)
     scenario = get_scenario(args.scenario)
-    session = RenderSession(
-        scale=args.scale, raster=args.raster, raster_tile=args.raster_tile
-    )
+    session = RenderSession(scale=args.scale)
     store = CaptureStore(args.capture_cache) if args.capture_cache else None
     want_maps = getattr(args, "quality_maps", None)
     map_files = 0
@@ -695,7 +668,6 @@ def _cmd_profile(args) -> int:
                     workload.name, frame,
                     base_config=session.config, scale=args.scale,
                     variant=DEFAULT_VARIANT,
-                    raster=args.raster, raster_tile=args.raster_tile,
                 )
                 capture = store.get(spec)
             if capture is None:
@@ -740,7 +712,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         scale=args.scale,
         jobs=args.jobs,
-        backend=args.backend,
         store_root=args.capture_cache,
         store_prefix=args.store_prefix,
         store_max_bytes=args.store_max_bytes,
@@ -748,22 +719,8 @@ def _cmd_serve(args) -> int:
         max_batch=args.max_batch,
         batch_window_s=args.batch_window,
         job_timeout=args.job_timeout,
-        raster=args.raster,
-        raster_tile=args.raster_tile,
     )
     return run_server(config)
-
-
-def _cmd_worker(args) -> int:
-    """Run one remote socket worker (see ``repro.engine.remote``)."""
-    from .engine.remote import worker_main
-
-    host, _, port = args.connect.rpartition(":")
-    if not host or not port.isdigit():
-        print(f"error: --connect expects HOST:PORT, got {args.connect!r}",
-              file=sys.stderr)
-        return 2
-    return worker_main(host, int(port))
 
 
 def _format_bytes(n: int) -> str:
@@ -965,12 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--port", type=int, default=7070,
                        help="TCP port (default 7070; 0 = ephemeral, "
                             "printed on stderr)")
-    p_srv.add_argument("--backend",
-                       choices=("serial", "process", "remote"),
-                       default=None,
-                       help="execution backend (default: process when "
-                            "--jobs > 1, else serial; 'remote' uses "
-                            "TCP socket workers)")
     p_srv.add_argument("--max-pending", type=int, dest="max_pending",
                        default=DEFAULT_MAX_PENDING, metavar="N",
                        help="admission control: reject (429-style) "
@@ -998,14 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_args(p_srv)
     _add_obs_args(p_srv)
     _add_fault_args(p_srv)
-
-    p_wrk = sub.add_parser(
-        "worker",
-        help="run one remote socket worker (spawned by serve "
-             "--backend remote, or started by hand)",
-    )
-    p_wrk.add_argument("--connect", required=True, metavar="HOST:PORT",
-                       help="dial this serve parent's worker listener")
 
     p_store = sub.add_parser(
         "store",
@@ -1084,7 +1027,6 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
         "trends": _cmd_trends,
         "serve": _cmd_serve,
-        "worker": _cmd_worker,
         "store": _cmd_store,
     }
     started = time.perf_counter()

@@ -12,8 +12,7 @@ Layout: one ``.npz`` file per capture directly under the store root,
 named ``{workload}-f{frame}-{digest}.npz``. The digest is the first 16
 hex chars of the SHA-256 of the capture *spec* — a JSON object listing
 the workload request name, frame index, render scale, tile size,
-raster backend and its tile size, effective anisotropy cap,
-compression flag, and two version tags
+effective anisotropy cap, compression flag, and two version tags
 (:data:`repro.renderer.serialization.FORMAT_VERSION` for the payload
 layout, :data:`STORE_VERSION` for capture-affecting code). Bump
 ``STORE_VERSION`` whenever rendering output changes; old entries then
@@ -64,8 +63,6 @@ def capture_spec(
     tile_size: int,
     max_anisotropy: int,
     compressed: bool,
-    raster: str = "binned",
-    raster_tile: int = 8,
 ) -> "dict[str, object]":
     """Everything that determines a capture's contents, as plain JSON.
 
@@ -73,11 +70,6 @@ def capture_spec(
     ``"VR@2:doom3-1280x1024"``, …), not a resolved object — the name
     fully determines the generated scene, so hashing it keeps the key
     computable without building the workload.
-
-    ``raster``/``raster_tile`` key the capture too: both backends
-    produce bit-identical G-buffers on surviving tiles, but the
-    hierarchical-Z pass changes ``fragments_generated`` (and hence the
-    capture's workload counts), so the backends must not share entries.
     """
     return {
         "store_version": STORE_VERSION,
@@ -88,8 +80,6 @@ def capture_spec(
         "tile_size": tile_size,
         "max_anisotropy": max_anisotropy,
         "compressed": compressed,
-        "raster": raster,
-        "raster_tile": raster_tile,
     }
 
 
@@ -308,21 +298,25 @@ class ShardedCaptureStore(CaptureStore):
         home = self.path_for(spec)
         shard = home.parent.name
         if home.exists():
-            self._count_shard(shard, "hits")
             self._touch(home)
-            return self._load(home)
-        found = self._read_through(home)
-        if found is None:
-            self._count_shard(shard, "misses")
-            self.stats.misses += 1
-            TELEMETRY.count("store.misses")
-            return None
-        self._count_shard(shard, "hits")
-        self.stats.readthrough += 1
-        TELEMETRY.count("store.readthrough")
-        promoted = self._promote(found, home)
-        self._touch(promoted)
-        return self._load(promoted)
+            capture = self._load(home)
+        else:
+            found = self._read_through(home)
+            if found is None:
+                self._count_shard(shard, "misses")
+                self.stats.misses += 1
+                TELEMETRY.count("store.misses")
+                return None
+            promoted = self._promote(found, home)
+            self._touch(promoted)
+            capture = self._load(promoted)
+            if capture is not None:
+                self.stats.readthrough += 1
+                TELEMETRY.count("store.readthrough")
+        # A corrupt entry is quarantined and counted as a miss by
+        # _load, so the shard counts it as a miss too.
+        self._count_shard(shard, "hits" if capture is not None else "misses")
+        return capture
 
     def _read_through(self, home: pathlib.Path) -> "pathlib.Path | None":
         """Find ``home``'s entry in the flat root or a foreign shard."""

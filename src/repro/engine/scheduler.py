@@ -42,15 +42,13 @@ from __future__ import annotations
 import atexit
 import concurrent.futures
 import multiprocessing
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from ..errors import JobError
 from ..obs import TELEMETRY
 from ..resilience.faults import FAULTS
 from .jobs import KIND_CAPTURE, EvalJob, capture_job, dedupe_jobs
-from .supervision import ChunkSupervisor, chunk_deadline_s
-from .tiles import capture_frame_tiled
+from .supervision import ChunkSupervisor
 from .worker import WorkerSpec, init_worker, resolve_workload, run_job_chunk
 
 #: Target chunks per worker per wave. One big chunk per worker
@@ -191,7 +189,7 @@ class Engine:
             with TELEMETRY.span(
                 "engine.execute", jobs=len(pending), backend=self.backend_name
             ):
-                if ctx.jobs > 1 or self.backend_name == "remote":
+                if ctx.jobs > 1:
                     self._execute_process(pending, report)
                 else:
                     self._execute_serial(pending, report)
@@ -204,9 +202,6 @@ class Engine:
 
     @property
     def backend_name(self) -> str:
-        configured = getattr(self.ctx, "backend", None)
-        if configured:
-            return configured
         return "process" if self.ctx.jobs > 1 else "serial"
 
     # -- serial backend -------------------------------------------------
@@ -239,15 +234,8 @@ class Engine:
         Pools live in the module-level shared registry, so they outlive
         not just one ``execute()`` call but the engine itself — worker
         warm state (cached sessions, loaded captures) carries over to
-        later contexts with an identical spec and worker count. On the
-        ``remote`` backend the pool is a
-        :class:`~repro.engine.remote.RemoteWorkerPool` of TCP socket
-        workers with the same executor surface.
+        later contexts with an identical spec and worker count.
         """
-        if self.backend_name == "remote":
-            from .remote import shared_remote_pool
-
-            return shared_remote_pool(spec, self.ctx.jobs)
         return _shared_pool(spec, self.ctx.jobs)
 
     def _rebuild_pool(self, spec: WorkerSpec) -> None:
@@ -258,13 +246,7 @@ class Engine:
         ``jobs`` ``resilience.worker_restarts`` — the whole fleet goes
         down with the pool.
         """
-        if self.backend_name == "remote":
-            from .remote import discard_remote_pool
-
-            discarded = discard_remote_pool(spec, self.ctx.jobs)
-        else:
-            discarded = discard_pool(spec, self.ctx.jobs)
-        if discarded:
+        if discard_pool(spec, self.ctx.jobs):
             TELEMETRY.count("resilience.pool_rebuilds")
             TELEMETRY.count("resilience.worker_restarts", self.ctx.jobs)
             TELEMETRY.progress(
@@ -281,8 +263,6 @@ class Engine:
             store_root=str(store.root),
             telemetry_enabled=TELEMETRY.enabled,
             fault_plan=FAULTS.plan if FAULTS.enabled else None,
-            raster=ctx.raster,
-            raster_tile=ctx.raster_tile,
             store_prefix=getattr(store, "prefix", 0),
         )
         # Wave 1: planned capture jobs, plus one *synthetic* render per
@@ -297,14 +277,11 @@ class Engine:
         evals = [job for job in pending if job.kind != KIND_CAPTURE]
         seen_specs: "set[str]" = set()
         captures_stored = True
-        missing: "list[EvalJob]" = []
         for job in planned_captures:
             wl, frame, variant = job.capture_key()
             path = store.path_for(ctx.capture_spec(wl, frame, variant))
             if not path.exists():
                 captures_stored = False
-                if path.name not in seen_specs:
-                    missing.append(job)
             seen_specs.add(path.name)
         synthetic: "list[EvalJob]" = []
         for job in evals:
@@ -318,28 +295,6 @@ class Engine:
                 wl, frame, variant
             ):
                 synthetic.append(capture_job(wl, frame, job.config_key))
-
-        # Tile-level dispatch: the waves parallelize at frame
-        # granularity, so when fewer distinct frames need rendering
-        # than there are workers, most of the fleet would idle through
-        # wave 1. Render those frames tile-parallel instead (parent
-        # renders + assembles, workers texture-filter disjoint runs of
-        # whole scheduling tiles — byte-identical to a serial capture,
-        # see repro.engine.tiles) and publish them; each success turns
-        # its capture job into a pure store hit. Failures fall back to
-        # the ordinary supervised wave below.
-        if 0 < len(missing) + len(synthetic) < ctx.jobs:
-            self._render_tiled(missing + synthetic, spec, store)
-            captures_stored = all(
-                store.path_for(ctx.capture_spec(*job.capture_key())).exists()
-                for job in planned_captures
-            )
-            synthetic = [
-                job for job in synthetic
-                if not store.path_for(
-                    ctx.capture_spec(*job.capture_key())
-                ).exists()
-            ]
 
         # Warm the fork template: resolving each distinct workload in
         # the parent populates the lru caches every forked worker then
@@ -391,51 +346,6 @@ class Engine:
         if worker_lines:
             for line in worker_lines.splitlines():
                 TELEMETRY.progress(f"pool: {line}")
-
-    def _render_tiled(
-        self, jobs_list: "list[EvalJob]", spec: WorkerSpec, store
-    ) -> None:
-        """Render missing captures tile-parallel (see :mod:`.tiles`).
-
-        Best-effort accelerator: each frame that succeeds is published
-        to the store, each that fails is left for the supervised wave
-        (which re-renders it with full retry/quarantine semantics, so
-        failure *reporting* stays identical to frame-level dispatch).
-        A dead pool or a blown deadline aborts the whole attempt —
-        recovery from that state belongs to the supervisor.
-        """
-        ctx = self.ctx
-        deadline = chunk_deadline_s(1, getattr(ctx, "job_timeout", None))
-        for job in jobs_list:
-            wl, frame, variant = job.capture_key()
-            try:
-                with TELEMETRY.span(
-                    "engine.tile_dispatch", workload=wl, frame=frame
-                ):
-                    capture = capture_frame_tiled(
-                        ctx._session_for(job.config_key),
-                        self._pool(spec),
-                        wl, frame, job.config_key, ctx.jobs,
-                        timeout=deadline,
-                    )
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except (
-                BrokenProcessPool, OSError, EOFError,
-                concurrent.futures.TimeoutError,
-            ):
-                TELEMETRY.count("engine.tile_dispatch_fallbacks")
-                self._rebuild_pool(spec)
-                return
-            except Exception as exc:  # noqa: BLE001 — wave path retries
-                TELEMETRY.count("engine.tile_dispatch_fallbacks")
-                TELEMETRY.progress(
-                    f"engine: tile dispatch fell back for {wl} "
-                    f"frame {frame}: {exc}"
-                )
-                continue
-            store.put(ctx.capture_spec(wl, frame, variant), capture)
-            TELEMETRY.count("engine.tile_dispatch_frames")
 
     def _affine_chunks(self, wave: "list[tuple]") -> "list[list[tuple]]":
         """Split a wave into dispatch chunks with capture affinity.

@@ -28,7 +28,6 @@ from ..config import GpuConfig
 from ..core.scenarios import get_scenario
 from ..errors import WorkloadError
 from ..obs import TELEMETRY
-from ..renderer.pipeline import DEFAULT_RASTER, DEFAULT_RASTER_TILE
 from ..renderer.session import FrameCapture, FrameResult, RenderSession
 from ..resilience.faults import FAULTS, FaultPlan
 from ..workloads.fuzz import FUZZ_PREFIX, fuzz_workload, parse_fuzz_request
@@ -97,20 +96,13 @@ def derive_config(base: GpuConfig, key: ConfigKey) -> GpuConfig:
 
 
 def build_session(
-    base_config: GpuConfig,
-    scale: float,
-    key: ConfigKey,
-    *,
-    raster: str = DEFAULT_RASTER,
-    raster_tile: int = DEFAULT_RASTER_TILE,
+    base_config: GpuConfig, scale: float, key: ConfigKey
 ) -> RenderSession:
     """One render session for a job configuration (parent and workers)."""
     return RenderSession(
         derive_config(base_config, key),
         scale=scale,
         compressed_textures=key.compressed,
-        raster=raster,
-        raster_tile=raster_tile,
     )
 
 
@@ -145,8 +137,6 @@ def capture_spec_for(
     base_config: GpuConfig,
     scale: float,
     variant: CaptureVariant,
-    raster: str = DEFAULT_RASTER,
-    raster_tile: int = DEFAULT_RASTER_TILE,
 ) -> "dict[str, object]":
     """The capture-store spec of one (workload, frame, variant)."""
     variant = effective_variant(base_config, variant)
@@ -162,8 +152,6 @@ def capture_spec_for(
         tile_size=base_config.tile_size,
         max_anisotropy=cap,
         compressed=variant.compressed,
-        raster=raster,
-        raster_tile=raster_tile,
     )
 
 
@@ -218,8 +206,6 @@ class WorkerSpec:
     store_root: str
     telemetry_enabled: bool = False
     fault_plan: "FaultPlan | None" = None
-    raster: str = DEFAULT_RASTER
-    raster_tile: int = DEFAULT_RASTER_TILE
     #: Shard-prefix width of the capture store (0 = flat layout); every
     #: worker must open the store with the same layout as the parent.
     store_prefix: int = 0
@@ -241,8 +227,7 @@ class _WorkerState:
         session = self._sessions.get(cache_key)
         if session is None:
             session = self._sessions[cache_key] = build_session(
-                self.spec.base_config, self.spec.scale, key,
-                raster=self.spec.raster, raster_tile=self.spec.raster_tile,
+                self.spec.base_config, self.spec.scale, key
             )
         return session
 
@@ -257,8 +242,6 @@ class _WorkerState:
             base_config=self.spec.base_config,
             scale=self.spec.scale,
             variant=variant,
-            raster=self.spec.raster,
-            raster_tile=self.spec.raster_tile,
         )
         capture = self.store.get(spec)
         if capture is None:

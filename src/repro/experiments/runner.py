@@ -58,7 +58,6 @@ from ..engine.worker import (
 )
 from ..errors import ExperimentError, JobError
 from ..obs import TELEMETRY
-from ..renderer.pipeline import DEFAULT_RASTER, DEFAULT_RASTER_TILE
 from ..renderer.session import FrameCapture, FrameResult, RenderSession
 from ..resilience import FailureRecord, load_checkpoint, save_checkpoint
 from ..workloads.scene import Workload
@@ -208,43 +207,20 @@ class ExperimentContext:
         jobs: int = 1,
         capture_cache: "str | pathlib.Path | CaptureStore | None" = None,
         job_timeout: "float | None" = None,
-        raster: str = DEFAULT_RASTER,
-        raster_tile: int = DEFAULT_RASTER_TILE,
-        backend: "str | None" = None,
     ) -> None:
         if frames < 1:
             raise ExperimentError("need at least one frame per workload")
         if jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-        if backend is None:
-            backend = "process" if jobs > 1 else "serial"
-        if backend not in ("serial", "process", "remote"):
-            raise ExperimentError(
-                f"unknown backend {backend!r} "
-                "(expected serial, process or remote)"
-            )
-        if backend == "serial" and jobs > 1:
-            backend = "process"
         self.scale = scale
         self.frames = frames
         self.workload_list = workloads
         self.base_config = config
         self.jobs = jobs
-        #: Execution backend: ``"serial"`` (in-process), ``"process"``
-        #: (fork pool), or ``"remote"`` (TCP socket workers — see
-        #: :mod:`repro.engine.remote`).
-        self.backend = backend
-        #: Raster backend + tile size, threaded through every session
-        #: this context builds (parent and pool workers alike) and into
-        #: the capture-store key.
-        self.raster = raster
-        self.raster_tile = raster_tile
         #: Per-job wall-clock budget for process-backend chunk
         #: deadlines (None = supervision default, 0 disables).
         self.job_timeout = job_timeout
-        self.session = RenderSession(
-            config, scale=scale, raster=raster, raster_tile=raster_tile
-        )
+        self.session = RenderSession(config, scale=scale)
         self._captures: "dict[tuple[str, int, CaptureVariant], FrameCapture]" = {}
         self._results: "dict[tuple, FrameResult]" = {}
         self._alt_sessions: "dict[tuple, RenderSession]" = {}
@@ -355,7 +331,6 @@ class ExperimentContext:
         return capture_spec_for(
             workload_name, frame,
             base_config=self.base_config, scale=self.scale, variant=variant,
-            raster=self.raster, raster_tile=self.raster_tile,
         )
 
     def has_capture(
@@ -415,19 +390,11 @@ class ExperimentContext:
 
     def checkpoint_fingerprint(self) -> "dict[str, object]":
         """Identity of this context for checkpoint compatibility."""
-        fp = {
+        return {
             "scale": self.scale,
             "frames": self.frames,
             "config": repr(self.base_config),
         }
-        # The default backend keeps the fingerprint stable; only
-        # non-default raster settings (whose workload counts differ)
-        # are incompatible with default-raster checkpoints.
-        if (self.raster, self.raster_tile) != (
-            DEFAULT_RASTER, DEFAULT_RASTER_TILE
-        ):
-            fp["raster"] = f"{self.raster}@{self.raster_tile}"
-        return fp
 
     def load_checkpoint(self) -> int:
         """Seed the metrics cache from ``checkpoint_path``, if present.
@@ -557,8 +524,7 @@ class ExperimentContext:
             return self.session
         if key not in self._alt_sessions:
             self._alt_sessions[key] = build_session(
-                self.base_config, self.scale, config,
-                raster=self.raster, raster_tile=self.raster_tile,
+                self.base_config, self.scale, config
             )
         return self._alt_sessions[key]
 

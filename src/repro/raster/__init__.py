@@ -7,10 +7,10 @@ derivatives, and the texture the fragment shader will sample. The
 texture units then consume the G-buffer in tile order.
 """
 
-from .binned import BinnedRasterizer
+from .binned import BinnedRasterizer, RasterStats
+from .edges import edge_inside_mask
 from .framebuffer import Framebuffer
 from .gbuffer import GBuffer
-from .rasterizer import Rasterizer, RasterStats, edge_inside_mask, edge_tie_accept
 from .quads import count_shaded_quads, quad_ids, quad_divergence_fraction
 
 __all__ = [
@@ -18,10 +18,8 @@ __all__ = [
     "Framebuffer",
     "GBuffer",
     "RasterStats",
-    "Rasterizer",
     "count_shaded_quads",
     "edge_inside_mask",
-    "edge_tie_accept",
     "quad_divergence_fraction",
     "quad_ids",
 ]

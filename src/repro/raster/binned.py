@@ -1,9 +1,9 @@
 """Sort-middle tiled rasterizer: bin → coarse tile (hi-Z) → fine raster.
 
-The legacy :class:`~repro.raster.rasterizer.Rasterizer` walks triangles
-in submission order and evaluates each one over its full screen
-bounding box — every depth-buried fragment still costs full barycentric
-plus perspective-division work. This module restructures the same math
+The reference :class:`~repro.verify.reference_raster.Rasterizer`
+walks triangles in submission order and evaluates each one over its
+full screen bounding box — every depth-buried fragment still costs full
+barycentric plus perspective-division work. This module restructures the same math
 into the classic sort-middle shape (CUDA software rasterizers,
 Pathfinder):
 
@@ -26,13 +26,13 @@ Pathfinder):
    whose candidates all die behind an occluder is retired outright
    (Pathfinder-style occluded-tile cull).
 3. **Fine pass** — each surviving triangle is evaluated over the
-   tile-aligned union of its surviving tiles using *exactly* the legacy
+   tile-aligned union of its surviving tiles using *exactly* the reference
    per-pixel expressions (same pixel centers, same operation order,
    same float32 stores), with the top-left fill rule and with the
    heavy perspective-correct math compressed to depth-surviving
    fragments only. Because every expression is elementwise in the
    pixel coordinates, the resulting G-buffer is **bit-identical** to
-   the legacy rasterizer's.
+   the reference rasterizer's.
 
 Exactness of the cull is protected against floating-point disagreement
 between the corner-evaluated bounds and the fine pass's per-pixel
@@ -43,13 +43,58 @@ produced a visible fragment.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..errors import PipelineError
 from ..geometry.tiling import expand_grid_ranges
 from ..geometry.transform import TransformedTriangles
+from .edges import edge_inside_mask
 from .gbuffer import GBuffer
-from .rasterizer import RasterStats, edge_inside_mask
+
+
+@dataclass
+class RasterStats:
+    """Counters describing one frame's rasterization workload."""
+
+    triangles_submitted: int = 0
+    triangles_rasterized: int = 0
+    fragments_generated: int = 0
+    fragments_passed_depth: int = 0
+    #: Sort-middle counters (stay 0 on the reference per-triangle path,
+    #: except ``quads_shaded`` which the pipeline fills for both).
+    bins: int = 0
+    tiles_culled_hiz: int = 0
+    tiles_culled_occluded: int = 0
+    quads_shaded: int = 0
+
+    @property
+    def overdraw(self) -> float:
+        """Generated fragments per depth-surviving fragment.
+
+        Convention: the denominator is clamped to ``max(passed, 1)`` so
+        a frame whose generated fragments *all* failed the depth test
+        reports its generated count (the work actually done) instead of
+        a misleading ``0.0`` or a division by zero. A frame that
+        generated nothing reports ``0.0``.
+        """
+        return self.fragments_generated / max(self.fragments_passed_depth, 1)
+
+    def to_dict(self) -> "dict[str, float]":
+        """JSON-ready snapshot (for the metrics JSONL sink and tooling)."""
+        return {
+            "triangles_submitted": self.triangles_submitted,
+            "triangles_rasterized": self.triangles_rasterized,
+            "fragments_generated": self.fragments_generated,
+            "fragments_passed_depth": self.fragments_passed_depth,
+            "overdraw": self.overdraw,
+            "bins": self.bins,
+            "tiles_culled_hiz": self.tiles_culled_hiz,
+            "tiles_culled_occluded": self.tiles_culled_occluded,
+            "quads_shaded": self.quads_shaded,
+        }
+
 
 #: Machine epsilon of the float64 arithmetic both passes share.
 _EPS64 = float(np.finfo(np.float64).eps)
@@ -82,7 +127,7 @@ def _ragged_indices(
 
 
 class BinnedRasterizer:
-    """Deferred sort-middle rasterizer producing a legacy-identical G-buffer.
+    """Deferred sort-middle rasterizer producing a reference-identical G-buffer.
 
     ``draw`` only accumulates screen-space triangles; :meth:`finalize`
     runs the three passes and fills :attr:`gbuffer`/:attr:`stats`.
@@ -120,7 +165,7 @@ class BinnedRasterizer:
         )
 
     # ------------------------------------------------------------------
-    # Pass 0: accumulate draws (identical projection to the legacy path)
+    # Pass 0: accumulate draws (identical projection to the reference path)
     # ------------------------------------------------------------------
 
     def draw(self, tris: TransformedTriangles, texture_id: int) -> None:
@@ -171,7 +216,7 @@ class BinnedRasterizer:
             sx[:, 2] - sx[:, 1]
         ) * (sy[:, 0] - sy[:, 2])
         valid = np.abs(area2) >= 1e-12
-        # Same bbox clamp as the legacy path (floor/ceil to the pixel
+        # Same bbox clamp as the reference path (floor/ceil to the pixel
         # grid, clamped to the screen); clip before the integer cast so
         # far-off-screen coordinates cannot overflow.
         x0 = np.clip(np.floor(sx.min(axis=1)), 0, self.width).astype(np.int64)
@@ -371,7 +416,7 @@ class BinnedRasterizer:
     ) -> None:
         """Rasterize triangle ``i`` over the union of its surviving tiles.
 
-        Unlike the legacy path, which evaluates every expression over
+        Unlike the reference path, which evaluates every expression over
         the full bounding-box rectangle, this pass first intersects each
         pixel row with the triangle's three edge half-planes to get a
         conservative per-row column span (a convex triangle covers one
@@ -383,9 +428,9 @@ class BinnedRasterizer:
         The spans carry the same conservative error margins as the
         coarse pass, so every pixel the exact inside test could accept
         is a candidate; on the candidates, every per-pixel expression
-        matches the legacy ``_raster_one`` bit for bit (same pixel
+        matches the reference ``_raster_one`` bit for bit (same pixel
         centers, same operation order), so the fragments written here
-        are bitwise what the legacy path writes. The perspective-correct
+        are bitwise what the reference path writes. The perspective-correct
         quotient math runs compressed to depth-surviving fragments only.
         """
         ts = self.tile_size
@@ -478,7 +523,7 @@ class BinnedRasterizer:
         # column arrays are reconstructed only if the partial-tile-grid
         # mask below needs them. The float sums are exact (integers
         # plus 0.5, far below 2**52), so ``px``/``py`` carry the same
-        # bits the legacy meshgrid produces.
+        # bits the reference meshgrid produces.
         seg_starts = np.cumsum(counts) - counts
         px = np.arange(total, dtype=np.float64) + np.repeat(
             (coll - seg_starts).astype(np.float64) + 0.5, counts
@@ -548,7 +593,7 @@ class BinnedRasterizer:
 
         # Compressed perspective-correct math: elementwise expressions
         # evaluated on the surviving subset give the same IEEE results
-        # the legacy full-region evaluation produces at those pixels.
+        # the reference full-region evaluation produces at those pixels.
         # When every candidate survived (common once the spans are
         # fragment-tight), skip the boolean gathers entirely.
         if npass == passed.size:

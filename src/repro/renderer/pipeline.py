@@ -5,19 +5,16 @@ near clipping, back-face culling, tiling statistics, rasterization with
 early depth test. Texturing happens afterwards in the session, in tile
 order.
 
-Two interchangeable raster backends produce bit-identical G-buffers:
-
-* ``"binned"`` (default) — the sort-middle tiled rasterizer
-  (:mod:`repro.raster.binned`): bin → coarse tile (hierarchical-Z +
-  occluded-tile cull) → fine raster. Depth-buried work is culled at
-  tile granularity before any per-pixel math runs.
-* ``"legacy"`` — the original per-triangle bounding-box rasterizer,
-  kept as the differential oracle (``--raster legacy``).
+Rasterization is the sort-middle tiled rasterizer
+(:mod:`repro.raster.binned`): bin → coarse tile (hierarchical-Z +
+occluded-tile cull) → fine raster, so depth-buried work is culled at
+tile granularity before any per-pixel math runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -26,18 +23,12 @@ from ..geometry.camera import Camera
 from ..obs import TELEMETRY
 from ..geometry.clipping import clip_triangles_near
 from ..geometry.culling import cull_backfaces
-from ..geometry.tiling import TilingEngine, covered_tile_ids
+from ..geometry.tiling import TilingEngine
 from ..geometry.transform import transform_mesh
-from ..raster.binned import BinnedRasterizer
+from ..raster.binned import BinnedRasterizer, RasterStats
 from ..raster.gbuffer import GBuffer
 from ..raster.quads import count_shaded_quads
-from ..raster.rasterizer import Rasterizer, RasterStats
 from ..workloads.scene import Scene
-
-#: Raster backends selectable via ``--raster``.
-RASTER_MODES = ("binned", "legacy")
-DEFAULT_RASTER = "binned"
-DEFAULT_RASTER_TILE = 8
 
 
 @dataclass
@@ -52,11 +43,6 @@ class RenderedFrame:
     triangles_after_cull: int
     tile_triangle_pairs: int
     tiles_touched: int
-    #: Ascending flat ids of scheduling tiles (``tile_size`` grid) with
-    #: at least one visible pixel — the texture stage and the engine's
-    #: tile-level dispatch iterate these instead of rescanning the
-    #: G-buffer.
-    tile_list: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
 def render_gbuffer(
@@ -66,28 +52,23 @@ def render_gbuffer(
     height: int,
     *,
     tile_size: int = 16,
-    raster: str = DEFAULT_RASTER,
-    raster_tile: int = DEFAULT_RASTER_TILE,
+    rasterizer: "Callable[[int, int], object]" = BinnedRasterizer,
 ) -> RenderedFrame:
     """Render one frame's visibility into a G-buffer.
 
     Texture ids stored in the G-buffer index into the returned
     ``texture_names`` list (the frame's texture binding table).
-    ``raster`` picks the backend (see module doc); ``raster_tile`` is
-    the binned backend's fine-tile size (the scheduling ``tile_size``
-    is a separate, coarser grid).
+    ``rasterizer`` builds the rasterizer from the viewport size; the
+    verification oracles pass the reference
+    :class:`~repro.verify.reference_raster.Rasterizer` here to check
+    the binned rasterizer against it bit for bit.
     """
     scene.validate()
     if width <= 0 or height <= 0:
         raise PipelineError(f"bad viewport {width}x{height}")
-    if raster not in RASTER_MODES:
-        raise PipelineError(f"unknown raster mode {raster!r} (expected {RASTER_MODES})")
 
     mvp = camera.view_projection(width, height)
-    if raster == "binned":
-        rasterizer = BinnedRasterizer(width, height, tile_size=raster_tile)
-    else:
-        rasterizer = Rasterizer(width, height)
+    raster = rasterizer(width, height)
     tiling = TilingEngine(width, height, tile_size)
 
     texture_names: "list[str]" = []
@@ -120,20 +101,17 @@ def render_gbuffer(
         sy = (1.0 - ndc[:, :, 1]) * 0.5 * height
         screen_tris.append(np.stack([sx, sy], axis=-1))
         with TELEMETRY.span("raster.draw", triangles=tris.num_triangles):
-            rasterizer.draw(tris, tid)
+            raster.draw(tris, tid)
 
-    if raster == "binned":
-        with TELEMETRY.span("raster.finalize"):
-            rasterizer.finalize()
+    with TELEMETRY.span("raster.finalize"):
+        raster.finalize()
 
     if screen_tris:
         with TELEMETRY.span("geometry.tile"):
             tiling.bin_triangles_csr(np.concatenate(screen_tris, axis=0))
 
-    stats = rasterizer.stats
-    coverage = rasterizer.gbuffer.coverage_mask
-    stats.quads_shaded = count_shaded_quads(coverage)
-    tile_list = covered_tile_ids(coverage, tile_size)
+    stats = raster.stats
+    stats.quads_shaded = count_shaded_quads(raster.gbuffer.coverage_mask)
 
     if TELEMETRY.enabled:
         TELEMETRY.count("geometry.vertices", vertices)
@@ -150,7 +128,7 @@ def render_gbuffer(
         TELEMETRY.count("raster.quads_shaded", stats.quads_shaded)
 
     return RenderedFrame(
-        gbuffer=rasterizer.gbuffer,
+        gbuffer=raster.gbuffer,
         raster_stats=stats,
         texture_names=texture_names,
         vertices=vertices,
@@ -158,5 +136,4 @@ def render_gbuffer(
         triangles_after_cull=triangles_after_cull,
         tile_triangle_pairs=tiling.stats.tile_triangle_pairs,
         tiles_touched=tiling.stats.tiles_touched,
-        tile_list=tile_list,
     )

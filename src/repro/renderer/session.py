@@ -45,7 +45,7 @@ from ..timing.params import TimingParams
 from ..timing.texpipe import TexturePipelineModel, TextureTiming
 from ..geometry.tiling import tile_pixel_order
 from ..workloads.scene import Workload
-from .pipeline import DEFAULT_RASTER, DEFAULT_RASTER_TILE, RenderedFrame, render_gbuffer
+from .pipeline import RenderedFrame, render_gbuffer
 
 _LUMA = np.asarray([0.299, 0.587, 0.114], dtype=np.float64)
 
@@ -180,8 +180,6 @@ class RenderSession:
         compressed_textures: bool = False,
         timing_params: "TimingParams | None" = None,
         energy_params: "EnergyParams | None" = None,
-        raster: str = DEFAULT_RASTER,
-        raster_tile: int = DEFAULT_RASTER_TILE,
     ) -> None:
         if scale_caches and scale < 1.0:
             # Shrink the L2 in proportion to the rendered pixel count so
@@ -197,11 +195,6 @@ class RenderSession:
             )
         self.config = config
         self.scale = scale
-        #: Raster backend ("binned" sort-middle or "legacy" per-triangle)
-        #: and the binned backend's fine-tile size; both produce
-        #: bit-identical G-buffers (see repro.raster.binned).
-        self.raster = raster
-        self.raster_tile = raster_tile
         #: Sample lossily-compressed textures through block-compressed
         #: addressing (see repro.texture.compression).
         self.compressed_textures = compressed_textures
@@ -253,9 +246,9 @@ class RenderSession:
         self, workload: Workload, frame_index: int
     ) -> FrameCapture:
         rendered = self.render_frame(workload, frame_index)
-        # Tile scheduling order: iterate the surviving tiles from the
-        # render's tile list (row-major tiles, raster order inside)
-        # instead of sorting a full-frame pixel scan.
+        # Tile scheduling order: iterate the surviving tiles (row-major
+        # tiles, raster order inside) instead of sorting a full-frame
+        # pixel scan.
         rows, cols, tile_ids = tile_pixel_order(
             rendered.gbuffer.coverage_mask, self.config.tile_size
         )
@@ -264,7 +257,7 @@ class RenderSession:
                 f"frame {frame_index} of {workload.name} produced no fragments"
             )
         part = self.filter_pixels(workload, rendered, rows, cols, tile_ids)
-        return self.assemble_capture(workload, frame_index, rendered, [part])
+        return self.assemble_capture(workload, frame_index, rendered, part)
 
     def render_frame(self, workload: Workload, frame_index: int) -> RenderedFrame:
         """Render one frame's G-buffer (phase 1 of a capture)."""
@@ -274,7 +267,6 @@ class RenderSession:
             return render_gbuffer(
                 workload.scene, camera, width, height,
                 tile_size=self.config.tile_size,
-                raster=self.raster, raster_tile=self.raster_tile,
             )
 
     def filter_pixels(
@@ -285,14 +277,7 @@ class RenderSession:
         cols: np.ndarray,
         tile_ids: np.ndarray,
     ) -> "dict[str, np.ndarray]":
-        """Texture-filter a tile-ordered pixel subset (phase 2 of a capture).
-
-        Every output is per-pixel or per-quad local, and quads never
-        span scheduling tiles, so filtering any union of whole tiles
-        yields exactly the rows the full-frame pass would produce —
-        this is what makes the engine's tile-level dispatch
-        byte-identical to a serial capture.
-        """
+        """Texture-filter the tile-ordered visible pixels (phase 2 of a capture)."""
         gb = rendered.gbuffer
         width = gb.width
         layout, name_to_chain = self._scene_layout(workload.scene)
@@ -396,6 +381,7 @@ class RenderSession:
             "af_color": af_color,
             "tf_color": tf_color,
             "tfa_color": tfa_color,
+            "sample_row_ptr": row_ptr,
             "sample_keys": sample_keys,
             "af_lines": af_lines,
             "tf_lines": tf_lines,
@@ -407,28 +393,12 @@ class RenderSession:
         workload: Workload,
         frame_index: int,
         rendered: RenderedFrame,
-        parts: "list[dict[str, np.ndarray]]",
+        part: "dict[str, np.ndarray]",
     ) -> FrameCapture:
-        """Merge tile-ordered filtered parts into a FrameCapture (phase 3).
-
-        ``parts`` must cover disjoint, ascending tile ranges; a single
-        full-range part reproduces the serial capture exactly, and the
-        concatenation of per-range parts is byte-identical to it (the
-        global CSR ``row_ptr`` is recomputed from the concatenated
-        per-pixel sample counts).
-        """
+        """Wrap the filtered pixels into a FrameCapture (phase 3)."""
         width, height = workload.scaled_size(self.scale)
-
-        def cat(key: str) -> np.ndarray:
-            if len(parts) == 1:
-                return parts[0][key]
-            return np.concatenate([p[key] for p in parts])
-
-        n = cat("n")
-        npx = n.shape[0]
-        row_ptr = np.zeros(npx + 1, dtype=np.int64)
-        np.cumsum(n, out=row_ptr[1:])
-        af_color = cat("af_color")
+        npx = part["n"].shape[0]
+        af_color = part["af_color"]
         workload_counts = FrameWorkload(
             vertices=rendered.vertices,
             triangles=rendered.triangles_after_cull,
@@ -443,23 +413,23 @@ class RenderSession:
             width=width,
             height=height,
             tile_size=self.config.tile_size,
-            rows=cat("rows"),
-            cols=cat("cols"),
-            tile_ids=cat("tile_ids"),
-            tex_ids=cat("tex_ids"),
-            n=n,
-            lod_tf=cat("lod_tf"),
-            lod_af=cat("lod_af"),
-            txds=cat("txds"),
-            share_fraction=cat("share_fraction"),
+            rows=part["rows"],
+            cols=part["cols"],
+            tile_ids=part["tile_ids"],
+            tex_ids=part["tex_ids"],
+            n=part["n"],
+            lod_tf=part["lod_tf"],
+            lod_af=part["lod_af"],
+            txds=part["txds"],
+            share_fraction=part["share_fraction"],
             af_color=af_color,
-            tf_color=cat("tf_color"),
-            tfa_color=cat("tfa_color"),
-            sample_row_ptr=row_ptr,
-            sample_keys=cat("sample_keys"),
-            af_lines=cat("af_lines"),
-            tf_lines=cat("tf_lines"),
-            tfa_lines=cat("tfa_lines"),
+            tf_color=part["tf_color"],
+            tfa_color=part["tfa_color"],
+            sample_row_ptr=part["sample_row_ptr"],
+            sample_keys=part["sample_keys"],
+            af_lines=part["af_lines"],
+            tf_lines=part["tf_lines"],
+            tfa_lines=part["tfa_lines"],
             workload=workload_counts,
             baseline_luminance=np.empty(0),
             clear_luminance=clear_lum,

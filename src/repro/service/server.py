@@ -8,7 +8,7 @@ Architecture (see ``docs/architecture.md``)::
                                                      │
                                     engine thread: ctx.execute(batch)
                                        │                    │
-                              process / remote pool   sharded capture
+                                 process pool         sharded capture
                               (ChunkSupervisor)           store
 
 The front-end accepts any number of concurrent connections and speaks
@@ -31,10 +31,9 @@ engine state needs no locking because exactly one thread touches it.
 
 Admission control bounds the number of requests queued + executing;
 beyond ``max_pending`` the service rejects with a typed 429-style
-response immediately (:mod:`repro.resilience.admission`). Backends are
-pluggable per ``--backend``: the in-process fork pool or remote TCP
-socket workers (:mod:`repro.engine.remote`) — supervision semantics
-are identical on both.
+response immediately (:mod:`repro.resilience.admission`). ``--jobs``
+picks the backend exactly as for batch runs: serial in-process at 1,
+the supervised fork pool above.
 """
 
 from __future__ import annotations
@@ -42,14 +41,13 @@ from __future__ import annotations
 import asyncio
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..engine.capture_store import make_store, spec_digest
 from ..engine.jobs import KIND_CAPTURE, dedupe_jobs
 from ..errors import AdmissionError, ProtocolError, ReproError
 from ..experiments.runner import ExperimentContext
 from ..obs import TELEMETRY
-from ..renderer.pipeline import DEFAULT_RASTER, DEFAULT_RASTER_TILE
 from ..resilience.admission import DEFAULT_MAX_PENDING, AdmissionController
 from .protocol import (
     MAX_LINE_BYTES,
@@ -73,7 +71,6 @@ class ServeConfig:
     port: int = 0
     scale: float = 0.25
     jobs: int = 1
-    backend: "str | None" = None
     store_root: "str | None" = None
     store_prefix: int = 1
     store_max_bytes: "int | None" = None
@@ -85,8 +82,6 @@ class ServeConfig:
     #: lone sequential client is never delayed.
     batch_window_s: float = 0.0
     job_timeout: "float | None" = None
-    raster: str = DEFAULT_RASTER
-    raster_tile: int = DEFAULT_RASTER_TILE
 
 
 @dataclass
@@ -122,11 +117,8 @@ class RenderService:
             scale=config.scale,
             frames=1,
             jobs=config.jobs,
-            backend=config.backend,
             capture_cache=store,
             job_timeout=config.job_timeout,
-            raster=config.raster,
-            raster_tile=config.raster_tile,
         )
         self.admission = AdmissionController(config.max_pending)
         self.counters = ServiceCounters()
@@ -178,12 +170,10 @@ class RenderService:
         )
 
     def _close_backend(self) -> None:
-        from ..engine.remote import shutdown_remote_pools
         from ..engine.scheduler import shutdown_pools
 
         self.ctx.close()
         shutdown_pools()
-        shutdown_remote_pools()
 
     # -- front-end -------------------------------------------------------
 
@@ -311,7 +301,7 @@ class RenderService:
                     workload, frame, variant
                 ):
                     # Serial backend renders lazily on touch; the
-                    # process backends always publish to the store.
+                    # process backend always publishes to the store.
                     self.ctx.capture(workload, frame, variant=variant)
                 return ok_response(request.id, capture={
                     "digest": spec_digest(spec),

@@ -6,7 +6,9 @@ the tolerance policy):
 
 * :mod:`repro.verify.reference` + :mod:`repro.verify.differential` —
   naive scalar re-derivations of the filtering and predictor math,
-  compared against the production kernels on seeded random fragments.
+  compared against the production kernels on seeded random fragments;
+  :mod:`repro.verify.reference_raster` is the per-triangle rasterizer
+  the binned rasterizer must match bit for bit.
 * :mod:`repro.verify.metamorphic` — implementation-independent
   properties (self-similarity, rotation invariance, threshold
   monotonicity, LOD-shift locality, backend equivalence).

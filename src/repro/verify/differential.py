@@ -17,6 +17,8 @@ reproduces locally with the same seed.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..core.af_ssim import af_ssim_n, af_ssim_txds, txds_from_csr
@@ -323,18 +325,20 @@ def oracle_two_stage(cfg: VerifyConfig) -> OracleResult:
 
 
 def oracle_raster_backends(cfg: VerifyConfig) -> OracleResult:
-    """Sort-middle binned rasterizer vs the legacy reference, per byte.
+    """Sort-middle binned rasterizer vs the per-triangle reference, per byte.
 
-    Renders real game frames through both backends and compares every
+    Renders real game frames through both rasterizers and compares every
     G-buffer array with ``tobytes()`` — the binned pipeline's contract
     is *bit*-identity, not closeness, because the fine pass evaluates
-    the exact legacy expressions on candidate subsets. Only G-buffer
+    the exact reference expressions on candidate subsets. Only G-buffer
     arrays are compared: the work counters (``fragments_generated``
     etc.) legitimately differ, since hierarchical-Z excludes
-    depth-buried work the legacy path still evaluates.
+    depth-buried work the reference still evaluates.
     """
+    from ..raster.binned import BinnedRasterizer
     from ..renderer.pipeline import render_gbuffer
     from ..workloads.games import get_workload
+    from .reference_raster import Rasterizer
 
     names = (
         ("wolf-640x480",) if cfg.quick
@@ -349,20 +353,22 @@ def oracle_raster_backends(cfg: VerifyConfig) -> OracleResult:
         workload = get_workload(name)
         width, height = workload.scaled_size(scale)
         camera = workload.camera(frame)
-        legacy = render_gbuffer(
-            workload.scene, camera, width, height, raster="legacy"
+        reference = render_gbuffer(
+            workload.scene, camera, width, height, rasterizer=Rasterizer
         )
-        # Odd tile sizes change the bin geometry, never the output.
-        for raster_tile in (8, 16) if name == names[0] else (8,):
+        # Other tile sizes change the bin geometry, never the output.
+        for tile_size in (8, 16) if name == names[0] else (8,):
             binned = render_gbuffer(
                 workload.scene, camera, width, height,
-                raster="binned", raster_tile=raster_tile,
+                rasterizer=functools.partial(
+                    BinnedRasterizer, tile_size=tile_size
+                ),
             )
             pixels += width * height
             mismatched.extend(
-                f"{name}@{raster_tile}:{field_name}"
+                f"{name}@{tile_size}:{field_name}"
                 for field_name in arrays
-                if getattr(legacy.gbuffer, field_name).tobytes()
+                if getattr(reference.gbuffer, field_name).tobytes()
                 != getattr(binned.gbuffer, field_name).tobytes()
             )
     return OracleResult(

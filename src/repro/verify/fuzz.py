@@ -8,8 +8,8 @@ generation profiles) and runs each through the existing oracle stack:
   reference, on derivatives sampled from the scenario's real G-buffer;
 * **metamorphic** — threshold-1.0 self-similarity, rotation
   invariance of N, nested approximation sets;
-* **raster bit-identity** — the binned sort-middle backend vs the
-  legacy reference, per byte, on the generated scene.
+* **raster bit-identity** — the binned sort-middle rasterizer vs the
+  per-triangle reference, per byte, on the generated scene.
 
 A failing spec is *shrunk*: each shrinkable axis (soup density,
 slivers, texture stress, UV regime, camera family, resolution, frame
@@ -59,7 +59,7 @@ DIFF_SAMPLES = 48
 #: Thresholds of the per-scenario monotonicity check.
 MONOTONE_THRESHOLDS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-#: G-buffer arrays compared for raster-backend bit-identity.
+#: G-buffer arrays compared for rasterizer bit-identity.
 GBUFFER_ARRAYS = (
     "tex_id", "depth", "u", "v", "dudx", "dvdx", "dudy", "dvdy"
 )
@@ -131,18 +131,17 @@ def _check_differential_footprint(derivs: np.ndarray) -> "dict[str, object]":
 
 
 def _check_raster_identity(workload, camera, width, height) -> "dict[str, object]":
-    """Binned vs legacy G-buffers of one generated frame, per byte."""
+    """Binned vs reference G-buffers of one generated frame, per byte."""
     from ..renderer.pipeline import render_gbuffer
+    from .reference_raster import Rasterizer
 
-    legacy = render_gbuffer(
-        workload.scene, camera, width, height, raster="legacy"
+    reference = render_gbuffer(
+        workload.scene, camera, width, height, rasterizer=Rasterizer
     )
-    binned = render_gbuffer(
-        workload.scene, camera, width, height, raster="binned"
-    )
+    binned = render_gbuffer(workload.scene, camera, width, height)
     mismatched = [
         name for name in GBUFFER_ARRAYS
-        if getattr(legacy.gbuffer, name).tobytes()
+        if getattr(reference.gbuffer, name).tobytes()
         != getattr(binned.gbuffer, name).tobytes()
     ]
     return {

@@ -1,4 +1,4 @@
-"""Triangle rasterization with perspective-correct attribute interpolation.
+"""The per-triangle reference rasterizer: the binned rasterizer's oracle.
 
 For each triangle the rasterizer evaluates edge functions over the
 triangle's screen bounding box, performs the early depth test against a
@@ -13,141 +13,25 @@ Derivatives are exact: with screen-affine barycentrics
 yields ``du/dx`` and friends in closed form. Hardware approximates the
 same quantities with intra-quad finite differences; the analytic values
 are the limit of that scheme and keep the model vectorizable.
+
+:class:`~repro.raster.binned.BinnedRasterizer` evaluates the same
+per-pixel expressions on tile-culled subsets, so the two G-buffers are
+bit-identical; the differential and fuzz oracles and
+``tests/properties/test_raster_differential.py`` hold it to that. Pass
+the class as ``render_gbuffer(..., rasterizer=Rasterizer)``. Only the
+work counters differ: this path evaluates depth-buried fragments that
+the binned rasterizer culls.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import PipelineError
 from ..geometry.transform import TransformedTriangles
-from .gbuffer import GBuffer
-
-
-@dataclass
-class RasterStats:
-    """Counters describing one frame's rasterization workload."""
-
-    triangles_submitted: int = 0
-    triangles_rasterized: int = 0
-    fragments_generated: int = 0
-    fragments_passed_depth: int = 0
-    #: Sort-middle counters (stay 0 on the legacy per-triangle path,
-    #: except ``quads_shaded`` which the pipeline fills for both modes).
-    bins: int = 0
-    tiles_culled_hiz: int = 0
-    tiles_culled_occluded: int = 0
-    quads_shaded: int = 0
-
-    @property
-    def overdraw(self) -> float:
-        """Generated fragments per depth-surviving fragment.
-
-        Convention: the denominator is clamped to ``max(passed, 1)`` so
-        a frame whose generated fragments *all* failed the depth test
-        reports its generated count (the work actually done) instead of
-        a misleading ``0.0`` or a division by zero. A frame that
-        generated nothing reports ``0.0``.
-        """
-        return self.fragments_generated / max(self.fragments_passed_depth, 1)
-
-    def to_dict(self) -> "dict[str, float]":
-        """JSON-ready snapshot (for the metrics JSONL sink and tooling)."""
-        return {
-            "triangles_submitted": self.triangles_submitted,
-            "triangles_rasterized": self.triangles_rasterized,
-            "fragments_generated": self.fragments_generated,
-            "fragments_passed_depth": self.fragments_passed_depth,
-            "overdraw": self.overdraw,
-            "bins": self.bins,
-            "tiles_culled_hiz": self.tiles_culled_hiz,
-            "tiles_culled_occluded": self.tiles_culled_occluded,
-            "quads_shaded": self.quads_shaded,
-        }
-
-
-def edge_tie_accept(
-    gx0: float, gy0: float, gx1: float, gy1: float, gx2: float, gy2: float
-) -> "tuple[bool, bool, bool]":
-    """Top-left fill rule tie decisions for the three edges.
-
-    A pixel center exactly on an edge (``lam_k == 0``) belongs to the
-    triangle only when that edge is a *top* or *left* edge, so a pixel
-    shared by two adjacent triangles is shaded exactly once. With
-    y-down screen coordinates and ``(gx_k, gy_k)`` the inward gradient
-    of ``lam_k`` (it points from edge ``k`` toward vertex ``k``):
-
-    * a **left** edge has the interior to its right: ``gx > 0``;
-    * a **top** edge is horizontal with the interior below: ``gx == 0``
-      and ``gy > 0``.
-
-    The classification is winding-independent because the gradients are
-    scaled by the signed ``1 / area2``.
-    """
-    return (
-        gx0 > 0 or (gx0 == 0 and gy0 > 0),
-        gx1 > 0 or (gx1 == 0 and gy1 > 0),
-        gx2 > 0 or (gx2 == 0 and gy2 > 0),
-    )
-
-
-def edge_inside_mask(
-    px: np.ndarray,
-    py: np.ndarray,
-    sx: np.ndarray,
-    sy: np.ndarray,
-    inv_area2: float,
-    lam0: np.ndarray,
-    lam1: np.ndarray,
-) -> np.ndarray:
-    """Watertight top-left inside test over a pixel-center grid.
-
-    Edge ``k`` (opposite vertex ``k``) is evaluated as
-    ``t_k = (A_k * (px - cx) + B_k * (py - cy)) / area2`` where
-    ``(A_k, B_k)`` are the triangle's own edge coefficients (``lam_k``'s
-    gradient times ``area2``) and the anchor ``c`` is the
-    *lexicographically smaller* endpoint of the edge. Two triangles
-    sharing an edge pick the same anchor and exactly-negated
-    coefficients, so their computed ``t_k`` arrays are exact negations
-    of each other; together with the top-left tie rule
-    (:func:`edge_tie_accept`) every pixel center on a shared edge is
-    therefore owned by exactly one of them — no double-shading and no
-    dropped pixels, even where rounding makes the mathematical zero
-    wobble. The derived barycentric ``1 - lam0 - lam1`` must never be
-    used for coverage: its accumulated rounding is not antisymmetric
-    across neighbors.
-
-    ``lam0``/``lam1`` are the interpolation barycentrics anchored at
-    vertex 2; when the canonical anchor of their edge *is* vertex 2 the
-    freshly computed ``t_k`` would be bit-identical, so they are reused.
-    """
-
-    def smaller(a: int, b: int) -> bool:
-        return (sx[a], sy[a]) <= (sx[b], sy[b])
-
-    # Edge k: traversal a -> b in the winding cycle; (A, B) is the
-    # interior-positive coefficient pair shared (negated) with the
-    # neighboring triangle.
-    edges = (
-        (sy[1] - sy[2], sx[2] - sx[1], 1, 2, lam0),  # edge 0: v1 -> v2
-        (sy[2] - sy[0], sx[0] - sx[2], 2, 0, lam1),  # edge 1: v2 -> v0
-        (sy[0] - sy[1], sx[1] - sx[0], 0, 1, None),  # edge 2: v0 -> v1
-    )
-    inside = None
-    for coeff_a, coeff_b, a, b, legacy_lam in edges:
-        anchor = a if smaller(a, b) else b
-        if legacy_lam is not None and anchor == 2:
-            t = legacy_lam
-        else:
-            t = (coeff_a * (px - sx[anchor]) + coeff_b * (py - sy[anchor])) * inv_area2
-        gx = coeff_a * inv_area2
-        gy = coeff_b * inv_area2
-        tie = gx > 0 or (gx == 0 and gy > 0)
-        term = (t > 0) | ((t == 0) & tie)
-        inside = term if inside is None else inside & term
-    return inside
+from ..raster.binned import RasterStats
+from ..raster.edges import edge_inside_mask
+from ..raster.gbuffer import GBuffer
 
 
 class Rasterizer:
@@ -160,6 +44,9 @@ class Rasterizer:
         self.height = height
         self.gbuffer = GBuffer.empty(width, height)
         self.stats = RasterStats()
+
+    def finalize(self) -> None:
+        """Nothing to resolve: every :meth:`draw` already wrote the G-buffer."""
 
     def draw(self, tris: TransformedTriangles, texture_id: int) -> None:
         """Rasterize all triangles of one draw call.

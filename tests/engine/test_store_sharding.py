@@ -95,6 +95,41 @@ class TestReadThrough:
         assert store.stats.misses == 1 and store.stats.readthrough == 0
 
 
+def _shard_totals(store) -> int:
+    return sum(t["hits"] + t["misses"] for t in store.shard_traffic.values())
+
+
+class TestCorruptEntries:
+    """A corrupt entry is a miss in every counter, shard traffic included."""
+
+    def test_corrupt_home_entry_is_a_shard_miss(self, store, capture):
+        spec = _spec("a")
+        home = store.put(spec, capture)
+        home.write_bytes(b"not an npz")
+
+        assert store.get(spec) is None
+        assert (store.stats.hits, store.stats.misses) == (0, 1)
+        assert store.stats.corrupt == 1
+        assert store.shard_traffic == {
+            home.parent.name: {"hits": 0, "misses": 1}
+        }
+        assert _shard_totals(store) == store.stats.hits + store.stats.misses
+
+    def test_corrupt_readthrough_entry_is_not_a_readthrough(
+        self, store, capture
+    ):
+        spec = _spec("a")
+        home = store.path_for(spec)
+        CaptureStore(store.root).put(spec, capture)
+        (store.root / home.name).write_bytes(b"not an npz")
+
+        assert store.get(spec) is None
+        assert (store.stats.hits, store.stats.misses) == (0, 1)
+        assert store.stats.corrupt == 1 and store.stats.readthrough == 0
+        assert store.shard_traffic[home.parent.name]["hits"] == 0
+        assert _shard_totals(store) == store.stats.hits + store.stats.misses
+
+
 class TestEviction:
     def _sized_put(self, store, capture, name, mtime):
         spec = _spec(name)

@@ -38,29 +38,20 @@ def fleet():
 
 class TestMatrixExpansion:
     def test_full_cross_product_in_stable_order(self, fleet):
-        cells = fleet.expand_matrix(
-            ["a", "b"], [0.25, 0.5], [1, 2], ["binned"]
-        )
+        cells = fleet.expand_matrix(["a", "b"], [0.25, 0.5], [1, 2])
         assert len(cells) == 8
         assert [c.workload for c in cells[:4]] == ["a"] * 4
-        assert cells[0].config() == {
-            "workload": "a", "scale": 0.25, "jobs": 1, "raster": "binned",
-        }
+        assert cells[0].config() == {"workload": "a", "scale": 0.25, "jobs": 1}
+        assert [c.jobs for c in cells[:2]] == [1, 2]
 
     def test_duplicate_axis_values_are_deduplicated(self, fleet):
-        cells = fleet.expand_matrix(
-            ["a", "a", "b"], [0.25, 0.25], [1], ["binned", "binned"]
-        )
+        cells = fleet.expand_matrix(["a", "a", "b"], [0.25, 0.25], [1, 1])
         assert len(cells) == 2
         assert [c.workload for c in cells] == ["a", "b"]
 
     def test_cells_are_hashable_points(self, fleet):
-        cell = fleet.FleetCell(
-            workload="a", scale=0.25, jobs=1, raster="binned"
-        )
-        assert cell == fleet.FleetCell(
-            workload="a", scale=0.25, jobs=1, raster="binned"
-        )
+        cell = fleet.FleetCell(workload="a", scale=0.25, jobs=1)
+        assert cell == fleet.FleetCell(workload="a", scale=0.25, jobs=1)
         assert len({cell, cell}) == 1
 
 
@@ -84,14 +75,14 @@ class TestQuickMatrix:
         assert len(set(digests)) == len(records)
         for record in records:
             config = record["config"]
-            assert {"workload", "scale", "jobs", "raster"} <= set(config)
+            assert {"workload", "scale", "jobs"} <= set(config)
             assert record["metrics"]["cell_ms"] > 0
             assert 0.0 < record["metrics"]["mssim"] <= 1.0
             assert record["machine"]["calibration_ms"] > 0
         workloads = {r["config"]["workload"] for r in records}
         assert workloads == set(fleet.QUICK_WORKLOADS)
-        rasters = {r["config"]["raster"] for r in records}
-        assert rasters == set(fleet.QUICK_RASTERS)
+        jobs = {r["config"]["jobs"] for r in records}
+        assert jobs == set(fleet.QUICK_JOBS)
         # The JSON summary mirrors the ledger cells.
         payload = json.loads(out.read_text())
         assert payload["benchmark"] == "fleet"

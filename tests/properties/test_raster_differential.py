@@ -1,14 +1,16 @@
-"""Differential property tests: binned rasterizer vs the legacy path.
+"""Differential property tests: binned rasterizer vs the reference.
 
-Two backends, one contract — *bit*-identical G-buffers. The suite
-drives both with the repo's seven game scenes (real meshes, real
-camera paths) and with seeded random triangle soups whose distribution
-is deliberately hostile: degenerate slivers, near-collinear vertices,
-huge screen-crossing triangles, strongly varying ``w``.
+The production rasterizer and the per-triangle reference in
+``repro.verify.reference_raster`` share one contract: *bit*-identical
+G-buffers. The suite drives both with the repo's seven game scenes
+(real meshes, real camera paths) and with seeded random triangle soups
+whose distribution is deliberately hostile: degenerate slivers,
+near-collinear vertices, huge screen-crossing triangles, strongly
+varying ``w``.
 
 Only the eight G-buffer arrays are compared. Work counters
 (``fragments_generated``/``fragments_passed_depth``) are *expected* to
-differ: hierarchical-Z excludes depth-buried tiles the legacy path
+differ: hierarchical-Z excludes depth-buried tiles the reference
 still evaluates.
 """
 
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.raster.binned import BinnedRasterizer
-from repro.raster.rasterizer import Rasterizer
+from repro.verify.reference_raster import Rasterizer
 from repro.geometry.transform import TransformedTriangles
 from repro.renderer.pipeline import render_gbuffer
 from repro.workloads.games import get_workload
@@ -50,9 +52,11 @@ def test_game_frames_bit_identical(name, scale):
     workload = get_workload(name)
     width, height = workload.scaled_size(scale)
     camera = workload.camera(1)
-    legacy = render_gbuffer(workload.scene, camera, width, height, raster="legacy")
-    binned = render_gbuffer(workload.scene, camera, width, height, raster="binned")
-    _assert_identical(legacy.gbuffer, binned.gbuffer, name)
+    reference = render_gbuffer(
+        workload.scene, camera, width, height, rasterizer=Rasterizer
+    )
+    binned = render_gbuffer(workload.scene, camera, width, height)
+    _assert_identical(reference.gbuffer, binned.gbuffer, name)
 
 
 def _triangle_soup(seed: int, count: int = 80) -> TransformedTriangles:

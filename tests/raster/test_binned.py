@@ -1,8 +1,9 @@
 """Tests for the sort-middle binned rasterizer.
 
-The binned backend's contract is *bit*-identity with the legacy
-immediate-mode rasterizer — its fine pass evaluates the exact legacy
-expressions on candidate subsets — so the assertions here compare
+The binned rasterizer's contract is *bit*-identity with the reference
+immediate-mode rasterizer (``repro.verify.reference_raster``) — its
+fine pass evaluates the exact reference expressions on candidate
+subsets — so the assertions here compare
 ``tobytes()`` of G-buffer arrays, never "closeness". Work counters
 (``fragments_generated`` etc.) are compared only where the geometry
 makes them provably equal (no occlusion → nothing for hierarchical-Z
@@ -18,7 +19,7 @@ from repro.geometry.clipping import clip_triangles_near
 from repro.geometry.mesh import make_quad
 from repro.geometry.transform import TransformedTriangles, transform_mesh
 from repro.raster.binned import BinnedRasterizer, _ragged_indices, _segment_min
-from repro.raster.rasterizer import Rasterizer
+from repro.verify.reference_raster import Rasterizer
 
 GB_ARRAYS = ("tex_id", "depth", "u", "v", "dudx", "dvdx", "dudy", "dvdy")
 

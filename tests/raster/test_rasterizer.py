@@ -1,4 +1,5 @@
-"""Tests for the rasterizer: coverage, depth, interpolation, derivatives."""
+"""Tests for the reference rasterizer: coverage, depth, interpolation,
+derivatives."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from repro.geometry.camera import Camera
 from repro.geometry.clipping import clip_triangles_near
 from repro.geometry.mesh import make_quad
 from repro.geometry.transform import TransformedTriangles, transform_mesh
-from repro.raster.rasterizer import Rasterizer
+from repro.verify.reference_raster import Rasterizer
 
 
 def _screen_quad(z: float, size: float = 1.0, uv_scale: float = 1.0):

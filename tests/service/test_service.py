@@ -1,9 +1,9 @@
 """Tests for the render service: batching, dedup, admission, errors.
 
-These run the real :class:`~repro.service.server.RenderService` on the
-serial backend at a tiny scale — the asyncio front-end, the batcher
-and the response paths are all exercised in-process, without worker
-pools or subprocesses.
+These run the real :class:`~repro.service.server.RenderService` at a
+tiny scale — the asyncio front-end, the batcher and the response paths
+are all exercised in-process, on the serial backend except for one
+two-worker pool run.
 """
 
 import asyncio
@@ -166,6 +166,43 @@ class TestConcurrentDedup:
 
         for threshold in (0.3, 0.4, 0.5):
             assert canonical(by_a[threshold]) == canonical(by_b[threshold])
+
+
+class TestProcessPool:
+    def test_pool_answers_a_coalesced_batch_like_serial(self, tmp_path):
+        """A ``jobs=2`` service answers one coalesced eval batch
+        byte-identically to ``jobs=1`` and reports the process backend."""
+        requests = [
+            parse_request(_eval_line(f"p{i}", t))
+            for i, t in enumerate([0.3, 0.5, 0.3, 0.7])
+        ]
+
+        async def scenario(jobs: int):
+            service = RenderService(ServeConfig(
+                scale=SCALE, jobs=jobs,
+                store_root=str(tmp_path / f"store-{jobs}"),
+            ))
+            loop = asyncio.get_running_loop()
+            futures = [loop.create_future() for _ in requests]
+            for request, future in zip(requests, futures):
+                service._queue.put_nowait((request, future))
+            await service.start()
+            try:
+                payloads = await asyncio.gather(*futures)
+                return payloads, service.stats()
+            finally:
+                await service.aclose()
+
+        serial, serial_stats = asyncio.run(scenario(1))
+        pooled, pool_stats = asyncio.run(scenario(2))
+        assert serial_stats["backend"] == "serial"
+        assert pool_stats["backend"] == "process"
+        assert pool_stats["coalesced_batches"] == 1
+        assert pool_stats["coalesced_jobs"] == 1
+        assert all(payload["ok"] for payload in pooled)
+        assert [encode_response(p) for p in pooled] == [
+            encode_response(p) for p in serial
+        ]
 
 
 class TestFrontEnd:

@@ -68,23 +68,24 @@ class TestServeWorkerParser:
         args = build_parser().parse_args(["serve"])
         assert args.command == "serve"
         assert args.port == 7070
-        assert args.backend is None
+        assert args.jobs == 1
         assert args.store_prefix == 1
         assert args.max_batch == 64
 
-    def test_serve_backend_choices(self):
-        args = build_parser().parse_args(["serve", "--backend", "remote"])
-        assert args.backend == "remote"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--backend", "bogus"])
-
-    def test_worker_requires_connect(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["worker"])
-
-    def test_worker_rejects_malformed_connect(self, capsys):
-        assert main(["worker", "--connect", "nonsense"]) == 2
-        assert "HOST:PORT" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["worker", "--connect", "127.0.0.1:7071"],
+        ["serve", "--backend", "process"],
+        *(command + flag
+          for command in (["experiment", "fig17"], ["render", "hl2"],
+                          ["compare", "hl2"], ["report"],
+                          ["profile", "hl2"], ["serve"])
+          for flag in (["--raster", "legacy"], ["--tile-size", "16"])),
+    ])
+    def test_removed_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestStoreCommand:
