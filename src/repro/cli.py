@@ -988,7 +988,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "shards, multiple machines)")
     p_tr.add_argument("--kind", default=None,
                       help="only analyze records of this kind (experiment, "
-                           "report, profile, verify, hotpath, fleet, serve)")
+                           "report, profile, verify, bench)")
     p_tr.add_argument("--metric", default=None, metavar="SUBSTR",
                       help="only metrics whose name contains SUBSTR")
     p_tr.add_argument("--window", type=int, default=DEFAULT_WINDOW,

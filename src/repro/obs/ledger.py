@@ -1,7 +1,7 @@
 """The persistent run ledger: one schema'd record per toolkit run.
 
 Every invocation of ``repro experiment``/``report``/``profile``/
-``verify`` and of ``benchmarks/hotpath.py`` appends one JSON record to
+``verify`` and of ``perfbench/run.py`` appends one JSON record to
 an append-only JSONL ledger (default ``.repro/ledger/ledger.jsonl``,
 overridable with ``--ledger DIR`` or ``REPRO_LEDGER_DIR``). A record
 captures everything needed to compare the run against its own history
@@ -10,7 +10,7 @@ on any machine:
 * identity — ``kind``, the reconstructed ``command``, a
   ``config_digest`` over the run-shaping parameters, the git revision;
 * machine — platform block plus the ``calibration_ms`` speed token
-  shared with ``benchmarks/compare.py --calibrate``;
+  ``repro trends`` scales wall-clock history by;
 * telemetry rollups — per-stage self-times, counter totals, histogram
   summaries, capture-store traffic, per-worker attribution;
 * quality — MSSIM / approximation-rate / LOD-shift distributions, the
@@ -45,9 +45,7 @@ LEDGER_FILE = "ledger.jsonl"
 
 #: Record kinds the toolkit emits (free-form kinds are allowed, these
 #: are the built-in emitters).
-KINDS = (
-    "experiment", "report", "profile", "verify", "hotpath", "fleet", "serve",
-)
+KINDS = ("experiment", "report", "profile", "verify", "bench")
 
 #: Environment override for the default ledger directory (used by the
 #: test suite to keep checkouts clean).
@@ -206,10 +204,11 @@ def build_record(
     """Assemble one schema-versioned ledger record.
 
     ``config`` is the run-shaping parameter dict the digest is taken
-    over; ``metrics`` adds caller-specific numbers (e.g. hotpath span
-    times) on top of the rollup :func:`trend_metrics` derives from the
-    telemetry registry. ``calibration_ms`` lets callers that already
-    measured the token (hotpath.py) avoid paying for it twice.
+    over; ``metrics`` adds caller-specific numbers (e.g. the benchmark's
+    ``e2e.*``/``layer.*`` figures) on top of the rollup
+    :func:`trend_metrics` derives from the telemetry registry.
+    ``calibration_ms`` lets callers that already measured the token
+    avoid paying for it twice.
     """
     config = dict(config or {})
     if calibration_ms is None:

@@ -5,12 +5,11 @@ numbers from another until both carry a common yardstick. The
 ``calibration_ms`` token — best-of-three milliseconds for a fixed
 seeded numpy workload mixing the primitives the kernels lean on
 (fancy gathers, a stable sort, float blends) — is that yardstick:
-``benchmarks/compare.py --calibrate`` and ``repro trends`` scale one
-run's times by the ratio of two tokens before comparing. The scaling
-is crude but monotone; pair it with generous thresholds.
+``repro trends`` scales one run's times by the ratio of two tokens
+before comparing. The scaling is crude but monotone; pair it with
+generous thresholds.
 
-This module is the single home of the token (``benchmarks/hotpath.py``
-historically carried its own copy and now imports this one), plus the
+This module is the single home of the token, plus the
 ``machine_info`` block and best-effort git revision stamped into every
 run-ledger record.
 """

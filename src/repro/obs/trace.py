@@ -21,7 +21,7 @@ TRACE_PID = 1
 TRACE_TID = 1
 
 #: Schema major of the exported trace document's ``otherData``
-#: metadata (mirrors ``hotpath.json``'s ``"schema": 1`` convention).
+#: metadata.
 TRACE_SCHEMA = 1
 
 

@@ -5,37 +5,46 @@ groups records by ``(kind, config_digest)`` — only runs doing the same
 work are comparable — and, for every metric of each group's newest
 record, builds a baseline from the preceding runs: the median plus a
 MAD-scaled band. A metric is flagged when the latest value leaves the
-band *in its harmful direction*:
+band *in its harmful direction*.
 
-* time-like metrics (``stage_ms.*``, ``*_ms``/``*_us``, ``duration_s``,
-  anything with ``cycles``) regress upward. Before comparison, each
-  historical value is rescaled by the ratio of the two runs'
-  ``calibration_ms`` machine-speed tokens (the same normalization
-  ``benchmarks/compare.py --calibrate`` applies), so a baseline from a
-  faster machine doesn't read as a regression on a slower one;
-* quality-like metrics (``mssim``, ``fps``, ``*.hits``) regress
-  downward;
-* everything else (counter totals, store traffic) is two-sided —
-  deterministic fingerprints where *any* drift means behavior changed.
+A metric's class comes from the dotted segment that carries its unit:
+the last one, or the one before a trailing percentile (``.p50``) or
+sample count (``.n``) — ``e2e.job_ms.p50`` is in milliseconds.
+
+* durations (``stage_ms.*``, ``*_ms``/``*_us``/``*_s``, ``ns_per_*``)
+  and anything with ``cycles`` regress upward. Before comparison, each
+  historical duration is rescaled by the ratio of the two runs'
+  ``calibration_ms`` machine-speed tokens, so a baseline from a faster
+  machine doesn't read as a regression on a slower one;
+* throughputs (``*_per_s``) regress downward and are never rescaled;
+* memory (``*_mb``) regresses upward;
+* sample counts (``*.n``) of time-budgeted runs drift either way;
+* quality-like metrics (``mssim``, ``fps``, ``*.hits``, hit rates)
+  regress downward;
+* everything else (counter totals, store traffic, simulated ratios) is
+  two-sided — deterministic fingerprints where *any* drift means
+  behavior changed.
 
 The flag band is ``max(k * 1.4826 * MAD, floor * |median|)``: the MAD
 term adapts to observed run-to-run noise once history accumulates, the
 relative floor keeps two-run ledgers usable (MAD of one sample is 0).
-Time metrics get a generous floor, deterministic metrics a tight one.
-Wall-clock bands additionally never shrink below an absolute floor
-(0.5 ms for millisecond-denominated metrics): sub-millisecond stage
-times are dominated by timer jitter, where relative deltas of +50%
-mean tens of microseconds, not regressions. And until a group has
-three historical runs, wall-clock metrics are reported but never
-flagged — with one or two samples the MAD says nothing about the
-machine's noise (single millisecond-scale measurements jitter by 2-3x
-under load), and a fresh ledger must not flag its own second run.
-Deterministic metrics gate from the first comparison.
+Noisy metrics (durations, throughputs, memory, sample counts) get a
+generous floor, deterministic metrics a tight one. Duration bands
+additionally never shrink below an absolute floor (0.5 ms in the
+metric's own unit): sub-millisecond stage times are dominated by timer
+jitter, where relative deltas of +50% mean tens of microseconds, not
+regressions. And until a group has three historical runs, noisy
+metrics are reported but never flagged — with one or two samples the
+MAD says nothing about the machine's noise (single millisecond-scale
+measurements jitter by 2-3x under load), and a fresh ledger must not
+flag its own second run. Deterministic metrics gate from the first
+comparison.
 """
 
 from __future__ import annotations
 
 import pathlib
+import re
 from dataclasses import dataclass, field
 
 from .ledger import read_ledger, read_ledgers
@@ -49,8 +58,8 @@ DEFAULT_K = 4.0
 DEFAULT_TIME_FLOOR = 0.35
 DEFAULT_EXACT_FLOOR = 0.01
 
-#: Wall-clock metrics need this many historical samples before they
-#: can flag. With one or two samples the MAD says nothing about the
+#: Noisy metrics need this many historical samples before they can
+#: flag. With one or two samples the MAD says nothing about the
 #: machine's noise, and single measurements of millisecond-scale spans
 #: genuinely jitter by 2-3x under CPU contention — a gate that cries
 #: wolf on its second run would be deleted, not fixed. Deterministic
@@ -68,61 +77,87 @@ DIRECTION_LOW_BAD = "low_bad"
 DIRECTION_BOTH = "both"
 
 
+#: Trailing segments that qualify the unit segment before them: a
+#: percentile (``.p50``, ``.p90``) or the sample count (``.n``).
+_QUALIFIER = re.compile(r"p\d+|n")
+
+
+def unit_segment(name: str) -> str:
+    """The dotted segment of a metric name that carries its unit."""
+    head, _, last = name.rpartition(".")
+    if head and _QUALIFIER.fullmatch(last):
+        return head.rpartition(".")[2]
+    return last
+
+
+def is_sample_count(name: str) -> bool:
+    """``*.n``: how many samples a time-budgeted run took."""
+    return name.endswith(".n")
+
+
+def is_throughput(name: str) -> bool:
+    """``*_per_s``: work per second (low-bad, never calibrated)."""
+    return unit_segment(name).endswith("_per_s")
+
+
+def is_memory(name: str) -> bool:
+    """``*_mb``: megabytes held or moved (high-bad, noisy)."""
+    return unit_segment(name).endswith("_mb")
+
+
 def is_time_metric(name: str) -> bool:
-    """Is this metric wall-clock-like (noisy, calibration-scalable)?"""
-    return (
-        name.startswith("stage_ms.")
-        or name.endswith(("_ms", "_us", "_s"))
-        or "duration" in name
-    )
+    """Is this metric a duration (noisy, calibration-scalable)?"""
+    if name.startswith("stage_ms."):
+        return True
+    if is_sample_count(name) or is_throughput(name):
+        return False
+    unit = unit_segment(name)
+    return unit.endswith(("_ms", "_us", "_s")) or unit.startswith("ns_per_")
 
 
 def time_abs_floor(name: str) -> float:
-    """Absolute band floor for a wall-clock metric, in its own unit.
+    """Absolute band floor for a duration metric, in its own unit.
 
     0.5 ms of jitter is normal for any span; expressed per unit so
     ``stage_ms.*``, ``*_us`` and ``duration_s`` all get the same
     physical floor.
     """
-    if name.startswith("stage_ms.") or name.endswith("_ms"):
-        return 0.5
-    if name.endswith("_us"):
-        return 500.0
-    if name.endswith("_s") or "duration" in name:
-        return 0.0005
+    unit = "_ms" if name.startswith("stage_ms.") else unit_segment(name)
+    for suffix, floor in (("_ms", 0.5), ("_us", 500.0), ("_s", 0.0005)):
+        if unit.endswith(suffix):
+            return floor
     return 0.0
 
 
 def is_noisy_metric(name: str) -> bool:
-    """Is this metric scheduling-noisy even though it isn't a duration?
+    """Is this metric machine- or scheduling-noisy though not a duration?
 
-    Service throughput and batching outcomes (requests/sec, speedup,
-    how many in-flight requests happened to drain into one batch,
-    queue depths) depend on machine speed and scheduling races, not
-    just on what the code computed — they get the same generous
-    treatment as wall clock: the ``--time-floor`` band and no flagging
-    until a group has :data:`MIN_TIME_SAMPLES` historical runs.
+    Throughputs, memory peaks, the sample count of a time-budgeted run
+    and how many jobs happened to coalesce into one service batch
+    depend on machine speed and scheduling races, not just on what the
+    code computed — they get the same generous treatment as durations:
+    the ``--time-floor`` band and no flagging until a group has
+    :data:`MIN_TIME_SAMPLES` historical runs.
     """
     return (
-        "requests_per_sec" in name
-        or "_rps" in name
-        or "speedup" in name
+        is_sample_count(name)
+        or is_throughput(name)
+        or is_memory(name)
         or "coalesce" in name
-        or "batch" in name
-        or "queue_depth" in name
     )
 
 
 def metric_direction(name: str) -> str:
     """Which way does this metric get *worse*?"""
-    if "requests_per_sec" in name or "coalesce" in name or "hit_rate" in name:
-        # Service throughput/batching/store-locality metrics: higher
-        # is healthier, a drop is the regression (sits above the time
-        # check so `serve.*_rate` names never read as wall-clock).
+    if is_sample_count(name):
+        return DIRECTION_BOTH
+    if is_throughput(name) or "coalesce" in name or "hit_rate" in name:
+        # Throughput, service batching and store locality: higher is
+        # healthier, a drop is the regression.
         return DIRECTION_LOW_BAD
-    if "queue_depth" in name or "rejected" in name or "admission" in name:
-        # Service back-pressure: growth means the engine stopped
-        # keeping up and admission control started shedding load.
+    if is_memory(name) or "rejected" in name or "admission" in name:
+        # Memory growth, and service back-pressure: admission control
+        # shedding load means the engine stopped keeping up.
         return DIRECTION_HIGH_BAD
     if is_time_metric(name) or "cycles" in name:
         return DIRECTION_HIGH_BAD

@@ -1,7 +1,7 @@
 """A minimal blocking JSON-lines client for the render service.
 
-Used by ``benchmarks/service_bench.py`` and the test suite; the wire
-format is plain enough that real clients can speak it from any
+Used by the benchmark's ``serve-mixed`` clients (``perfbench/``); the
+wire format is plain enough that real clients can speak it from any
 language (or ``nc``), so this class is a convenience, not an SDK.
 """
 

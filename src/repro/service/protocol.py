@@ -22,7 +22,7 @@ Ops:
 
 Responses are JSON objects with ``sort_keys`` and compact separators,
 so a given result always serializes to the *same bytes* — the
-byte-identity contract ``benchmarks/service_bench.py`` checks between
+byte-identity contract ``tests/service/test_service.py`` checks between
 concurrent batched execution and the sequential baseline. Success:
 ``{"id": ..., "ok": true, ...}``; failure:
 ``{"error": {"message": ..., "type": ...}, "id": ..., "ok": false,

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
-import pathlib
 
 import pytest
 
@@ -142,8 +140,8 @@ class TestAppendRead:
 
 class TestCliEmitters:
     """`experiment`, `profile` and `verify` all emit records that
-    validate against the one published schema (`hotpath` is covered
-    below; `render`/`compare`/`trends` must not emit)."""
+    validate against the one published schema (`render`/`compare`/
+    `trends` must not emit)."""
 
     def run_cli(self, argv, tmp_path):
         from repro.cli import main
@@ -220,31 +218,3 @@ class TestCliEmitters:
         )
         assert b[-1]["config_digest"] == a[0]["config_digest"]
 
-
-def load_hotpath_module():
-    root = pathlib.Path(__file__).resolve().parents[2]
-    spec = importlib.util.spec_from_file_location(
-        "hotpath_bench", root / "benchmarks" / "hotpath.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.mark.slow
-def test_hotpath_bench_emits_valid_record(tmp_path, capsys):
-    hotpath = load_hotpath_module()
-    ledger = tmp_path / "ledger"
-    rc = hotpath.main([
-        "--quick", "--fragments", "512", "--repeats", "1",
-        "--texture-size", "64",
-        "--out", str(tmp_path / "hp.json"), "--ledger", str(ledger),
-    ])
-    assert rc == 0
-    records = read_ledger(ledger)
-    assert len(records) == 1
-    record = records[0]
-    assert record["kind"] == "hotpath"
-    assert record["metrics"]["stage_ms.texture.filter_batch"] > 0
-    assert record["machine"]["calibration_ms"] > 0
-    assert record["config"]["fragments"] == 512

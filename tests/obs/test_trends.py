@@ -15,6 +15,7 @@ from repro.obs.trends import (
     is_time_metric,
     metric_direction,
     time_abs_floor,
+    unit_segment,
 )
 
 
@@ -33,10 +34,23 @@ def record(metrics, *, kind="profile", digest="feedc0de00000000",
 class TestMetricClassification:
     @pytest.mark.parametrize("name", [
         "stage_ms.session.evaluate", "duration_s", "profile_ms", "wait_us",
+        "e2e.setup_s", "e2e.job_ms.p50", "e2e.job_ms.p90",
+        "layer.memsys.ns_per_access",
     ])
     def test_time_metrics(self, name):
         assert is_time_metric(name)
         assert metric_direction(name) == DIRECTION_HIGH_BAD
+
+    @pytest.mark.parametrize("name, unit", [
+        ("duration_s", "duration_s"),
+        ("stage_ms.session.evaluate", "evaluate"),
+        ("e2e.jobs_per_s", "jobs_per_s"),
+        ("e2e.job_ms.p50", "job_ms"),
+        ("e2e.job_ms.n", "job_ms"),
+        ("e2e.sim.patu_speedup", "patu_speedup"),
+    ])
+    def test_unit_segment(self, name, unit):
+        assert unit_segment(name) == unit
 
     def test_cycles_are_high_bad_but_not_time(self):
         assert not is_time_metric("quality.frame_cycles_mean")
@@ -55,52 +69,109 @@ class TestMetricClassification:
         assert metric_direction(name) == DIRECTION_BOTH
 
     @pytest.mark.parametrize("name", [
-        "requests_per_sec", "coalesce_rate", "store_hit_rate",
+        "coalesce_rate", "store_hit_rate", "e2e.jobs_per_s",
+        "layer.service.coalesced_jobs", "layer.engine.store_hit_rate",
     ])
     def test_service_throughput_metrics_are_low_bad(self, name):
         assert metric_direction(name) == DIRECTION_LOW_BAD
 
     @pytest.mark.parametrize("name", [
-        "peak_queue_depth", "rejected",
-        "counter.resilience.admission_rejections",
+        "rejected", "counter.resilience.admission_rejections",
+        "layer.service.rejected",
     ])
     def test_service_backpressure_metrics_are_high_bad(self, name):
         assert metric_direction(name) == DIRECTION_HIGH_BAD
 
     @pytest.mark.parametrize("name", [
-        "requests_per_sec", "sequential_rps", "speedup_vs_sequential",
-        "coalesced_batches", "batch_size_mean", "peak_queue_depth",
+        "coalesced_batches", "layer.service.coalesced_jobs",
+        "e2e.jobs_per_s", "e2e.peak_rss_mb", "e2e.job_ms.n",
     ])
     def test_scheduling_noisy_metrics(self, name):
         assert is_noisy_metric(name)
+        assert not is_time_metric(name)
         assert not is_noisy_metric("counter.texture.fragments")
 
     def test_noisy_metrics_ungated_until_three_samples(self):
         # two runs (one historical sample): a 40% throughput drop is
         # reported but never flagged — scheduling noise, not evidence
         records = [
-            record({"requests_per_sec": 2000.0}, kind="serve"),
-            record({"requests_per_sec": 1200.0}, kind="serve"),
+            record({"e2e.jobs_per_s": 4.0}, kind="bench"),
+            record({"e2e.jobs_per_s": 2.4}, kind="bench"),
         ]
-        report = analyze_records(records, kind="serve")
+        report = analyze_records(records, kind="bench")
         [group] = report.groups
         [metric] = group.metrics
         assert metric.direction == DIRECTION_LOW_BAD
         assert not metric.flagged
         # with three historical samples the gate arms
         armed = analyze_records(
-            [record({"requests_per_sec": 2000.0}, kind="serve")] * 4
-            + [record({"requests_per_sec": 1200.0}, kind="serve")],
-            kind="serve",
+            [record({"e2e.jobs_per_s": 4.0}, kind="bench")] * 4
+            + [record({"e2e.jobs_per_s": 2.4}, kind="bench")],
+            kind="bench",
         )
         [group] = armed.groups
         assert group.metrics[0].flagged
 
     def test_abs_floor_is_half_a_millisecond_in_each_unit(self):
         assert time_abs_floor("stage_ms.evaluate") == 0.5
+        assert time_abs_floor("e2e.job_ms.p50") == 0.5
         assert time_abs_floor("wait_us") == 500.0
         assert time_abs_floor("duration_s") == 0.0005
         assert time_abs_floor("counter.x") == 0.0
+
+
+def bench_trend(name, history, latest, **kwargs):
+    """The one trend of ``name`` after ``history`` then ``latest``."""
+    rows = [record({name: value}, kind="bench") for value in history]
+    report = analyze_records(rows + [record({name: latest}, kind="bench",
+                                            **kwargs)])
+    (trend,) = report.groups[0].metrics
+    return trend
+
+
+class TestBenchRecords:
+    """The names ``perfbench/run.py`` writes into ``bench`` records."""
+
+    HISTORY = (3.9, 4.0, 4.1, 4.0)
+
+    def test_jobs_per_s_is_a_low_bad_throughput(self):
+        name = "e2e.jobs_per_s"
+        assert not bench_trend(name, self.HISTORY, 8.0).flagged
+        assert bench_trend(name, self.HISTORY, 2.0).flagged
+
+    def test_throughput_is_never_calibrated(self):
+        # The latest run's machine token is twice the history's: a
+        # duration would be rescaled 2x, a rate must not be.
+        trend = bench_trend("e2e.jobs_per_s", self.HISTORY, 4.0,
+                            calibration_ms=20.0)
+        assert trend.median == pytest.approx(4.0)
+        assert not trend.flagged
+
+    def test_job_ms_p50_is_a_duration(self):
+        name = "e2e.job_ms.p50"
+        history = (100.0, 102.0, 98.0, 100.0)
+        assert not bench_trend(name, history, 121.9).flagged
+        assert not bench_trend(name, history, 89.8).flagged  # a speedup
+        assert bench_trend(name, history, 500.0).flagged
+
+    def test_peak_rss_mb_is_noisy_and_high_bad(self):
+        name = "e2e.peak_rss_mb"
+        assert not bench_trend(name, (300.0,), 600.0).flagged  # n < 3
+        assert bench_trend(name, (300.0,) * 3, 600.0).flagged
+        assert not bench_trend(name, (300.0,) * 3, 150.0).flagged
+
+    def test_patu_speedup_is_exact_and_two_sided(self):
+        name = "e2e.sim.patu_speedup"
+        assert not bench_trend(name, (1.3317,), 1.3317).flagged
+        assert bench_trend(name, (1.3317,), 1.40).flagged
+        assert bench_trend(name, (1.3317,), 1.26).flagged
+
+    def test_sample_count_is_noisy_and_two_sided(self):
+        name = "e2e.job_ms.n"
+        assert not bench_trend(name, (40.0,), 80.0).flagged  # n < 3
+        assert not bench_trend(name, (40.0,) * 3, 50.0).flagged
+        assert bench_trend(name, (40.0,) * 3, 80.0).flagged
+        assert bench_trend(name, (40.0,) * 3, 20.0).flagged
 
 
 class TestBandMath:
@@ -327,7 +398,7 @@ class TestMultiLedger:
 
         for _ in range(n):
             append_record(
-                build_record("fleet", config={"workload": "fuzz@0"},
+                build_record("bench", config={"workload": "sweep-warm"},
                              calibration_ms=1.0,
                              metrics={"counter.x": value}),
                 ledger_dir,

@@ -135,8 +135,7 @@ class TestResolver:
 class TestParallelDeterminism:
     def test_jobs2_metrics_match_serial(self, tmp_path):
         """A fuzz workload through the process pool is byte-identical
-        to the serial backend — the property that lets fleet cells vary
-        the jobs axis without perturbing every other metric."""
+        to the serial backend, so ``--jobs`` never perturbs a metric."""
         from repro.engine.jobs import eval_job
         from repro.experiments.runner import ExperimentContext
 
