@@ -1,11 +1,27 @@
-"""Set-associative LRU cache simulator.
+"""Exact set-associative LRU, decided for a whole access stream at once.
 
-Operates on arrays of 64-byte cache-line addresses. Consecutive
-duplicate addresses are collapsed vectorized before the sequential LRU
-walk — a duplicate of the immediately preceding access is always a hit
-in an LRU cache, so the collapse is exact, and it removes the bulk of
-the stream (bilinear footprints of neighbouring pixels overlap
-heavily).
+LRU has the stack property: an access hits iff its cache set touched
+the same line before, and fewer than ``ways`` distinct lines of that
+set were touched since. :func:`lru_misses` applies that rule to every
+access of a stream with sorts and array passes, and no per-access
+Python:
+
+1. Stable-sort the accesses by set key, so each set's sub-stream is
+   contiguous and in stream order. Drop each repeat of a sub-stream's
+   previous line: it hits that set's MRU line.
+2. Sort the survivors by (key, line) to give each its previous and
+   next touch of the same line. An access with no previous touch is a
+   miss; one with fewer than ``ways`` survivors since its previous
+   touch is a hit.
+3. Decide the rest by walking back from each access in widening
+   windows, counting the survivors whose next touch lies after it
+   (each is a distinct line). Reaching ``ways`` of them means a miss;
+   reaching the previous touch first means a hit.
+
+A key names one set of one cache instance (``unit * num_sets + set``
+for the per-unit L1s), so one call simulates many independent caches.
+The per-access dict walk this replaced is the test oracle in
+:mod:`repro.verify.reference_cache`.
 """
 
 from __future__ import annotations
@@ -14,11 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import CacheConfig
-from ..errors import ConfigError
-
 #: Line size shared by the whole hierarchy (matches texture addressing).
 CACHE_LINE_BYTES_DEFAULT = 64
+
+#: Cells (undecided accesses x window width) one walk step holds at
+#: most: ~4 MB of temporaries, whatever the stream or associativity.
+_WALK_CELLS = 1 << 18
 
 
 @dataclass
@@ -50,74 +67,86 @@ class CacheStats:
         }
 
 
-def collapse_consecutive(lines: np.ndarray) -> "tuple[np.ndarray, int]":
-    """Drop consecutive duplicate addresses.
+def key_dtype(count: int) -> np.dtype:
+    """The smallest unsigned dtype that holds keys ``0 .. count - 1``.
 
-    Returns the collapsed stream and the number of dropped accesses
-    (each an assured LRU hit).
+    numpy's stable argsort radix-sorts 8- and 16-bit integers; the keys
+    of every shipped cache geometry fit in ``uint16``.
     """
-    lines = np.asarray(lines, dtype=np.int64)
-    if lines.size == 0:
-        return lines, 0
-    keep = np.empty(lines.shape, dtype=bool)
-    keep[0] = True
-    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-    dropped = int(lines.size - keep.sum())
-    return lines[keep], dropped
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if count <= np.iinfo(dtype).max + 1:
+            return np.dtype(dtype)
+    return np.dtype(np.uint64)
 
 
-class CacheSim:
-    """One set-associative LRU cache."""
+def lru_misses(keys: np.ndarray, lines: np.ndarray, ways: int) -> np.ndarray:
+    """Miss flag of every access of an LRU stream; every set starts empty.
 
-    def __init__(self, config: CacheConfig) -> None:
-        num_sets = config.num_sets
-        if num_sets & (num_sets - 1):
-            raise ConfigError(f"number of sets must be a power of two, got {num_sets}")
-        self.config = config
-        self._set_mask = num_sets - 1
-        self._ways = config.ways
-        # One insertion-ordered dict of resident line addresses per
-        # set: first key is LRU, last key is MRU. A dict makes every
-        # LRU operation O(1) — membership, touch (del + reinsert at
-        # the end), and victim pick (first key) — where the previous
-        # list representation paid an O(ways) scan *and* an O(ways)
-        # shift per access; the hit/miss stream is identical.
-        self._sets: "list[dict[int, None]]" = [{} for _ in range(num_sets)]
-        self.stats = CacheStats()
+    Args:
+        keys: set key of each access (unsigned; see :func:`key_dtype`).
+        lines: line address of each access.
+        ways: associativity of every set.
 
-    def reset(self) -> None:
-        """Invalidate all lines and zero the statistics."""
-        for s in self._sets:
-            s.clear()
-        self.stats = CacheStats()
+    Returns:
+        A boolean array, ``True`` where the access misses.
+    """
+    n = lines.size
+    miss = np.zeros(n, dtype=bool)
+    if n == 0:
+        return miss
+    index = np.int32 if n < np.iinfo(np.int32).max else np.int64
 
-    def access(self, lines: np.ndarray) -> np.ndarray:
-        """Process a line-address stream; return the miss addresses in order.
+    # 1. Each set's sub-stream, minus repeats of its previous line.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    lines = lines[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=first[1:])
+    first[1:] |= keys[1:] != keys[:-1]
+    # Integer gathers: numpy's boolean-mask indexing is several times
+    # slower on streams this long.
+    first = np.flatnonzero(first)
+    position = order[first].astype(index)
+    del order
+    keys = keys[first]
+    lines = lines[first]
+    m = position.size
 
-        The input should be the raw access stream; consecutive
-        duplicates are collapsed internally (and counted as hits).
-        """
-        collapsed, dropped = collapse_consecutive(lines)
-        self.stats.accesses += int(np.asarray(lines).size)
-        self.stats.hits += dropped
-        if collapsed.size == 0:
-            return collapsed
+    # 2. Previous and next touch of the same line in the same set.
+    by_line = np.lexsort((lines, keys)).astype(index)
+    a, b = by_line[:-1], by_line[1:]
+    same = (keys[a] == keys[b]) & (lines[a] == lines[b])
+    a, b = a[same], b[same]
+    prev = np.full(m, -1, dtype=index)
+    prev[b] = a
+    after = np.full(m, m, dtype=index)
+    after[a] = b
+    missed = prev < 0
+    undecided = np.flatnonzero(
+        ~missed & (np.arange(m, dtype=index) - prev > ways)
+    ).astype(index)
 
-        misses: "list[int]" = []
-        misses_append = misses.append
-        sets = self._sets
-        mask = self._set_mask
-        ways = self._ways
-        hits = 0
-        for addr in collapsed.tolist():
-            resident = sets[addr & mask]
-            if addr in resident:
-                del resident[addr]
-                hits += 1
-            else:
-                misses_append(addr)
-                if len(resident) >= ways:
-                    del resident[next(iter(resident))]
-            resident[addr] = None
-        self.stats.hits += hits
-        return np.asarray(misses, dtype=np.int64)
+    # 3. Count distinct lines back from each undecided access j, in
+    #    batches small enough that no walk step exceeds _WALK_CELLS.
+    batch = max(1, _WALK_CELLS // ways)
+    for start in range(0, undecided.size, batch):
+        j = undecided[start:start + batch]
+        stop = prev[j]
+        cursor = j
+        distinct = np.zeros(j.size, dtype=index)
+        width = ways
+        while j.size:
+            k = cursor[:, None] - np.arange(1, width + 1, dtype=index)
+            inside = k > stop[:, None]
+            fresh = inside & (after[np.maximum(k, 0)] > j[:, None])
+            distinct += fresh.sum(axis=1, dtype=index)
+            full = distinct >= ways
+            missed[j[full]] = True
+            live = ~full & inside[:, -1]
+            j, stop, distinct = j[live], stop[live], distinct[live]
+            cursor = cursor[live] - width
+            width = min(2 * width, max(ways, _WALK_CELLS // max(j.size, 1)))
+
+    miss[position[missed]] = True
+    return miss

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import GpuConfig
-from ..errors import PipelineError
+from ..config import CacheConfig, GpuConfig
+from ..errors import ConfigError, PipelineError
 from ..obs import TELEMETRY
-from .cache import CacheSim, CacheStats
+from .cache import CacheStats, key_dtype, lru_misses
 from .dram import DramModel, DramStats
 
 
@@ -46,49 +46,48 @@ class HierarchyStats:
         }
 
 
+def _check_sets(level: CacheConfig) -> None:
+    num_sets = level.num_sets
+    if num_sets & (num_sets - 1):
+        raise ConfigError(f"number of sets must be a power of two, got {num_sets}")
+
+
 class TextureMemoryHierarchy:
-    """Simulates the L1s, the shared L2 and DRAM for one frame."""
+    """Simulates the L1s, the shared L2 and DRAM for one frame.
+
+    Every call starts with cold caches: frames do not warm each other.
+    """
 
     def __init__(self, config: GpuConfig) -> None:
+        _check_sets(config.texture_l1)
+        _check_sets(config.texture_l2)
         self.config = config
-        self._l1s = [CacheSim(config.texture_l1) for _ in range(config.num_texture_units)]
-        self._l2 = CacheSim(config.texture_l2)
         self._dram = DramModel(config.memory)
 
-    def reset(self) -> None:
-        for c in self._l1s:
-            c.reset()
-        self._l2.reset()
-
     def process_frame(
-        self, tile_streams: "list[tuple[int, np.ndarray]]"
+        self,
+        lines: np.ndarray,
+        tile_units: np.ndarray,
+        tile_lengths: np.ndarray,
     ) -> HierarchyStats:
         """Run one frame of texture fetches through the hierarchy.
 
         Args:
-            tile_streams: list of ``(unit_index, line_addresses)`` in tile
-                scheduling order. Each entry is one tile's fetch stream,
-                already in intra-tile raster order.
+            lines: the frame's line addresses, tile after tile in
+                scheduling order, each tile in intra-tile raster order.
+            tile_units: the texture unit of each tile.
+            tile_lengths: the number of ``lines`` of each tile.
         """
-        with TELEMETRY.span("memsys.process_frame", tiles=len(tile_streams)):
-            self.reset()
-            stats = HierarchyStats()
-            l2_miss_segments: "list[np.ndarray]" = []
-            for unit, lines in tile_streams:
-                if not 0 <= unit < len(self._l1s):
-                    raise PipelineError(f"texture unit index {unit} out of range")
-                l1_misses = self._l1s[unit].access(lines)
-                if l1_misses.size:
-                    l2_miss_segments.append(self._l2.access(l1_misses))
-
-            for l1 in self._l1s:
-                stats.l1.merge(l1.stats)
-            stats.l2.merge(self._l2.stats)
-            if l2_miss_segments:
-                all_misses = np.concatenate(l2_miss_segments)
-            else:
-                all_misses = np.empty(0, dtype=np.int64)
-            stats.dram = self._dram.observe(all_misses)
+        with TELEMETRY.span("memsys.process_frame", tiles=len(tile_units)):
+            l2_stream, dram_stream = self.miss_streams(
+                lines, tile_units, tile_lengths
+            )
+            accesses = int(np.size(lines))
+            stats = HierarchyStats(
+                l1=CacheStats(accesses, accesses - l2_stream.size),
+                l2=CacheStats(l2_stream.size, l2_stream.size - dram_stream.size),
+                dram=self._dram.observe(dram_stream),
+            )
         if TELEMETRY.enabled:
             TELEMETRY.count("memsys.l1_hit", stats.l1.hits)
             TELEMETRY.count("memsys.l1_miss", stats.l1.misses)
@@ -97,6 +96,51 @@ class TextureMemoryHierarchy:
             TELEMETRY.count("memsys.dram_lines", stats.dram.lines_fetched)
             TELEMETRY.count("memsys.dram_bytes", stats.dram.bytes_fetched)
         return stats
+
+    def miss_streams(
+        self,
+        lines: np.ndarray,
+        tile_units: np.ndarray,
+        tile_lengths: np.ndarray,
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """The L1 misses (the L2's stream) and the L2 misses (DRAM's).
+
+        Both are line addresses in stream order; arguments as for
+        :meth:`process_frame`.
+        """
+        lines = np.asarray(lines, dtype=np.int64)
+        units = np.asarray(tile_units, dtype=np.int64)
+        lengths = np.asarray(tile_lengths, dtype=np.int64)
+        if units.shape != lengths.shape or int(lengths.sum()) != lines.size:
+            raise PipelineError(
+                f"{units.size} tile units and {lengths.size} tile lengths "
+                f"do not describe {lines.size} lines"
+            )
+        num_units = self.config.num_texture_units
+        bad = units[(units < 0) | (units >= num_units)]
+        if bad.size:
+            raise PipelineError(f"texture unit index {bad[0]} out of range")
+        l1 = self.config.texture_l1
+        l2 = self.config.texture_l2
+
+        # Within a tile, a repeat of the previous line hits the MRU line
+        # of its L1 set. Across a tile boundary the L1 may be another
+        # unit's, so every tile's first line goes to the LRU.
+        keep = np.ones(lines.size, dtype=bool)
+        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+        starts = np.cumsum(lengths) - lengths
+        keep[starts[starts < lines.size]] = True
+        keep = np.flatnonzero(keep)
+        dtype = key_dtype(num_units * l1.num_sets)
+        keys = np.repeat((units * l1.num_sets).astype(dtype), lengths)[keep]
+        lines = lines[keep]
+        del keep
+        keys += (lines & (l1.num_sets - 1)).astype(dtype)
+        l2_stream = lines[lru_misses(keys, lines, l1.ways)]
+        del keys, lines
+
+        keys = (l2_stream & (l2.num_sets - 1)).astype(key_dtype(l2.num_sets))
+        return l2_stream, l2_stream[lru_misses(keys, l2_stream, l2.ways)]
 
     def dram_transfer_cycles(self, stats: HierarchyStats) -> float:
         return self._dram.transfer_cycles(stats.dram)

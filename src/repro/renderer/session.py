@@ -635,23 +635,24 @@ class RenderSession:
     def _simulate_hierarchy(
         self, capture: FrameCapture, lines: np.ndarray, lengths: np.ndarray
     ) -> HierarchyStats:
-        """Split the stream into per-tile segments and run the caches."""
+        """Run the design point's fetch stream through the caches."""
         with TELEMETRY.span("session.simulate_hierarchy", lines=int(lines.size)):
-            boundaries = np.nonzero(np.diff(capture.tile_ids))[0] + 1
-            starts = np.concatenate([[0], boundaries])
-            tile_of_segment = capture.tile_ids[starts]
-            line_counts = np.add.reduceat(lengths, starts)
-            line_offsets = np.concatenate([[0], np.cumsum(line_counts)])
-            num_units = self.config.num_texture_units
-            tile_streams = [
-                (
-                    int(tile_of_segment[i]) % num_units,
-                    lines[line_offsets[i] : line_offsets[i + 1]],
-                )
-                for i in range(starts.size)
-            ]
+            tile_units, tile_lengths = self._tile_schedule(capture, lengths)
             hierarchy = TextureMemoryHierarchy(self.config)
-            return hierarchy.process_frame(tile_streams)
+            return hierarchy.process_frame(lines, tile_units, tile_lengths)
+
+    def _tile_schedule(
+        self, capture: FrameCapture, lengths: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Each tile's texture unit and fetch-stream length, in tile order.
+
+        ``lengths`` are the per-pixel stream lengths of
+        :meth:`_fetch_stream`; tiles go round-robin over the units.
+        """
+        boundaries = np.nonzero(np.diff(capture.tile_ids))[0] + 1
+        starts = np.concatenate([[0], boundaries])
+        tile_units = capture.tile_ids[starts] % self.config.num_texture_units
+        return tile_units, np.add.reduceat(lengths, starts)
 
     def _frame_events(
         self,

@@ -39,6 +39,7 @@ the supervised fork pool above.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import sys
 import time
 from dataclasses import dataclass
@@ -127,6 +128,13 @@ class RenderService:
         self._stopping = asyncio.Event()
         self._server: "asyncio.base_events.Server | None" = None
         self._batcher: "asyncio.Task | None" = None
+        # The one engine thread. Batches run one at a time anyway; on a
+        # fresh pool thread per batch, each thread's malloc arena would
+        # keep its own peak evaluation memory resident.
+        self._engine = concurrent.futures.ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-engine"
+        )
+        self._closed = False
 
     # -- lifecycle -------------------------------------------------------
 
@@ -156,7 +164,17 @@ class RenderService:
         await self.aclose()
 
     async def aclose(self) -> None:
+        """Close the listening socket, batcher, backend and engine thread.
+
+        Later calls return at once.
+        """
+        if self._closed:
+            return
+        self._closed = True
         self._stopping.set()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
         if self._batcher is not None:
             self._batcher.cancel()
             try:
@@ -164,10 +182,12 @@ class RenderService:
             except asyncio.CancelledError:
                 pass
             self._batcher = None
-        # Run blocking teardown off-loop; it joins worker processes.
+        # Run blocking teardown off-loop, after any batch still running;
+        # it joins worker processes.
         await asyncio.get_running_loop().run_in_executor(
-            None, self._close_backend
+            self._engine, self._close_backend
         )
+        self._engine.shutdown(wait=False)
 
     def _close_backend(self) -> None:
         from ..engine.scheduler import shutdown_pools
@@ -265,7 +285,7 @@ class RenderService:
             requests = [request for request, _ in batch]
             try:
                 payloads = await loop.run_in_executor(
-                    None, self._execute_batch, requests
+                    self._engine, self._execute_batch, requests
                 )
             except Exception as exc:  # noqa: BLE001 — server must stay up
                 payloads = [error_response(r.id, exc) for r in requests]

@@ -381,6 +381,68 @@ def oracle_raster_backends(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+def _tile_streams(
+    rng: np.random.Generator, units: int, tiles: int, universe: int
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Seeded texture-like fetch streams: ``(lines, tile_units, lengths)``.
+
+    Tiles go round-robin over the units, as the renderer schedules
+    them, and some are empty. Each tile starts at a random line and
+    steps by -2..2 lines per access, so it repeats and revisits lines
+    the way neighbouring footprints do.
+    """
+    lengths = rng.integers(0, 64, tiles)
+    tile = np.repeat(np.arange(tiles), lengths)
+    walk = np.cumsum(rng.integers(-2, 3, tile.size))
+    lines = (rng.integers(0, universe, tiles)[tile] + walk) % universe
+    return lines, np.arange(tiles) % units, lengths
+
+
+def oracle_cache_lru(cfg: VerifyConfig) -> OracleResult:
+    """Vectorized LRU hierarchy vs the per-access dict walk, miss for miss.
+
+    Seeded tile streams run at the scale-0.25 render geometry and at
+    each of Fig. 21's scaled ones, over a line universe four times the
+    L2's capacity, so both levels see hits, conflicts and capacity
+    misses. The L1 miss stream (the L2's input) and the L2 miss stream
+    (DRAM's input) must be identical, in order.
+    """
+    from ..config import BASELINE_CONFIG
+    from ..experiments.fig21_cache import CACHE_POINTS
+    from ..renderer.session import RenderSession
+    from .reference_cache import hierarchy_mismatches
+
+    rng = np.random.default_rng(cfg.seed + 7)
+    tiles = 64 if cfg.quick else 256
+    checked = 0
+    mismatched: "list[str]" = []
+    geometries: "dict[str, dict[str, int]]" = {}
+    for label, tc, llc in CACHE_POINTS:
+        config = RenderSession(
+            BASELINE_CONFIG.scaled(texture_l1=tc, texture_l2=llc), scale=0.25
+        ).config
+        lines, units, lengths = _tile_streams(
+            rng, config.num_texture_units, tiles,
+            4 * config.texture_l2.num_lines,
+        )
+        levels, stats = hierarchy_mismatches(config, lines, units, lengths)
+        mismatched.extend(f"{label}:{level}" for level in levels)
+        checked += stats.l1.accesses
+        geometries[label] = {
+            "accesses": stats.l1.accesses,
+            "l1_misses": stats.l1.misses,
+            "l2_misses": stats.l2.misses,
+        }
+    return OracleResult(
+        name="diff_cache_lru",
+        layer=LAYER_DIFFERENTIAL,
+        passed=not mismatched,
+        max_error=0.0,
+        fragments=checked,
+        details={"geometries": geometries, "mismatched": mismatched},
+    )
+
+
 #: All differential oracles, in dependency-free execution order.
 DIFFERENTIAL_ORACLES = (
     oracle_bilinear,
@@ -391,4 +453,5 @@ DIFFERENTIAL_ORACLES = (
     oracle_txds,
     oracle_two_stage,
     oracle_raster_backends,
+    oracle_cache_lru,
 )

@@ -9,7 +9,10 @@ generation profiles) and runs each through the existing oracle stack:
 * **metamorphic** — threshold-1.0 self-similarity, rotation
   invariance of N, nested approximation sets;
 * **raster bit-identity** — the binned sort-middle rasterizer vs the
-  per-triangle reference, per byte, on the generated scene.
+  per-triangle reference, per byte, on the generated scene;
+* **cache identity** — the vectorized LRU hierarchy vs the per-access
+  dict walk, miss stream for miss stream, on the scenario's baseline
+  and PATU fetch streams.
 
 A failing spec is *shrunk*: each shrinkable axis (soup density,
 slivers, texture stress, UV regime, camera family, resolution, frame
@@ -58,6 +61,9 @@ DIFF_SAMPLES = 48
 
 #: Thresholds of the per-scenario monotonicity check.
 MONOTONE_THRESHOLDS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+#: Design points whose fetch streams the cache-identity check replays.
+CACHE_POINTS = (("baseline", 1.0), ("patu", 0.4))
 
 #: G-buffer arrays compared for rasterizer bit-identity.
 GBUFFER_ARRAYS = (
@@ -151,6 +157,31 @@ def _check_raster_identity(workload, camera, width, height) -> "dict[str, object
     }
 
 
+def _check_cache_identity(session, capture) -> "dict[str, object]":
+    """Vectorized vs reference cache hierarchy on the frame's fetch streams."""
+    from ..core.patu import PerceptionAwareTextureUnit
+    from ..core.scenarios import SCENARIOS
+    from .reference_cache import hierarchy_mismatches
+
+    mismatched: "list[str]" = []
+    accesses = 0
+    for scenario, threshold in CACHE_POINTS:
+        device = PerceptionAwareTextureUnit(SCENARIOS[scenario], threshold)
+        decision = device.decide(capture.n, capture.txds)
+        lines, lengths = session._fetch_stream(capture, decision)
+        units, tile_lengths = session._tile_schedule(capture, lengths)
+        levels, stats = hierarchy_mismatches(
+            session.config, lines, units, tile_lengths
+        )
+        mismatched.extend(f"{scenario}@{threshold:g}:{lv}" for lv in levels)
+        accesses += stats.l1.accesses
+    return {
+        "passed": not mismatched,
+        "mismatched": mismatched,
+        "accesses": accesses,
+    }
+
+
 def check_fuzz_spec(
     spec: FuzzSpec, *, scale: float = FUZZ_SCALE
 ) -> "dict[str, object]":
@@ -186,6 +217,7 @@ def check_fuzz_spec(
     checks["metamorphic_monotone"] = check_threshold_monotone(
         capture.n, capture.txds, MONOTONE_THRESHOLDS
     )
+    checks["cache_identity"] = _check_cache_identity(session, capture)
 
     failed = sorted(
         name for name, outcome in checks.items() if not outcome["passed"]

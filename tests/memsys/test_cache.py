@@ -1,16 +1,21 @@
-"""Tests for the set-associative LRU cache simulator."""
+"""Tests for the exact vectorized set-associative LRU."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import CacheConfig
+from repro.config import CacheConfig, GpuConfig
 from repro.errors import ConfigError
-from repro.memsys.cache import CacheSim, collapse_consecutive
+from repro.memsys.cache import key_dtype, lru_misses
+from repro.memsys.hierarchy import TextureMemoryHierarchy
+from repro.verify.reference_cache import collapse_consecutive
 
 
-def _tiny_cache(sets=4, ways=2):
-    return CacheSim(CacheConfig(size_bytes=sets * ways * 64, ways=ways))
+def _misses(stream, sets=4, ways=2):
+    """The miss addresses of one cold cache fed ``stream``, in order."""
+    lines = np.asarray(stream, dtype=np.int64)
+    keys = (lines & (sets - 1)).astype(key_dtype(sets))
+    return lines[lru_misses(keys, lines, ways)]
 
 
 class TestCollapseConsecutive:
@@ -23,90 +28,94 @@ class TestCollapseConsecutive:
     def test_empty_stream(self):
         collapsed, dropped = collapse_consecutive(np.array([], dtype=np.int64))
         assert collapsed.size == 0 and dropped == 0
+        assert _misses([]).size == 0
 
     @given(st.lists(st.integers(min_value=0, max_value=5), max_size=64))
     def test_collapse_is_exact_for_lru(self, stream):
         """Collapsing adjacent duplicates must not change miss behaviour."""
         arr = np.asarray(stream, dtype=np.int64)
-        plain = _tiny_cache()
-        misses_plain = plain.access(arr)
-        # A second simulator fed the pre-collapsed stream.
         pre, _ = collapse_consecutive(arr)
-        collapsed_sim = _tiny_cache()
-        misses_collapsed = collapsed_sim.access(pre)
-        assert misses_plain.tolist() == misses_collapsed.tolist()
+        assert _misses(arr).tolist() == _misses(pre).tolist()
 
 
 class TestLruBehaviour:
     def test_cold_miss_then_hit(self):
-        sim = _tiny_cache()
-        assert sim.access(np.array([100])).tolist() == [100]
-        assert sim.access(np.array([100])).size == 0
-        assert sim.stats.hits == 1
-        assert sim.stats.misses == 1
+        lines = np.array([100, 100])
+        miss = lru_misses(np.zeros(2, dtype=np.uint8), lines, 2)
+        assert miss.tolist() == [True, False]
 
     def test_capacity_eviction_is_lru(self):
-        sim = _tiny_cache(sets=1, ways=2)
         # Fill the single set with A, B; touch A; insert C -> evicts B.
-        sim.access(np.array([0, 4, 0, 8]))
-        misses = sim.access(np.array([4]))
-        assert misses.tolist() == [4]  # B was the LRU victim
+        misses = _misses([0, 4, 0, 8, 4], sets=1, ways=2)
+        assert misses.tolist() == [0, 4, 8, 4]  # B was the LRU victim
 
     def test_lru_order_updates_on_hit(self):
-        sim = _tiny_cache(sets=1, ways=2)
-        sim.access(np.array([0, 4]))  # A, B resident
-        sim.access(np.array([0]))  # touch A -> B is LRU
-        sim.access(np.array([8]))  # C evicts B
-        assert sim.access(np.array([0])).size == 0  # A still resident
-        assert sim.access(np.array([4])).tolist() == [4]  # B gone
+        # A, B resident; touch A -> B is LRU; C evicts B; A still
+        # resident, B gone.
+        misses = _misses([0, 4, 0, 8, 0, 4], sets=1, ways=2)
+        assert misses.tolist() == [0, 4, 8, 4]
 
     def test_sets_are_independent(self):
-        sim = _tiny_cache(sets=4, ways=1)
         # Addresses 0..3 map to distinct sets -> all resident at once.
-        sim.access(np.arange(4))
-        assert sim.access(np.arange(4)).size == 0
+        stream = np.concatenate([np.arange(4), np.arange(4)])
+        assert _misses(stream, sets=4, ways=1).tolist() == [0, 1, 2, 3]
+
+    def test_keys_are_independent_caches(self):
+        # The same line under two keys lives in two caches: both miss.
+        lines = np.array([7, 7, 7, 7])
+        keys = np.array([0, 1, 0, 1], dtype=np.uint8)
+        assert lru_misses(keys, lines, 1).tolist() == [True, True, False, False]
 
     def test_working_set_within_capacity_always_hits(self):
-        sim = _tiny_cache(sets=4, ways=2)
         working_set = np.arange(8)  # exactly capacity
-        sim.access(working_set)
-        for _ in range(3):
-            assert sim.access(working_set).size == 0
+        misses = _misses(np.tile(working_set, 4), sets=4, ways=2)
+        assert misses.tolist() == working_set.tolist()
 
     def test_streaming_working_set_never_hits(self):
-        sim = _tiny_cache(sets=2, ways=1)
-        stream = np.arange(0, 64)
-        misses = sim.access(stream)
+        misses = _misses(np.arange(0, 64), sets=2, ways=1)
         assert misses.size == 64
 
     def test_reset_clears_contents(self):
-        sim = _tiny_cache()
-        sim.access(np.array([1, 2, 3]))
-        sim.reset()
-        assert sim.stats.accesses == 0
-        assert sim.access(np.array([1])).tolist() == [1]
+        # There is no state to reset: every call starts cold.
+        assert _misses([1, 2, 3]).tolist() == [1, 2, 3]
+        assert _misses([1]).tolist() == [1]
 
     def test_miss_stream_preserves_order(self):
-        sim = _tiny_cache(sets=1, ways=1)
-        misses = sim.access(np.array([0, 4, 8, 4]))
+        misses = _misses([0, 4, 8, 4], sets=1, ways=1)
         assert misses.tolist() == [0, 4, 8, 4]
+
+    def test_long_reuse_distance_walks_to_a_hit(self):
+        # 300 alternations of two lines between touches of A: the
+        # distinct count stays under the ways across a long interval.
+        stream = [0] + [4, 8] * 300 + [0]
+        misses = _misses(stream, sets=1, ways=3)
+        assert misses.tolist() == [0, 4, 8]
 
 
 class TestConfiguration:
     def test_non_power_of_two_sets_rejected(self):
+        config = GpuConfig(texture_l1=CacheConfig(size_bytes=3 * 64, ways=1))
         with pytest.raises(ConfigError):
-            CacheSim(CacheConfig(size_bytes=3 * 64, ways=1))
+            TextureMemoryHierarchy(config)
 
     def test_hit_rate_statistics(self):
-        sim = _tiny_cache()
-        sim.access(np.array([0, 0, 0, 0]))
-        assert sim.stats.hit_rate == pytest.approx(0.75)
+        hier = TextureMemoryHierarchy(GpuConfig())
+        stats = hier.process_frame(np.zeros(4, dtype=np.int64), [0], [4])
+        assert stats.l1.hit_rate == pytest.approx(0.75)
 
     @settings(max_examples=30)
     @given(st.lists(st.integers(min_value=0, max_value=63), max_size=128))
     def test_hits_plus_misses_equals_accesses(self, stream):
-        sim = _tiny_cache()
         arr = np.asarray(stream, dtype=np.int64)
-        misses = sim.access(arr)
-        assert sim.stats.accesses == len(stream)
-        assert sim.stats.hits + len(misses) == len(stream)
+        keys = (arr & 3).astype(np.uint8)
+        miss = lru_misses(keys, arr, 2)
+        assert miss.shape == arr.shape
+        # Every first touch of a line misses; later ones may hit.
+        assert int(miss.sum()) >= len(set(stream))
+
+    @pytest.mark.parametrize("count, dtype", [
+        (1, np.uint8), (256, np.uint8), (257, np.uint16),
+        (1 << 16, np.uint16), ((1 << 16) + 1, np.uint32),
+    ])
+    def test_key_dtype_is_the_smallest_that_fits(self, count, dtype):
+        assert key_dtype(count) == np.dtype(dtype)

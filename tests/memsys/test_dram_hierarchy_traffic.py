@@ -57,7 +57,7 @@ class TestHierarchy:
     def test_repeated_tile_stream_hits_l1(self):
         hier = self._hier()
         lines = np.arange(32)
-        stats = hier.process_frame([(0, lines), (0, lines.copy())])
+        stats = hier.process_frame(np.tile(lines, 2), [0, 0], [32, 32])
         assert stats.l1.accesses == 64
         assert stats.l1.misses == 32  # second pass all hits
 
@@ -66,7 +66,7 @@ class TestHierarchy:
         lines = np.arange(32)
         # The same lines on different units miss both L1s but the
         # second unit's misses hit in the shared L2.
-        stats = hier.process_frame([(0, lines), (1, lines.copy())])
+        stats = hier.process_frame(np.tile(lines, 2), [0, 1], [32, 32])
         assert stats.l1.misses == 64
         assert stats.l2.accesses == 64
         assert stats.l2.misses == 32
@@ -75,19 +75,27 @@ class TestHierarchy:
     def test_dram_sees_only_l2_misses(self):
         hier = self._hier()
         lines = np.arange(128)
-        stats = hier.process_frame([(0, lines)])
+        stats = hier.process_frame(lines, [0], [128])
+        assert stats.l2.accesses == stats.l1.misses
         assert stats.dram.lines_fetched == stats.l2.misses
 
     def test_invalid_unit_rejected(self):
         hier = self._hier()
         with pytest.raises(PipelineError):
-            hier.process_frame([(99, np.array([1]))])
+            hier.process_frame(np.array([1]), [99], [1])
+
+    def test_tile_lengths_must_cover_the_stream(self):
+        hier = self._hier()
+        with pytest.raises(PipelineError):
+            hier.process_frame(np.arange(4), [0, 1], [2, 1])
+        with pytest.raises(PipelineError):
+            hier.process_frame(np.arange(4), [0], [2, 2])
 
     def test_process_frame_resets_state(self):
         hier = self._hier()
         lines = np.arange(16)
-        first = hier.process_frame([(0, lines)])
-        second = hier.process_frame([(0, lines.copy())])
+        first = hier.process_frame(lines, [0], [16])
+        second = hier.process_frame(lines.copy(), [0], [16])
         assert first.l1.misses == second.l1.misses  # no cross-frame warmup
 
 

@@ -1,18 +1,29 @@
-"""Oracle test: CacheSim vs an independent reference LRU implementation.
+"""Oracle tests: the vectorized LRU hierarchy vs scalar references.
 
-The production simulator carries optimizations (consecutive-duplicate
-collapsing, per-set move-to-front lists). The oracle below is written
-for clarity, not speed — an OrderedDict per set — and hypothesis drives
-both with the same random streams.
+Two references, both written for clarity rather than speed:
+
+* ``OracleLru`` below, a textbook OrderedDict-per-set LRU, checks the
+  stack-property kernel :func:`repro.memsys.cache.lru_misses` access by
+  access;
+* :func:`repro.verify.reference_cache.reference_hierarchy`, the
+  per-tile dict walk the hierarchy used before, checks the whole
+  L1 -> L2 -> DRAM hierarchy miss stream for miss stream.
+
+hypothesis drives both sides with the same random streams.
 """
 
 from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import CacheConfig
-from repro.memsys.cache import CacheSim
+from repro.config import CacheConfig, GpuConfig
+from repro.memsys import cache
+from repro.memsys.cache import key_dtype, lru_misses
+from repro.memsys.hierarchy import TextureMemoryHierarchy
+from repro.verify.reference_cache import CacheSim, reference_hierarchy
 
 
 class OracleLru:
@@ -47,21 +58,33 @@ class TestOracleAgreement:
     @given(_stream(), st.sampled_from([(1, 1), (2, 2), (4, 2), (4, 4)]))
     def test_hit_counts_match(self, stream, geometry):
         sets, ways = geometry
-        sim = CacheSim(CacheConfig(size_bytes=sets * ways * 64, ways=ways))
         oracle = OracleLru(sets, ways)
-
         arr = np.asarray(stream, dtype=np.int64)
-        misses = sim.access(arr)
-        oracle_hits = sum(oracle.access(a) for a in stream)
+        keys = (arr % sets).astype(key_dtype(sets))
 
-        assert sim.stats.accesses == len(stream)
-        assert sim.stats.hits == oracle_hits
-        assert len(misses) == len(stream) - oracle_hits
+        miss = lru_misses(keys, arr, ways)
+
+        assert miss.tolist() == [not oracle.access(a) for a in stream]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_stream(), st.sampled_from([(1, 1), (1, 3), (2, 2), (4, 4)]))
+    def test_bounded_walk_steps_match(self, stream, geometry):
+        """Walk batches and windows capped at a few cells: same flags."""
+        sets, ways = geometry
+        oracle = OracleLru(sets, ways)
+        arr = np.asarray(stream, dtype=np.int64)
+        keys = (arr % sets).astype(key_dtype(sets))
+
+        with mock.patch.object(cache, "_WALK_CELLS", 2 * ways):
+            miss = lru_misses(keys, arr, ways)
+
+        assert miss.tolist() == [not oracle.access(a) for a in stream]
 
     @settings(max_examples=30, deadline=None)
     @given(_stream())
     def test_chunked_access_equals_single_call(self, stream):
-        """Feeding the stream in pieces must not change behaviour."""
+        """The reference keeps its state across calls, as the reference
+        hierarchy's tile-by-tile replay needs."""
         config = CacheConfig(size_bytes=4 * 2 * 64, ways=2)
         whole = CacheSim(config)
         chunked = CacheSim(config)
@@ -76,3 +99,118 @@ class TestOracleAgreement:
         )
         assert whole.stats.hits == chunked.stats.hits
         assert np.array_equal(whole_misses, chunked_misses)
+
+
+def _gpu(units: int, l1: "tuple[int, int]", l2: "tuple[int, int]") -> GpuConfig:
+    """A GPU with ``units`` texture units and (sets, ways) cache levels."""
+    return GpuConfig(
+        num_clusters=units,
+        texture_l1=CacheConfig(size_bytes=l1[0] * l1[1] * 64, ways=l1[1]),
+        texture_l2=CacheConfig(size_bytes=l2[0] * l2[1] * 64, ways=l2[1]),
+    )
+
+
+def assert_hierarchies_agree(config, lines, tile_units, tile_lengths):
+    """Production and reference: equal statistics and miss streams."""
+    lines = np.asarray(lines, dtype=np.int64)
+    hier = TextureMemoryHierarchy(config)
+    got = hier.process_frame(lines, tile_units, tile_lengths)
+    got_l2_stream, got_dram_stream = hier.miss_streams(
+        lines, tile_units, tile_lengths
+    )
+    want, want_l2_stream, want_dram_stream = reference_hierarchy(
+        config, lines, tile_units, tile_lengths
+    )
+    assert (got.l1.accesses, got.l1.hits) == (want.l1.accesses, want.l1.hits)
+    assert (got.l2.accesses, got.l2.hits) == (want.l2.accesses, want.l2.hits)
+    assert got.dram.lines_fetched == want.dram.lines_fetched
+    assert got.dram.row_hits == want.dram.row_hits
+    assert got_l2_stream.tolist() == want_l2_stream.tolist()
+    assert got_dram_stream.tolist() == want_dram_stream.tolist()
+
+
+_LEVELS = st.sampled_from([(1, 1), (1, 4), (2, 1), (4, 2), (8, 2)])
+
+
+@st.composite
+def _frame(draw):
+    """A config and a tile list: ``(config, lines, units, lengths)``."""
+    units = draw(st.integers(min_value=1, max_value=4))
+    config = _gpu(units, draw(_LEVELS), draw(_LEVELS))
+    universe = draw(st.integers(min_value=1, max_value=48))
+    tiles = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=units - 1),
+            # Empty tiles included; lines repeat within and across tiles.
+            st.lists(st.integers(min_value=0, max_value=universe - 1),
+                     max_size=24),
+        ),
+        max_size=12,
+    ))
+    lines = [line for _, tile in tiles for line in tile]
+    return (
+        config,
+        np.asarray(lines, dtype=np.int64),
+        np.asarray([unit for unit, _ in tiles], dtype=np.int64),
+        np.asarray([len(tile) for _, tile in tiles], dtype=np.int64),
+    )
+
+
+class TestHierarchyAgreement:
+    @settings(max_examples=150, deadline=None)
+    @given(_frame())
+    def test_random_tile_lists_match_the_reference(self, frame):
+        assert_hierarchies_agree(*frame)
+
+    def test_repeat_across_a_unit_boundary_misses_the_new_l1(self):
+        # Line 5 ends a unit-0 tile and starts a unit-1 tile: it is the
+        # previous access in the stream, but unit 1's L1 never saw it.
+        config = _gpu(2, (4, 2), (4, 2))
+        lines, units, lengths = [3, 5, 5, 6], [0, 1], [2, 2]
+        stats = TextureMemoryHierarchy(config).process_frame(
+            np.asarray(lines), units, lengths
+        )
+        assert stats.l1.misses == 4
+        assert stats.l2.misses == 3  # the L2 holds 5 from unit 0's miss
+        assert_hierarchies_agree(config, lines, units, lengths)
+
+    def test_keys_that_fill_their_dtype(self):
+        # One unit with 256 L1 sets: keys 0..255 are exactly uint8.
+        config = _gpu(1, (256, 1), (256, 1))
+        lines = np.arange(600) % 300
+        assert_hierarchies_agree(config, lines, [0, 0], [300, 300])
+
+    def test_empty_tiles_and_frames(self):
+        config = _gpu(2, (2, 1), (2, 1))
+        assert_hierarchies_agree(config, [1, 2, 1], [0, 1, 1, 0], [0, 2, 0, 1])
+        assert_hierarchies_agree(config, [], [0, 1], [0, 0])
+        assert_hierarchies_agree(config, [], [], [])
+
+
+def _one_config_per_game() -> "list[str]":
+    """Each game's highest-resolution Table II configuration."""
+    from repro.workloads.games import GAME_WORKLOADS
+
+    by_game: "dict[str, str]" = {}
+    for workload in sorted(GAME_WORKLOADS.values(),
+                           key=lambda w: w.width * w.height):
+        by_game[workload.abbr] = workload.name
+    return sorted(by_game.values())
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", _one_config_per_game())
+def test_every_game_matches_the_reference_hierarchy(name):
+    from repro.core.patu import PerceptionAwareTextureUnit
+    from repro.core.scenarios import SCENARIOS
+    from repro.renderer.session import RenderSession
+    from repro.workloads.games import get_workload
+
+    session = RenderSession(scale=0.25)
+    capture = session.capture_frame(get_workload(name), 0)
+    for scenario, threshold in (("baseline", 1.0), ("patu", 0.4)):
+        device = PerceptionAwareTextureUnit(SCENARIOS[scenario], threshold)
+        decision = device.decide(capture.n, capture.txds)
+        lines, lengths = session._fetch_stream(capture, decision)
+        units, tile_lengths = session._tile_schedule(capture, lengths)
+        assert_hierarchies_agree(session.config, lines, units, tile_lengths)

@@ -8,6 +8,7 @@ two-worker pool runs, one of them under worker-kill chaos.
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -353,6 +354,42 @@ class TestFrontEnd:
                 writer.close()
                 await writer.wait_closed()
                 await service.aclose()
+
+        asyncio.run(scenario())
+
+    def test_batches_run_on_one_engine_thread(self, tmp_path, monkeypatch):
+        threads = []
+        execute = RenderService._execute_batch
+
+        def recording(self, requests):
+            threads.append(threading.current_thread().name)
+            return execute(self, requests)
+
+        monkeypatch.setattr(RenderService, "_execute_batch", recording)
+
+        async def scenario():
+            service = await _start_service(tmp_path)
+            try:
+                for i, threshold in enumerate((0.2, 0.3, 0.4, 0.5, 0.6)):
+                    future = asyncio.get_running_loop().create_future()
+                    request = parse_request(_eval_line(f"r{i}", threshold))
+                    service._queue.put_nowait((request, future))
+                    await future  # one batch at a time
+            finally:
+                await service.aclose()
+
+        asyncio.run(scenario())
+        assert len(threads) == 5 and len(set(threads)) == 1, threads
+
+    def test_aclose_closes_the_listening_socket(self, tmp_path):
+        async def scenario():
+            service = await _start_service(tmp_path, port=0)
+            server = service._server
+            assert server.is_serving() and server.sockets
+            await service.aclose()
+            await service.aclose()  # a second close is a no-op
+            assert not server.is_serving()
+            assert not server.sockets
 
         asyncio.run(scenario())
 

@@ -33,8 +33,9 @@ class TestOracleRegistration:
         assert set(outcome["checks"]) == {
             "raster_bit_identity", "differential_footprint",
             "metamorphic_rotation", "metamorphic_af_self",
-            "metamorphic_monotone",
+            "metamorphic_monotone", "cache_identity",
         }
+        assert outcome["checks"]["cache_identity"]["accesses"] > 0
 
 
 class TestShrinking:
@@ -102,6 +103,18 @@ class TestBrokenKernelMutation:
         entry = json.loads(pathlib.Path(saved).read_text())
         assert entry["failed"] == ["differential_footprint"]
         assert entry["minimal_spec"] == failure["minimal_spec"]
+
+    def test_mutated_lru_fails_the_cache_identity_check(self, monkeypatch):
+        """A hierarchy one way too associative misses too rarely."""
+        import repro.memsys.hierarchy as hierarchy
+
+        real = hierarchy.lru_misses
+        monkeypatch.setattr(
+            hierarchy, "lru_misses",
+            lambda keys, lines, ways: real(keys, lines, ways + 1),
+        )
+        outcome = check_fuzz_spec(spec_for(0, "default"))
+        assert outcome["failed"] == ["cache_identity"]
 
     def test_unmutated_lane_passes_the_same_scenario(self):
         result = oracle_fuzz_scenarios(VerifyConfig(seed=0, fuzz=1))

@@ -1,23 +1,29 @@
-"""The reference rasterizer is a test oracle, not a product dependency."""
+"""The reference rasterizer and cache walk are test oracles, not product
+dependencies."""
 
+import ast
+import functools
 import os
 import pathlib
 import subprocess
 import sys
 
+from repro.verify import reference_cache
 from repro.verify.reference_raster import Rasterizer
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
+ENTRY_POINTS = "repro.cli, repro.service.server, repro.experiments.runner"
 
-def test_entry_points_never_load_the_reference_rasterizer():
+
+@functools.lru_cache(maxsize=None)
+def _modules_loaded_by_entry_points() -> "frozenset[str]":
     # A fresh interpreter: this test process has long since imported
-    # the module itself.
-    module = Rasterizer.__module__
+    # the reference modules itself.
     code = (
         "import sys\n"
-        "import repro.cli, repro.service.server, repro.experiments.runner\n"
-        f"print({module!r} in sys.modules)\n"
+        f"import {ENTRY_POINTS}\n"
+        "print('\\n'.join(sys.modules))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -27,4 +33,35 @@ def test_entry_points_never_load_the_reference_rasterizer():
         [sys.executable, "-c", code], env=env, capture_output=True,
         text=True, check=True,
     )
-    assert result.stdout.strip() == "False", result.stdout
+    return frozenset(result.stdout.split())
+
+
+def test_entry_points_never_load_the_reference_rasterizer():
+    assert "repro.cli" in _modules_loaded_by_entry_points()
+    assert Rasterizer.__module__ not in _modules_loaded_by_entry_points()
+
+
+def _imported_names(path: pathlib.Path) -> "set[str]":
+    """Every module name an import statement in ``path`` mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_no_product_module_imports_the_reference_cache():
+    assert reference_cache.__name__ not in _modules_loaded_by_entry_points()
+    # Only the oracles in repro.verify import it, inside the functions
+    # that run the comparison.
+    package = SRC / "repro"
+    importers = [
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if path.parent != package / "verify"
+        and any("reference_cache" in name for name in _imported_names(path))
+    ]
+    assert importers == []
