@@ -46,13 +46,3 @@ def record_result(results_dir):
         return result
 
     return _record
-
-
-@pytest.fixture()
-def run_once(benchmark):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-
-    def _run(fn):
-        return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-    return _run

@@ -17,8 +17,8 @@ from repro.experiments import (
 )
 
 
-def test_ext_vr(ctx, run_once, record_result):
-    result = run_once(lambda: ext_vr.run(ctx))
+def test_ext_vr(ctx, record_result):
+    result = ext_vr.run(ctx)
     record_result(result)
     for row in result.rows:
         # Both eyes see essentially the same approximation opportunity.
@@ -28,8 +28,8 @@ def test_ext_vr(ctx, run_once, record_result):
         assert row["mssim"] > 0.9
 
 
-def test_ext_compression(ctx, run_once, record_result):
-    result = run_once(lambda: ext_compression.run(ctx))
+def test_ext_compression(ctx, record_result):
+    result = ext_compression.run(ctx)
     record_result(result)
     for row in result.rows:
         # Compression is lossy but mild, and cuts DRAM traffic hard.
@@ -45,8 +45,8 @@ def test_ext_compression(ctx, run_once, record_result):
         assert row["patu_texel_reduction_compressed"] > 0.2
 
 
-def test_ext_software(ctx, run_once, record_result):
-    result = run_once(lambda: ext_software.run(ctx))
+def test_ext_software(ctx, record_result):
+    result = ext_software.run(ctx)
     record_result(result)
     for row in result.rows:
         # Granularity: the per-pixel knob exposes far more operating
@@ -60,8 +60,8 @@ def test_ext_software(ctx, run_once, record_result):
     assert hl2["hw_speedup_at_target"] > hl2["sw_speedup_at_target"]
 
 
-def test_ablation_split_threshold(ctx, run_once, record_result):
-    result = run_once(lambda: ablation_split_threshold.run(ctx))
+def test_ablation_split_threshold(ctx, record_result):
+    result = ablation_split_threshold.run(ctx)
     record_result(result)
     for name in ablation_split_threshold.WORKLOADS:
         rows = [r for r in result.rows if r["workload"] == name]
@@ -74,8 +74,8 @@ def test_ablation_split_threshold(ctx, run_once, record_result):
         assert best_unified >= 0.95 * best_split
 
 
-def test_ablation_hash_entries(ctx, run_once, record_result):
-    result = run_once(lambda: ablation_hash_entries.run(ctx))
+def test_ablation_hash_entries(ctx, record_result):
+    result = ablation_hash_entries.run(ctx)
     record_result(result)
     by_entries = {r["entries"]: r for r in result.rows}
     # Shrinking the table sacrifices approximation coverage...
@@ -91,8 +91,8 @@ def test_ablation_hash_entries(ctx, run_once, record_result):
     assert by_entries[4]["mssim"] >= by_entries[16]["mssim"] - 0.01
 
 
-def test_ablation_max_aniso(ctx, run_once, record_result):
-    result = run_once(lambda: ablation_max_aniso.run(ctx))
+def test_ablation_max_aniso(ctx, record_result):
+    result = ablation_max_aniso.run(ctx)
     record_result(result)
     by_level = {r["max_aniso"]: r for r in result.rows}
     assert by_level[16]["baseline_quality_vs_16x"] == pytest.approx(1.0)

@@ -3,8 +3,8 @@
 from repro.experiments import fig03_sharpness
 
 
-def test_fig03_sharpness(ctx, run_once, record_result):
-    result = run_once(lambda: fig03_sharpness.run(ctx))
+def test_fig03_sharpness(ctx, record_result):
+    result = fig03_sharpness.run(ctx)
     record_result(result)
     for row in result.rows:
         # AF is strictly sharper than trilinear on oblique surfaces,

@@ -9,8 +9,8 @@ import numpy as np
 from repro.experiments import fig04_rbench
 
 
-def test_fig04_rbench(ctx, run_once, record_result):
-    result = run_once(lambda: fig04_rbench.run(ctx))
+def test_fig04_rbench(ctx, record_result):
+    result = fig04_rbench.run(ctx)
     record_result(result)
     by_res = {}
     for row in result.rows:

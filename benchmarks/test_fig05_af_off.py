@@ -7,8 +7,8 @@ Paper shape to hold: disabling AF speeds up every game (paper avg
 from repro.experiments import fig05_af_off
 
 
-def test_fig05_af_off(ctx, run_once, record_result):
-    result = run_once(lambda: fig05_af_off.run(ctx))
+def test_fig05_af_off(ctx, record_result):
+    result = fig05_af_off.run(ctx)
     record_result(result)
     per_game = result.rows[:-1]
     avg = result.rows[-1]

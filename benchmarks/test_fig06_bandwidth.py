@@ -10,8 +10,8 @@ import numpy as np
 from repro.experiments import fig06_bandwidth
 
 
-def test_fig06_bandwidth(ctx, run_once, record_result):
-    result = run_once(lambda: fig06_bandwidth.run(ctx))
+def test_fig06_bandwidth(ctx, record_result):
+    result = fig06_bandwidth.run(ctx)
     record_result(result)
     on_rows = [r for r in result.rows if r["mode"] == "AF-on"]
     off_rows = [r for r in result.rows if r["mode"] == "AF-off"]

@@ -9,8 +9,8 @@ game art (see EXPERIMENTS.md).
 from repro.experiments import fig07_quality
 
 
-def test_fig07_quality(ctx, run_once, record_result):
-    result = run_once(lambda: fig07_quality.run(ctx))
+def test_fig07_quality(ctx, record_result):
+    result = fig07_quality.run(ctx)
     record_result(result)
     per_game = result.rows[:-1]
     avg = result.rows[-1]

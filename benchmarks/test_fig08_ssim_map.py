@@ -8,8 +8,8 @@ visible minority degrades.
 from repro.experiments import fig08_ssim_map
 
 
-def test_fig08_ssim_map(ctx, run_once, record_result):
-    result = run_once(lambda: fig08_ssim_map.run(ctx))
+def test_fig08_ssim_map(ctx, record_result):
+    result = fig08_ssim_map.run(ctx)
     record_result(result)
     row = result.rows[0]
     assert row["frac_pixels_ssim>=0.9"] > 0.5

@@ -8,8 +8,8 @@ distribution-based prediction exploits.
 from repro.experiments import fig12_sharing
 
 
-def test_fig12_sharing(ctx, run_once, record_result):
-    result = run_once(lambda: fig12_sharing.run(ctx))
+def test_fig12_sharing(ctx, record_result):
+    result = fig12_sharing.run(ctx)
     record_result(result)
     avg = result.rows[-1]["sharing_fraction"]
     assert 0.35 < avg < 0.85

@@ -3,8 +3,8 @@
 from repro.experiments import fig15_lod_shift
 
 
-def test_fig15_lod_shift(ctx, run_once, record_result):
-    result = run_once(lambda: fig15_lod_shift.run(ctx))
+def test_fig15_lod_shift(ctx, record_result):
+    result = fig15_lod_shift.run(ctx)
     record_result(result)
     avg = result.rows[-1]
     assert avg["workload"] == "average"

@@ -13,8 +13,8 @@ import numpy as np
 from repro.experiments import fig17_threshold
 
 
-def test_fig17_threshold(ctx, run_once, record_result):
-    result = run_once(lambda: fig17_threshold.run(ctx))
+def test_fig17_threshold(ctx, record_result):
+    result = fig17_threshold.run(ctx)
     record_result(result)
     avg_rows = {r["threshold"]: r for r in result.rows if r["workload"] == "average"}
     thresholds = sorted(avg_rows)

@@ -8,8 +8,8 @@ least as good as the sample-area-only design.
 from repro.experiments import fig18_latency
 
 
-def test_fig18_latency(ctx, run_once, record_result):
-    result = run_once(lambda: fig18_latency.run(ctx))
+def test_fig18_latency(ctx, record_result):
+    result = fig18_latency.run(ctx)
     record_result(result)
     avg = result.rows[-1]
     assert avg["baseline"] == 1.0

@@ -9,8 +9,8 @@ a clear speedup over baseline; higher resolutions gain more.
 from repro.experiments import fig19_speedup_quality
 
 
-def test_fig19_speedup_quality(ctx, run_once, record_result):
-    result = run_once(lambda: fig19_speedup_quality.run(ctx))
+def test_fig19_speedup_quality(ctx, record_result):
+    result = fig19_speedup_quality.run(ctx)
     record_result(result)
     avg = result.rows[-1]
 

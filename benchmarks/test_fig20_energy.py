@@ -8,8 +8,8 @@ N+Txds for its LOD reuse (paper: ~1%).
 from repro.experiments import fig20_energy
 
 
-def test_fig20_energy(ctx, run_once, record_result):
-    result = run_once(lambda: fig20_energy.run(ctx))
+def test_fig20_energy(ctx, record_result):
+    result = fig20_energy.run(ctx)
     record_result(result)
     avg = result.rows[-1]
     assert avg["baseline"] == 1.0

@@ -8,8 +8,8 @@ benefit does not shrink as the LLC grows — the designs are orthogonal.
 from repro.experiments import fig21_cache
 
 
-def test_fig21_cache(ctx, run_once, record_result):
-    result = run_once(lambda: fig21_cache.run(ctx))
+def test_fig21_cache(ctx, record_result):
+    result = fig21_cache.run(ctx)
     record_result(result)
     avg = result.rows[-1]
 

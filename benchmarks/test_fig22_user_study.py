@@ -9,8 +9,8 @@ ones.
 from repro.experiments import fig22_user_study
 
 
-def test_fig22_user_study(ctx, run_once, record_result):
-    result = run_once(lambda: fig22_user_study.run(ctx))
+def test_fig22_user_study(ctx, record_result):
+    result = fig22_user_study.run(ctx)
     record_result(result)
     rows = {(r["workload"], r["threshold"]): r for r in result.rows}
 

@@ -7,8 +7,8 @@ PATU approximation decisions.
 from repro.experiments import sec5c_divergence
 
 
-def test_sec5c_divergence(ctx, run_once, record_result):
-    result = run_once(lambda: sec5c_divergence.run(ctx))
+def test_sec5c_divergence(ctx, record_result):
+    result = sec5c_divergence.run(ctx)
     record_result(result)
     avg = result.rows[-1]["quad_divergence"]
     assert avg < 0.03  # paper: ~1% average

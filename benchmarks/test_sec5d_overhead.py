@@ -5,8 +5,8 @@ import pytest
 from repro.experiments import sec5d_overhead
 
 
-def test_sec5d_overhead(run_once, record_result):
-    result = run_once(lambda: sec5d_overhead.run())
+def test_sec5d_overhead(record_result):
+    result = sec5d_overhead.run()
     record_result(result)
     values = {r["quantity"]: r["value"] for r in result.rows}
     assert values["hash table entries"] == 16

@@ -3,8 +3,8 @@
 from repro.experiments import table1_config
 
 
-def test_table1_config(run_once, record_result):
-    result = run_once(lambda: table1_config.run())
+def test_table1_config(record_result):
+    result = table1_config.run()
     record_result(result)
     labels = [r["parameter"] for r in result.rows]
     assert labels[0] == "Frequency"

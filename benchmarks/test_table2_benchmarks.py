@@ -3,8 +3,8 @@
 from repro.experiments import table2_benchmarks
 
 
-def test_table2_benchmarks(run_once, record_result):
-    result = run_once(lambda: table2_benchmarks.run())
+def test_table2_benchmarks(record_result):
+    result = table2_benchmarks.run()
     record_result(result)
     assert len(result.rows) == 11
     names = {r["abbr"] for r in result.rows}

@@ -21,7 +21,7 @@ Subcommands:
   past runs; ``--check`` exits nonzero on flagged regressions.
 * ``serve`` — run the render service: an asyncio JSON-lines front-end
   that coalesces concurrent eval/render requests into engine batches
-  and executes them serially or on a ``--jobs N`` process pool
+  and executes them serially or on ``--jobs N`` worker threads
   (``docs/architecture.md``, service section).
 * ``store`` — capture-store maintenance: ``store stats`` reports
   per-shard entry counts/bytes plus the ``.corrupt/`` quarantine,
@@ -39,23 +39,19 @@ schema-versioned record per run to the run ledger (default
 stdout; informational messages go to stderr, so stdout stays pipeable.
 
 Engine (see ``docs/architecture.md``): ``experiment``/``report`` accept
-``--jobs N`` to execute the planned job graph on N worker processes
+``--jobs N`` to execute the planned job graph on N worker threads
 (tables are byte-identical to serial) and ``--capture-cache DIR`` to
 keep rendered frames in a persistent content-addressed store shared
-with ``profile`` — a warm store skips every render. Store traffic is
-reported on stderr.
+with ``profile`` and ``serve`` — a warm store skips every render.
+Store traffic is reported on stderr.
 
 Resilience (see ``docs/resilience.md``): ``experiment``/``report``
 accept ``--checkpoint PATH`` to persist evaluated design points and
 ``--resume`` to continue an interrupted sweep (SIGINT flushes the
 checkpoint before exiting with status 130); ``--inject-faults`` (with
 ``--fault-rate``/``--fault-seed``) exercises the graceful-degradation
-paths with deterministic corruption. The process backend is
-supervised: ``--job-timeout SECONDS`` bounds each worker chunk (300 s
-per job by default, 0 disables), and ``--chaos-worker-kill`` /
-``--chaos-worker-hang`` / ``--chaos-chunk-corrupt`` inject seeded
-process-level failures (killed/hung workers, torn IPC payloads) to
-test the supervision layer end-to-end.
+paths with deterministic corruption, and runs every job on the main
+thread so the corruption is the same at any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -105,17 +101,12 @@ def _add_session_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for planned experiment "
+                        help="worker threads for planned experiment "
                              "jobs (default 1 = serial, same output)")
     parser.add_argument("--capture-cache", metavar="DIR", default=None,
                         dest="capture_cache",
                         help="persistent capture store directory; "
                              "rendered frames are reused across runs")
-    parser.add_argument("--job-timeout", type=float, default=None,
-                        dest="job_timeout", metavar="SECONDS",
-                        help="per-job wall-clock budget for process-"
-                             "backend chunk deadlines (default 300; "
-                             "0 disables deadlines)")
 
 
 def _engine_end(ctx: ExperimentContext) -> None:
@@ -227,19 +218,6 @@ def _add_fault_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fault-seed", type=int, default=0,
                         dest="fault_seed", metavar="SEED",
                         help="seed for the fault injector (default 0)")
-    parser.add_argument("--chaos-worker-kill", type=float, default=0.0,
-                        dest="chaos_worker_kill", metavar="RATE",
-                        help="probability a pool worker self-kills "
-                             "before a job (process chaos; needs "
-                             "--jobs > 1)")
-    parser.add_argument("--chaos-worker-hang", type=float, default=0.0,
-                        dest="chaos_worker_hang", metavar="RATE",
-                        help="probability a pool worker hangs before a "
-                             "job (reaped by the chunk deadline)")
-    parser.add_argument("--chaos-chunk-corrupt", type=float, default=0.0,
-                        dest="chaos_chunk_corrupt", metavar="RATE",
-                        help="probability a chunk's IPC result payload "
-                             "is truncated/garbled")
 
 
 def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
@@ -262,57 +240,28 @@ def _checkpoint_path(args) -> "str | None":
     return path
 
 
-def _chaos_rates(args) -> "tuple[float, float, float]":
-    return (
-        getattr(args, "chaos_worker_kill", 0.0),
-        getattr(args, "chaos_worker_hang", 0.0),
-        getattr(args, "chaos_chunk_corrupt", 0.0),
-    )
-
-
 def _faults_begin(args) -> None:
     """Arm the fault injector from the parsed flags."""
-    kill, hang, corrupt = _chaos_rates(args)
-    data_faults = getattr(args, "inject_faults", False)
-    if not (data_faults or kill or hang or corrupt):
+    if not getattr(args, "inject_faults", False):
         return
     # Degradation counters live in telemetry; a faulted run without
     # --trace/--metrics still wants them, so arm telemetry too.
     if not TELEMETRY.enabled:
         TELEMETRY.reset()
         TELEMETRY.enabled = True
-    rate = args.fault_rate if data_faults else 0.0
-    FAULTS.configure(
-        FaultPlan.uniform(rate, seed=args.fault_seed).with_chaos(
-            kill=kill, hang=hang, corrupt=corrupt
-        )
-    )
-    if data_faults:
-        _info(f"fault injection on: rate {args.fault_rate:g}, "
-              f"seed {args.fault_seed}")
-    if kill or hang or corrupt:
-        _info(f"process chaos on: kill {kill:g}, hang {hang:g}, "
-              f"chunk-corrupt {corrupt:g}, seed {args.fault_seed}")
+    FAULTS.configure(FaultPlan.uniform(args.fault_rate, seed=args.fault_seed))
+    _info(f"fault injection on: rate {args.fault_rate:g}, "
+          f"seed {args.fault_seed}")
 
 
 def _faults_end(args) -> None:
     """Report what the injector did, then disarm it."""
-    kill, hang, corrupt = _chaos_rates(args)
-    armed = getattr(args, "inject_faults", False) or kill or hang or corrupt
-    if armed and FAULTS.enabled:
-        if getattr(args, "inject_faults", False):
-            degraded = TELEMETRY.counter_value("resilience.degraded_pixels")
-            fallback = TELEMETRY.counter_value("resilience.fallback_af_pixels")
-            _info(f"fault injection: {FAULTS.total_injected} fault(s) "
-                  f"injected, {degraded:g} pixel prediction(s) degraded, "
-                  f"{fallback:g} pixel(s) fell back to exact AF")
-        restarts = TELEMETRY.counter_value("resilience.worker_restarts")
-        retries = TELEMETRY.counter_value("resilience.chunk_retries")
-        quarantined = TELEMETRY.counter_value("resilience.jobs_quarantined")
-        if restarts or retries or quarantined:
-            _info(f"chaos: {restarts:g} worker restart(s), "
-                  f"{retries:g} chunk retry(ies), "
-                  f"{quarantined:g} job(s) quarantined")
+    if getattr(args, "inject_faults", False) and FAULTS.enabled:
+        degraded = TELEMETRY.counter_value("resilience.degraded_pixels")
+        fallback = TELEMETRY.counter_value("resilience.fallback_af_pixels")
+        _info(f"fault injection: {FAULTS.total_injected} fault(s) "
+              f"injected, {degraded:g} pixel prediction(s) degraded, "
+              f"{fallback:g} pixel(s) fell back to exact AF")
     FAULTS.disable()
 
 
@@ -331,8 +280,7 @@ def _obs_begin(args) -> None:
     """Arm telemetry / progress reporting from the parsed flags.
 
     A pending ledger record also arms telemetry: its rollups (stage
-    times, counters, quality histograms, per-worker attribution) are
-    the record's payload. Stdout output never depends on telemetry,
+    times, counters, quality histograms) are the record's payload. Stdout output never depends on telemetry,
     so tables stay byte-identical either way.
     """
     if (
@@ -427,7 +375,6 @@ def _cmd_experiment(args) -> int:
         scale=args.scale, frames=args.frames, workloads=workloads,
         checkpoint_path=_checkpoint_path(args),
         jobs=args.jobs, capture_cache=args.capture_cache,
-        job_timeout=args.job_timeout,
     )
     _resume_begin(args, ctx)
     try:
@@ -532,7 +479,6 @@ def _cmd_report(args) -> int:
         scale=args.scale, frames=args.frames, workloads=workloads,
         checkpoint_path=_checkpoint_path(args),
         jobs=args.jobs, capture_cache=args.capture_cache,
-        job_timeout=args.job_timeout,
     )
     _resume_begin(args, ctx)
     ids = tuple(args.experiments) if args.experiments else None
@@ -648,14 +594,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_profile(args) -> int:
     """Render N frames with telemetry on; table to stdout, files to disk."""
-    from .engine import CaptureStore
+    from .engine import make_store
     from .engine.jobs import DEFAULT_VARIANT
     from .engine.worker import capture_spec_for
 
     workload = _resolve_workload(args.workload)
     scenario = get_scenario(args.scenario)
     session = RenderSession(scale=args.scale)
-    store = CaptureStore(args.capture_cache) if args.capture_cache else None
+    store = (
+        make_store(args.capture_cache, prefix=1) if args.capture_cache
+        else None
+    )
     want_maps = getattr(args, "quality_maps", None)
     map_files = 0
     with TELEMETRY.span(
@@ -718,7 +667,6 @@ def _cmd_serve(args) -> int:
         max_pending=args.max_pending,
         max_batch=args.max_batch,
         batch_window_s=args.batch_window,
-        job_timeout=args.job_timeout,
     )
     return run_server(config)
 
@@ -856,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the differential/metamorphic/golden oracle suite",
     )
     p_ver.add_argument("--quick", action="store_true",
-                       help="smaller captures, skip the process-pool oracle")
+                       help="smaller captures, skip the --jobs 2 oracle")
     p_ver.add_argument("--seed", type=int, default=0,
                        help="base seed for the random fragment batches")
     p_ver.add_argument("--only", metavar="FILTER", default=None,
@@ -1034,8 +982,8 @@ def main(argv=None) -> int:
     _obs_begin(args)
     rc = 0
     try:
-        # inside the try: a bad --fault-rate/--chaos-* value must exit
-        # through the `error: ...` path like any other ReproError
+        # inside the try: a bad --fault-rate value must exit through
+        # the `error: ...` path like any other ReproError
         _faults_begin(args)
         rc = handlers[args.command](args)
     except ReproError as exc:

@@ -2,10 +2,10 @@
 
 Experiment modules *plan* typed, hashable work units
 (:class:`EvalJob`), the :class:`Engine` *executes* the deduplicated
-job graph on a backend (serial in-process, or a process pool selected
-by ``--jobs N``), and each module *aggregates* completed results into
-its table. A content-addressed :class:`CaptureStore` underneath makes
-frame renders a per-machine cost instead of a per-process one.
+job graph (on the calling thread, or on ``--jobs N`` worker threads),
+and each module *aggregates* completed results into its table. A
+content-addressed :class:`CaptureStore` underneath makes frame renders
+a per-machine cost instead of a per-process one.
 
 See ``docs/architecture.md`` (engine section) for the full design.
 """
@@ -32,15 +32,8 @@ from .jobs import (
     dedupe_jobs,
     eval_job,
 )
-from .scheduler import Engine, ExecutionReport, discard_pool, shutdown_pools
-from .supervision import (
-    DEFAULT_JOB_TIMEOUT_S,
-    MAX_JOB_ATTEMPTS,
-    ChunkSupervisor,
-    chunk_deadline_s,
-)
+from .scheduler import Engine, ExecutionReport, shutdown_pools
 from .worker import (
-    WorkerSpec,
     build_session,
     evaluate_job,
     extract_frame_metrics,
@@ -67,13 +60,7 @@ __all__ = [
     "eval_job",
     "Engine",
     "ExecutionReport",
-    "discard_pool",
     "shutdown_pools",
-    "DEFAULT_JOB_TIMEOUT_S",
-    "MAX_JOB_ATTEMPTS",
-    "ChunkSupervisor",
-    "chunk_deadline_s",
-    "WorkerSpec",
     "build_session",
     "evaluate_job",
     "extract_frame_metrics",

@@ -5,12 +5,13 @@ evaluation half replays design points over the captured per-pixel
 state. The store makes the expensive half *per machine* instead of per
 process: every capture is written once under a key derived from
 everything that can change its contents, and any later process — a
-resumed sweep, a pool worker, ``repro profile`` — loads it back
+resumed sweep, ``repro serve``, ``repro profile`` — loads it back
 instead of re-rendering.
 
-Layout: one ``.npz`` file per capture directly under the store root,
-named ``{workload}-f{frame}-{digest}.npz``. The digest is the first 16
-hex chars of the SHA-256 of the capture *spec* — a JSON object listing
+Flat layout (:class:`CaptureStore`): one ``.npz`` file per capture
+directly under the store root, named
+``{workload}-f{frame}-{digest}.npz``. The digest is the first 16 hex
+chars of the SHA-256 of the capture *spec* — a JSON object listing
 the workload request name, frame index, render scale, tile size,
 effective anisotropy cap, compression flag, and two version tags
 (:data:`repro.renderer.serialization.FORMAT_VERSION` for the payload
@@ -19,9 +20,17 @@ layout, :data:`STORE_VERSION` for capture-affecting code). Bump
 simply miss and are re-rendered, no manual invalidation needed.
 
 Writes go through :func:`repro.ioutil.atomic_write_bytes`, so a store
-shared by concurrent workers never exposes a torn file: each worker
+shared by concurrent processes never exposes a torn file: each process
 that misses renders and publishes independently, and the final
-``os.replace`` makes one of the identical payloads win.
+``os.replace`` makes one of the identical payloads win. Within one
+process a store may be used from several threads (``--jobs N``); its
+:class:`StoreStats` and per-shard counters update under a lock.
+
+Every store directory the CLI and the experiment context open goes
+through :func:`make_store` with ``prefix=1``, so a directory has one
+layout whichever command opens it; entries of an older flat store
+migrate into their shards on first lookup (see
+:class:`ShardedCaptureStore`).
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import json
 import os
 import pathlib
 import re
+import threading
 from dataclasses import dataclass
 
 from ..errors import PipelineError
@@ -119,6 +129,13 @@ class CaptureStore:
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.stats = StoreStats()
+        self._lock = threading.Lock()
+
+    def _count(self, field: str) -> None:
+        """Add one to a :class:`StoreStats` field and its counter."""
+        with self._lock:
+            setattr(self.stats, field, getattr(self.stats, field) + 1)
+        TELEMETRY.count(f"store.{field}")
 
     def path_for(self, spec: "dict[str, object]") -> pathlib.Path:
         name = _SAFE.sub("_", str(spec["workload"]))
@@ -128,8 +145,7 @@ class CaptureStore:
         """Load the capture for ``spec``, or None on a miss."""
         path = self.path_for(spec)
         if not path.exists():
-            self.stats.misses += 1
-            TELEMETRY.count("store.misses")
+            self._count("misses")
             return None
         return self._load(path)
 
@@ -148,19 +164,17 @@ class CaptureStore:
                 f"capture store: quarantined bad entry "
                 f"{path.name}{where}: {exc}"
             )
-            self.stats.misses += 1
-            TELEMETRY.count("store.misses")
+            self._count("misses")
             return None
-        self.stats.hits += 1
-        TELEMETRY.count("store.hits")
+        self._count("hits")
         return capture
 
     def quarantine(self, path: pathlib.Path) -> "pathlib.Path | None":
         """Move a corrupt entry into the ``.corrupt/`` sibling directory.
 
         Returns the quarantined path, or None when the file vanished
-        first (a concurrent worker already quarantined or replaced it —
-        either way the bad bytes are out of the lookup path). Counted
+        first (a concurrent process already quarantined or replaced it
+        — either way the bad bytes are out of the lookup path). Counted
         under ``store.corrupt`` and :attr:`StoreStats.corrupt` in both
         cases: the *detection* happened here.
         """
@@ -170,23 +184,20 @@ class CaptureStore:
             os.replace(path, dest)
         except OSError:
             dest = None
-        self.stats.corrupt += 1
-        TELEMETRY.count("store.corrupt")
+        self._count("corrupt")
         return dest
 
     def put(self, spec: "dict[str, object]", capture: FrameCapture) -> pathlib.Path:
         """Atomically publish ``capture`` under its content key.
 
         Entries are written as uncompressed .npz: the store is a
-        same-machine transfer channel (worker -> worker -> parent), and
-        on that path the deflate pass is pure CPU overhead — a load
-        must be cheap enough to pay once per (worker, capture) pair.
+        same-machine cache, and on that path the deflate pass is pure
+        CPU overhead — a load must stay cheap next to a render.
         Compressed entries from older runs still load fine.
         """
         path = self.path_for(spec)
         atomic_write_bytes(path, capture_to_npz_bytes(capture, compress=False))
-        self.stats.writes += 1
-        TELEMETRY.count("store.writes")
+        self._count("writes")
         return path
 
     def __len__(self) -> int:
@@ -289,10 +300,11 @@ class ShardedCaptureStore(CaptureStore):
         return shard / f"{name}-f{spec['frame']}-{digest}.npz"
 
     def _count_shard(self, shard: str, kind: str) -> None:
-        traffic = self.shard_traffic.setdefault(
-            shard, {"hits": 0, "misses": 0}
-        )
-        traffic[kind] += 1
+        with self._lock:
+            traffic = self.shard_traffic.setdefault(
+                shard, {"hits": 0, "misses": 0}
+            )
+            traffic[kind] += 1
 
     def get(self, spec: "dict[str, object]") -> "FrameCapture | None":
         home = self.path_for(spec)
@@ -304,15 +316,13 @@ class ShardedCaptureStore(CaptureStore):
             found = self._read_through(home)
             if found is None:
                 self._count_shard(shard, "misses")
-                self.stats.misses += 1
-                TELEMETRY.count("store.misses")
+                self._count("misses")
                 return None
             promoted = self._promote(found, home)
             self._touch(promoted)
             capture = self._load(promoted)
             if capture is not None:
-                self.stats.readthrough += 1
-                TELEMETRY.count("store.readthrough")
+                self._count("readthrough")
         # A corrupt entry is quarantined and counted as a miss by
         # _load, so the shard counts it as a miss too.
         self._count_shard(shard, "hits" if capture is not None else "misses")
@@ -357,8 +367,7 @@ class ShardedCaptureStore(CaptureStore):
         path = self.path_for(spec)
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_bytes(path, capture_to_npz_bytes(capture, compress=False))
-        self.stats.writes += 1
-        TELEMETRY.count("store.writes")
+        self._count("writes")
         if self.max_bytes is not None:
             self.prune(self.max_bytes, keep=path)
         return path
@@ -392,23 +401,8 @@ class ShardedCaptureStore(CaptureStore):
             total -= size
             freed += size
             evicted += 1
-            self.stats.evictions += 1
-            TELEMETRY.count("store.evictions")
+            self._count("evictions")
         return evicted, freed
-
-    def merge_traffic(self, traffic: "dict[str, dict[str, int]]") -> None:
-        """Fold worker-side per-shard hit/miss deltas into this store.
-
-        The flat hit/miss totals of worker stores already merge through
-        the chunk-outcome store delta (:mod:`repro.engine.scheduler`);
-        this keeps the per-shard attribution from getting lost with it.
-        """
-        for shard, t in traffic.items():
-            bucket = self.shard_traffic.setdefault(
-                shard, {"hits": 0, "misses": 0}
-            )
-            bucket["hits"] += int(t.get("hits", 0))
-            bucket["misses"] += int(t.get("misses", 0))
 
     def shard_stats(self) -> "dict[str, dict[str, int]]":
         """Per-shard ``{"entries": n, "bytes": n, "hits": n, "misses": n}``.
@@ -422,9 +416,14 @@ class ShardedCaptureStore(CaptureStore):
             bucket = out.setdefault(shard, {"entries": 0, "bytes": 0})
             bucket["entries"] += 1
             bucket["bytes"] += size
-        for shard, traffic in self.shard_traffic.items():
+        with self._lock:
+            traffic = {
+                shard: dict(counts)
+                for shard, counts in self.shard_traffic.items()
+            }
+        for shard, counts in traffic.items():
             bucket = out.setdefault(shard, {"entries": 0, "bytes": 0})
-            bucket.update(traffic)
+            bucket.update(counts)
         return out
 
     def entries(self) -> "list[tuple[pathlib.Path, int, float]]":

@@ -6,7 +6,7 @@ engine *executes* the deduplicated job graph on a backend, and the
 module *aggregates* the completed results into its table. A job is a
 pure value — two modules that plan the same design point plan the
 *same* job, which is what makes cross-module deduplication and
-process-pool distribution trivial.
+parallel execution trivial.
 
 Two job kinds exist:
 
@@ -78,7 +78,7 @@ DEFAULT_CONFIG = ConfigKey()
 
 @dataclass(frozen=True)
 class EvalJob:
-    """One schedulable unit of experiment work (hashable, picklable)."""
+    """One schedulable unit of experiment work (hashable)."""
 
     workload: str
     frame: int

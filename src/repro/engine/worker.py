@@ -1,42 +1,29 @@
-"""The shared job-execution core (parent process and pool workers).
+"""The shared job-execution core: workload, session and evaluation.
 
-Serial and parallel execution must be bit-for-bit identical, so both
-go through the exact same functions: :func:`resolve_workload`,
-:func:`build_session`, :func:`evaluate_job` and
-:func:`extract_frame_metrics`. The parent's
-:class:`~repro.experiments.runner.ExperimentContext` calls them
-directly; the process backend calls them through the module-level
-worker state initialized by :func:`init_worker`.
-
-A pool worker is deliberately thin: one :class:`WorkerSpec` (picklable
-configuration snapshot) arms telemetry and fault injection, sessions
-are cached per derived configuration, and captures flow through the
-shared on-disk :class:`~repro.engine.capture_store.CaptureStore` — a
-worker that misses renders and publishes atomically, so concurrent
-workers converge on one stored copy per frame.
+Serial and parallel execution must be bit-for-bit identical, so every
+job goes through the exact same functions, whichever thread runs it:
+:func:`resolve_workload`, :func:`build_session`, :func:`evaluate_job`
+and :func:`extract_frame_metrics`. The
+:class:`~repro.experiments.runner.ExperimentContext` calls them both
+from its lazy accessors and from the work items the
+:class:`~repro.engine.scheduler.Engine` runs.
 """
 
 from __future__ import annotations
 
-import gc
-import os
-import time
-from dataclasses import dataclass
 from dataclasses import replace as dataclasses_replace
 
 from ..config import GpuConfig
 from ..core.scenarios import get_scenario
 from ..errors import WorkloadError
-from ..obs import TELEMETRY
 from ..renderer.session import FrameCapture, FrameResult, RenderSession
-from ..resilience.faults import FAULTS, FaultPlan
 from ..workloads.fuzz import FUZZ_PREFIX, fuzz_workload, parse_fuzz_request
 from ..workloads.games import get_workload
 from ..workloads.rbench import rbench_workload
 from ..workloads.scene import Workload
 from ..workloads.vr import vr_workload
-from .capture_store import capture_spec, make_store
-from .jobs import KIND_EVAL, CaptureVariant, ConfigKey, EvalJob
+from .capture_store import capture_spec
+from .jobs import CaptureVariant, ConfigKey, EvalJob
 
 #: Workload-request prefix for stereo variants: ``"VR@2:doom3-1280x1024"``
 #: is the two-time-step stereo render of ``doom3-1280x1024``.
@@ -98,7 +85,7 @@ def derive_config(base: GpuConfig, key: ConfigKey) -> GpuConfig:
 def build_session(
     base_config: GpuConfig, scale: float, key: ConfigKey
 ) -> RenderSession:
-    """One render session for a job configuration (parent and workers)."""
+    """One render session for a job configuration."""
     return RenderSession(
         derive_config(base_config, key),
         scale=scale,
@@ -190,238 +177,3 @@ def extract_frame_metrics(r: FrameResult) -> "dict[str, float]":
         "trilinear": float(r.events.trilinear_samples),
         "degraded_pixels": float(r.degraded_pixels),
     }
-
-
-# ----------------------------------------------------------------------
-# Pool-worker process state
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WorkerSpec:
-    """Everything a pool worker needs, as one picklable value."""
-
-    base_config: GpuConfig
-    scale: float
-    store_root: str
-    telemetry_enabled: bool = False
-    fault_plan: "FaultPlan | None" = None
-    #: Shard-prefix width of the capture store (0 = flat layout); every
-    #: worker must open the store with the same layout as the parent.
-    store_prefix: int = 0
-
-
-class _WorkerState:
-    """Per-process caches behind :func:`run_job`."""
-
-    def __init__(self, spec: WorkerSpec) -> None:
-        self.spec = spec
-        self.store = make_store(
-            spec.store_root, prefix=spec.store_prefix
-        )
-        self._sessions: "dict[tuple, RenderSession]" = {}
-        self._captures: "dict[tuple, FrameCapture]" = {}
-
-    def session(self, key: ConfigKey) -> RenderSession:
-        cache_key = session_cache_key(key)
-        session = self._sessions.get(cache_key)
-        if session is None:
-            session = self._sessions[cache_key] = build_session(
-                self.spec.base_config, self.spec.scale, key
-            )
-        return session
-
-    def capture(self, workload: str, frame: int, key: ConfigKey) -> FrameCapture:
-        variant = effective_variant(self.spec.base_config, key.variant())
-        cache_key = (workload, frame, variant)
-        capture = self._captures.get(cache_key)
-        if capture is not None:
-            return capture
-        spec = capture_spec_for(
-            workload, frame,
-            base_config=self.spec.base_config,
-            scale=self.spec.scale,
-            variant=variant,
-        )
-        capture = self.store.get(spec)
-        if capture is None:
-            session = self.session(key)
-            capture = session.capture_frame(resolve_workload(workload), frame)
-            self.store.put(spec, capture)
-        self._captures[cache_key] = capture
-        return capture
-
-
-_STATE: "_WorkerState | None" = None
-
-
-def init_worker(spec: WorkerSpec) -> None:
-    """Process-pool initializer: arm telemetry/faults, set up caches."""
-    global _STATE
-    _STATE = _WorkerState(spec)
-    TELEMETRY.reset()
-    TELEMETRY.enabled = spec.telemetry_enabled
-    if spec.fault_plan is not None:
-        FAULTS.configure(spec.fault_plan)
-    else:
-        FAULTS.reset()
-    # Everything alive at this point (imports, inherited workload
-    # caches) is effectively immortal for the worker's lifetime:
-    # freezing it keeps cyclic-gc passes off it and, under fork,
-    # avoids dirtying inherited copy-on-write pages during collection.
-    # No gc.collect() first — that walks the whole inherited heap per
-    # worker, which is exactly the kind of per-process startup cost the
-    # persistent pool exists to avoid.
-    if hasattr(gc, "freeze"):
-        gc.freeze()
-
-
-#: Exit status a chaos-killed worker dies with (any nonzero works; the
-#: parent only ever sees BrokenProcessPool).
-CHAOS_EXIT_CODE = 86
-
-#: How long an injected hang sleeps. Effectively forever — the parent's
-#: chunk deadline is what ends it, by killing the worker.
-_CHAOS_HANG_S = 3600.0
-
-
-def chaos_identity(job: EvalJob) -> str:
-    """The stable identity string chaos decisions are keyed by.
-
-    Built from the job's own fields (frozen dataclasses with
-    deterministic reprs), *not* ``hash()`` — Python string hashing is
-    process-salted, and chaos marks must agree across workers, retries,
-    machines and the seed-scanning done by tests/CI.
-    """
-    return (
-        f"{job.kind}|{job.workload}|f{job.frame}|{job.scenario}"
-        f"|t{job.threshold!r}|{job.config_key!r}"
-    )
-
-
-def _chaos_site(job: EvalJob) -> None:
-    """Process-level chaos: maybe kill or hang this worker for ``job``.
-
-    Runs only in pool workers (serial execution never enters this
-    module's chunk path), so injected crashes exercise the parent's
-    supervision layer without ever taking down the parent itself.
-    ``os._exit`` skips cleanup handlers on purpose — a real crash
-    wouldn't run them either.
-    """
-    if not FAULTS.enabled:
-        return
-    identity = chaos_identity(job)
-    if FAULTS.should_kill_worker(identity):
-        os._exit(CHAOS_EXIT_CODE)
-    if FAULTS.should_hang_worker(identity):
-        time.sleep(_CHAOS_HANG_S)
-
-
-def _store_before() -> tuple:
-    """Snapshot the worker store's counters for later delta-taking."""
-    stats = _STATE.store.stats
-    traffic = getattr(_STATE.store, "shard_traffic", None) or {}
-    return (
-        stats.hits, stats.misses, stats.writes, stats.corrupt,
-        {shard: (t["hits"], t["misses"]) for shard, t in traffic.items()},
-    )
-
-
-def _store_delta(before: tuple) -> tuple:
-    """``(hits, misses, writes, corrupt, shard_traffic_or_None)``.
-
-    The per-shard element lets the parent's sharded store attribute
-    worker-side lookups to the right shard (flat stores ship None).
-    """
-    stats = _STATE.store.stats
-    traffic = getattr(_STATE.store, "shard_traffic", None) or {}
-    shards: "dict[str, dict[str, int]]" = {}
-    for shard, t in traffic.items():
-        h0, m0 = before[4].get(shard, (0, 0))
-        dh, dm = t["hits"] - h0, t["misses"] - m0
-        if dh or dm:
-            shards[shard] = {"hits": dh, "misses": dm}
-    return (
-        stats.hits - before[0],
-        stats.misses - before[1],
-        stats.writes - before[2],
-        stats.corrupt - before[3],
-        shards or None,
-    )
-
-
-def _execute_one(job: EvalJob) -> "tuple[str, object, object]":
-    """Run one job against the worker state; never raises job errors."""
-    try:
-        capture = _STATE.capture(job.workload, job.frame, job.config_key)
-        if job.kind == KIND_EVAL:
-            result = evaluate_job(
-                _STATE.session(job.config_key), capture, job
-            )
-            return ("ok", extract_frame_metrics(result), None)
-        return ("ok", None, None)
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except Exception as exc:  # noqa: BLE001 — shipped as data, see run_job
-        return ("err", type(exc).__name__, str(exc))
-
-
-def run_job(job: EvalJob) -> tuple:
-    """Execute one job in a pool worker.
-
-    Returns ``("ok", metrics_or_None, telemetry, injected, store)`` or
-    ``("err", error_type_name, message, telemetry, injected, store)``
-    — exceptions never cross the process boundary as exceptions, so one
-    bad design point cannot poison the pool, and each result carries
-    the worker's telemetry / fault / capture-store deltas for the
-    parent to merge into its own accounting.
-    """
-    assert _STATE is not None, "run_job before init_worker"
-    TELEMETRY.reset()
-    FAULTS.injected = {}
-    before = _store_before()
-    _chaos_site(job)
-    status, a, b = _execute_one(job)
-    if status == "err":
-        return (
-            "err", a, b,
-            TELEMETRY.snapshot_remote(), dict(FAULTS.injected),
-            _store_delta(before),
-        )
-    return (
-        "ok", a, TELEMETRY.snapshot_remote(), dict(FAULTS.injected),
-        _store_delta(before),
-    )
-
-
-def run_job_chunk(jobs: "list[EvalJob]") -> "list[tuple]":
-    """Execute a chunk of jobs in one pool round-trip.
-
-    Job semantics match :func:`run_job`, but the telemetry / fault /
-    store bookkeeping runs once per chunk, not once per job: the final
-    outcome carries the whole chunk's deltas and the others carry
-    ``None`` (the parent's merge treats ``None`` as empty). Snapshot
-    cost was a measurable slice of small-job dispatch.
-    """
-    assert _STATE is not None, "run_job_chunk before init_worker"
-    TELEMETRY.reset()
-    FAULTS.injected = {}
-    before = _store_before()
-    outcomes: "list[tuple]" = []
-    for job in jobs:
-        _chaos_site(job)
-        status, a, b = _execute_one(job)
-        if status == "err":
-            outcomes.append(("err", a, b, None, None, (0, 0, 0, 0)))
-        else:
-            outcomes.append(("ok", a, None, None, (0, 0, 0, 0)))
-    if outcomes:
-        tail = outcomes[-1]
-        outcomes[-1] = tail[:-3] + (
-            TELEMETRY.snapshot_remote(), dict(FAULTS.injected),
-            _store_delta(before),
-        )
-        outcomes = FAULTS.corrupt_chunk_payload(
-            outcomes, chaos_identity(jobs[-1])
-        )
-    return outcomes

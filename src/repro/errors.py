@@ -39,11 +39,10 @@ class ExperimentError(ReproError):
 class JobError(ExperimentError):
     """A planned engine job failed; replayed at aggregation time.
 
-    The engine executes jobs eagerly (possibly in another process) but
+    The engine executes jobs eagerly (possibly on a worker thread) but
     experiments *observe* failures during aggregation, inside their
     usual isolation scopes. ``JobError`` carries the original
-    exception's type name across that gap (and across process
-    boundaries, where the original object may not travel), so the
+    exception's type name across that gap, so the
     :class:`~repro.resilience.FailureRecord` footer reports the real
     error type no matter where or when the job actually ran.
     """
@@ -91,29 +90,6 @@ class CheckpointError(ResilienceError):
 
 class FaultInjectionError(ResilienceError):
     """The fault-injection harness was configured incorrectly."""
-
-
-class WorkerCrashError(ResilienceError):
-    """A pool worker process died while executing a chunk.
-
-    The supervision layer never lets this escape ``execute()``: the
-    broken pool is torn down and rebuilt, the chunk is retried and
-    bisected, and a job that reproducibly kills its worker is parked as
-    a :class:`JobError` carrying this type's name.
-    """
-
-
-class WorkerTimeoutError(ResilienceError):
-    """A pool worker exceeded its chunk's wall-clock deadline.
-
-    Deadlines are derived from the chunk's job count and the
-    ``--job-timeout`` budget; a hung worker is killed and its chunk
-    handled exactly like a crash (retry, bisect, quarantine).
-    """
-
-
-class ChunkCorruptionError(ResilienceError):
-    """A chunk's IPC result payload was truncated or malformed."""
 
 
 class AdmissionError(ResilienceError):

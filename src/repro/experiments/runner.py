@@ -3,18 +3,18 @@
 An :class:`ExperimentContext` is the experiment-facing façade over the
 :mod:`repro.engine`: modules *plan* typed
 :class:`~repro.engine.jobs.EvalJob` lists, hand them to
-:meth:`ExperimentContext.execute` (which dedupes and runs them on the
-serial or process backend selected by ``jobs=``), then *aggregate* via
-the same memoized accessors (:meth:`capture`, :meth:`result`,
+:meth:`ExperimentContext.execute` (which dedupes them and runs them on
+the calling thread, or on ``jobs=`` worker threads), then *aggregate*
+via the same memoized accessors (:meth:`capture`, :meth:`result`,
 :meth:`frame_metrics`, :meth:`mean_over_frames`) they always used —
 after execution those accessors are pure cache reads. Because the
 accessors still compute lazily on a miss, plan lists may under-cover
 and everything stays correct, just slower.
 
 Captures are memoized per (workload, frame, variant) in memory and,
-when a capture store is attached (``capture_cache=`` or any parallel
-run), content-addressed on disk — rendering becomes a per-machine
-cost instead of a per-process one.
+when a capture store is attached (``capture_cache=``), content-addressed
+on disk — rendering becomes a per-machine cost instead of a
+per-process one.
 
 Sweeps are fault-tolerant (``docs/resilience.md``): per-(workload,
 frame) failures inside :meth:`ExperimentContext.isolate` /
@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import contextlib
 import pathlib
-import tempfile
+import threading
 from dataclasses import dataclass, field
 from dataclasses import replace as dataclasses_replace
 
 from ..config import BASELINE_CONFIG, GpuConfig
-from ..engine.capture_store import CaptureStore, StoreStats
+from ..engine.capture_store import CaptureStore, StoreStats, make_store
 from ..engine.jobs import (
     DEFAULT_CONFIG,
     DEFAULT_VARIANT,
@@ -183,16 +183,21 @@ def _probe_golden(exp_id: str, ctx: "ExperimentContext", result) -> None:
 class ExperimentContext:
     """A render session plus engine-backed caches shared across experiments.
 
-    ``jobs`` selects the engine backend (1 = serial in-process, >1 = a
-    process pool of that size); ``capture_cache`` attaches a persistent
-    on-disk capture store (parallel runs without one get a temporary
-    store for the worker handoff); ``job_timeout`` sets the per-job
-    wall-clock budget the process backend's worker supervision derives
-    chunk deadlines from (None = 300 s default, 0 = no deadlines). With ``checkpoint_path`` set, every
-    completed job's metrics dict is persisted (atomically, every
+    ``jobs`` is how many worker threads :meth:`execute` runs planned
+    jobs on (1 = all on the calling thread; the output is the same);
+    ``capture_cache`` attaches a persistent on-disk capture store,
+    either a store object or a directory, which is opened sharded
+    (:func:`~repro.engine.capture_store.make_store` with ``prefix=1``,
+    the layout ``repro serve`` uses too). With ``checkpoint_path`` set,
+    every completed job's metrics dict is persisted (atomically, every
     ``checkpoint_every`` new evaluations and at each experiment end)
     and :meth:`load_checkpoint` seeds the cache so resumed sweeps skip
     checkpointed evaluations entirely.
+
+    Thread safety: the work items of :meth:`execute` call only
+    :meth:`load_capture` and :meth:`evaluate`, which write no context
+    cache except the session cache, and that under a lock; everything
+    else is written on the thread that called :meth:`execute`.
     """
 
     def __init__(
@@ -206,7 +211,6 @@ class ExperimentContext:
         checkpoint_every: int = 16,
         jobs: int = 1,
         capture_cache: "str | pathlib.Path | CaptureStore | None" = None,
-        job_timeout: "float | None" = None,
     ) -> None:
         if frames < 1:
             raise ExperimentError("need at least one frame per workload")
@@ -217,13 +221,11 @@ class ExperimentContext:
         self.workload_list = workloads
         self.base_config = config
         self.jobs = jobs
-        #: Per-job wall-clock budget for process-backend chunk
-        #: deadlines (None = supervision default, 0 disables).
-        self.job_timeout = job_timeout
         self.session = RenderSession(config, scale=scale)
         self._captures: "dict[tuple[str, int, CaptureVariant], FrameCapture]" = {}
         self._results: "dict[tuple, FrameResult]" = {}
         self._alt_sessions: "dict[tuple, RenderSession]" = {}
+        self._sessions_lock = threading.Lock()
         #: Completed job metrics, keyed by EvalJob.metrics_key()
         #: (checkpointable — see docs/resilience.md).
         self._metrics: "dict[tuple, dict[str, float]]" = {}
@@ -240,21 +242,31 @@ class ExperimentContext:
             self._store: "CaptureStore | None" = capture_cache
         else:
             self._store = (
-                CaptureStore(capture_cache) if capture_cache else None
+                make_store(capture_cache, prefix=1) if capture_cache else None
             )
-        self._tmp_store: "tempfile.TemporaryDirectory | None" = None
         self.engine = Engine(self)
 
     # -- engine façade --------------------------------------------------
 
     def execute(self, jobs: "list[EvalJob]") -> ExecutionReport:
-        """Run a planned job list on the configured backend.
+        """Run a planned job list on ``jobs`` threads.
 
         Deduplicates, skips already-satisfied jobs (memory caches,
         resumed checkpoints, warm capture store), and parks failures
         for replay at aggregation time.
         """
         return self.engine.execute(jobs)
+
+    def canonical_job(self, job: EvalJob) -> EvalJob:
+        """``job`` with the configuration the accessors would key it by.
+
+        A ``software``-scenario job always evaluates (and caches) with
+        the software flag set, however it was planned.
+        """
+        config = self._config_for(job.scenario, 1, 1, job.config_key)
+        if config is job.config_key:
+            return job
+        return dataclasses_replace(job, config_key=config)
 
     def job_satisfied(self, job: EvalJob) -> bool:
         """Would executing ``job`` do any new work?"""
@@ -286,36 +298,18 @@ class ExperimentContext:
             self.save_checkpoint()
 
     def close(self) -> None:
-        """Release engine workers and any temporary capture store.
+        """Release execution resources (idempotent).
 
-        Idempotent; a closed context can still aggregate from its
-        in-memory caches, and a subsequent :meth:`execute` simply
-        starts a fresh worker pool.
+        There is nothing left to release: :meth:`execute` joins its
+        worker threads before it returns. A closed context can still
+        aggregate from its in-memory caches and execute more jobs.
         """
-        self.engine.close()
-        if self._tmp_store is not None:
-            self._store = None
-            self._tmp_store.cleanup()
-            self._tmp_store = None
 
     def __enter__(self) -> "ExperimentContext":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def ensure_store(self) -> CaptureStore:
-        """The attached capture store, creating a temporary one if none.
-
-        The process backend always needs a store — it is how rendered
-        captures travel from workers to the parent and between workers.
-        """
-        if self._store is None:
-            self._tmp_store = tempfile.TemporaryDirectory(
-                prefix="repro-captures-"
-            )
-            self._store = CaptureStore(self._tmp_store.name)
-        return self._store
 
     @property
     def capture_store(self) -> "CaptureStore | None":
@@ -339,6 +333,13 @@ class ExperimentContext:
     ) -> bool:
         variant = effective_variant(self.base_config, variant)
         return (workload_name, frame, variant) in self._captures
+
+    def capture_key(
+        self, job: EvalJob
+    ) -> "tuple[str, int, CaptureVariant]":
+        """The memory-cache key of the capture ``job`` consumes."""
+        workload, frame, variant = job.capture_key()
+        return (workload, frame, effective_variant(self.base_config, variant))
 
     # -- failure isolation ---------------------------------------------
 
@@ -446,13 +447,22 @@ class ExperimentContext:
         variant = effective_variant(self.base_config, variant)
         key = (workload_name, frame, variant)
         cached = self._captures.get(key)
-        if cached is not None:
-            return cached
-        capture = None
-        if self._store is not None:
-            capture = self._store.get(
-                self.capture_spec(workload_name, frame, variant)
-            )
+        if cached is None:
+            cached = self.load_capture(key)
+            self.adopt_capture(key, cached)
+        return cached
+
+    def load_capture(
+        self, key: "tuple[str, int, CaptureVariant]"
+    ) -> FrameCapture:
+        """Load ``key``'s capture from the store, or render and store it.
+
+        Safe on any thread: it reads and writes no context cache but
+        the locked session cache.
+        """
+        workload_name, frame, variant = key
+        spec = self.capture_spec(workload_name, frame, variant)
+        capture = self._store.get(spec) if self._store is not None else None
         if capture is None:
             TELEMETRY.count("experiment.captures")
             session = self._session_for(
@@ -463,11 +473,14 @@ class ExperimentContext:
             )
             capture = session.capture_frame(self.workload(workload_name), frame)
             if self._store is not None:
-                self._store.put(
-                    self.capture_spec(workload_name, frame, variant), capture
-                )
-        self._captures[key] = capture
+                self._store.put(spec, capture)
         return capture
+
+    def adopt_capture(
+        self, key: "tuple[str, int, CaptureVariant]", capture: FrameCapture
+    ) -> None:
+        """Memoize a capture :meth:`load_capture` produced."""
+        self._captures[key] = capture
 
     def result(
         self,
@@ -491,13 +504,24 @@ class ExperimentContext:
                       config_key=config)
         key = job.metrics_key()
         if key not in self._results:
-            TELEMETRY.count("experiment.evaluations")
-            self._results[key] = evaluate_job(
-                self._session_for(config),
-                self.capture(workload_name, frame, variant=config.variant()),
-                job,
+            self._results[key] = self.evaluate(
+                job, self.capture(workload_name, frame, variant=config.variant())
             )
         return self._results[key]
+
+    def evaluate(self, job: EvalJob, capture: FrameCapture) -> FrameResult:
+        """Score ``job``'s design point on ``capture`` (no caching).
+
+        Safe on any thread, like :meth:`load_capture`.
+        """
+        TELEMETRY.count("experiment.evaluations")
+        return evaluate_job(self._session_for(job.config_key), capture, job)
+
+    def adopt_result(self, job: EvalJob, result: FrameResult) -> None:
+        """Memoize an :meth:`evaluate` result and record its metrics."""
+        key = job.metrics_key()
+        self._results[key] = result
+        self.store_metrics(key, extract_frame_metrics(result))
 
     def _config_for(
         self,
@@ -522,11 +546,12 @@ class ExperimentContext:
         key = session_cache_key(config)
         if key == session_cache_key(DEFAULT_CONFIG):
             return self.session
-        if key not in self._alt_sessions:
-            self._alt_sessions[key] = build_session(
-                self.base_config, self.scale, config
-            )
-        return self._alt_sessions[key]
+        with self._sessions_lock:
+            if key not in self._alt_sessions:
+                self._alt_sessions[key] = build_session(
+                    self.base_config, self.scale, config
+                )
+            return self._alt_sessions[key]
 
     # -- aggregation ----------------------------------------------------
 

@@ -12,7 +12,7 @@ on any machine:
 * machine — platform block plus the ``calibration_ms`` speed token
   ``repro trends`` scales wall-clock history by;
 * telemetry rollups — per-stage self-times, counter totals, histogram
-  summaries, capture-store traffic, per-worker attribution;
+  summaries, capture-store traffic;
 * quality — MSSIM / approximation-rate / LOD-shift distributions, the
   perceptual half of the paper's trade curve;
 * ``metrics`` — one *flat* numeric map, the substrate ``repro trends``
@@ -141,11 +141,12 @@ def raster_rollup(telemetry) -> "dict[str, float]":
 def resilience_rollup(telemetry) -> "dict[str, float]":
     """Fault-handling counters of one run, zero-suppressed.
 
-    Collects every ``resilience.*`` counter — worker restarts, pool
-    rebuilds, chunk retries, quarantined jobs, corrupt chunks — plus
-    ``store.corrupt``, so a ledger reader can see at a glance whether
-    a run needed its supervision layer. All of these also land in the
-    flat ``metrics`` map (as ``counter.<name>``) for trend analysis.
+    Collects every ``resilience.*`` counter — degraded pixel
+    predictions, exact-AF fallbacks, sanitized texels, MSSIM fallbacks,
+    admission rejections — plus ``store.corrupt``, so a ledger reader
+    can see at a glance whether a run needed its degradation paths.
+    All of these also land in the flat ``metrics`` map (as
+    ``counter.<name>``) for trend analysis.
     """
     if telemetry is None:
         return {}
@@ -233,9 +234,6 @@ def build_record(
             telemetry_rollup(telemetry) if telemetry is not None else None
         ),
         "store": dict(store) if store else None,
-        "workers": (
-            telemetry.worker_summary() if telemetry is not None else {}
-        ),
         "quality": (
             quality_rollup(telemetry) if telemetry is not None else {}
         ),

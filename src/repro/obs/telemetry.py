@@ -23,14 +23,17 @@ attribute load and one branch when disabled. Hot loops that would pay
 to *build* the arguments should additionally guard with
 ``if TELEMETRY.enabled:``.
 
-The registry is intentionally single-threaded (like the renderer); the
-span stack is one plain list.
+The registry is thread-aware, so ``--jobs N`` runs (worker threads in
+one process) are observed like serial ones: every thread has its own
+span stack and its own frame-record window, one lock guards the metric
+registry and the shared span and record lists, and every span carries
+the trace thread id (``tid``) of the thread that ran it.
 """
 
 from __future__ import annotations
 
 import functools
-import os
+import threading
 import time
 from dataclasses import dataclass
 
@@ -47,6 +50,7 @@ class SpanRecord:
     self_us: float  # cumulative minus time spent in child spans
     depth: int  # nesting depth at entry (0 = top level)
     args: "dict | None" = None
+    tid: int = 1  # trace thread id of the thread that ran the span
 
 
 class _NoopSpan:
@@ -78,7 +82,7 @@ class _Span:
         self._child_us = 0.0
 
     def __enter__(self) -> "_Span":
-        stack = self._telemetry._stack
+        stack = self._telemetry._thread().stack
         self.depth = len(stack)
         stack.append(self)
         self._start = time.perf_counter()
@@ -87,25 +91,42 @@ class _Span:
     def __exit__(self, *_exc) -> bool:
         end = time.perf_counter()
         telemetry = self._telemetry
+        thread = telemetry._thread()
         dur_us = (end - self._start) * 1e6
-        stack = telemetry._stack
+        stack = thread.stack
         if stack and stack[-1] is self:
             stack.pop()
         elif self in stack:  # exception unwound past nested spans
             del stack[stack.index(self):]
         if stack:
             stack[-1]._child_us += dur_us
-        telemetry._spans.append(
-            SpanRecord(
-                name=self.name,
-                start_us=(self._start - telemetry._epoch) * 1e6,
-                dur_us=dur_us,
-                self_us=dur_us - self._child_us,
-                depth=self.depth,
-                args=self.args,
-            )
+        record = SpanRecord(
+            name=self.name,
+            start_us=(self._start - telemetry._epoch) * 1e6,
+            dur_us=dur_us,
+            self_us=dur_us - self._child_us,
+            depth=self.depth,
+            args=self.args,
+            tid=thread.tid,
         )
+        thread.spans.append(record)
+        with telemetry._lock:
+            telemetry._spans.append(record)
         return False
+
+
+class _ThreadState:
+    """One thread's span stack and frame-record window."""
+
+    __slots__ = ("tid", "stack", "spans", "counters")
+
+    def __init__(self, tid: int) -> None:
+        self.tid = tid
+        self.stack: "list[_Span]" = []
+        #: Spans completed and counter increments made on this thread
+        #: since its previous frame record.
+        self.spans: "list[SpanRecord]" = []
+        self.counters: "dict[str, float]" = {}
 
 
 class Telemetry:
@@ -114,16 +135,40 @@ class Telemetry:
     def __init__(self) -> None:
         self.enabled = False
         self.progress_sink: "object | None" = None  # callable(str) or None
+        #: Guards the metric registry, the span and record lists and
+        #: the thread table.
+        self._lock = threading.Lock()
+        #: Per-thread :class:`_ThreadState`; :meth:`reset` replaces it,
+        #: which drops every thread's state at once.
+        self._local = threading.local()
         self._epoch = time.perf_counter()
         self._spans: "list[SpanRecord]" = []
-        self._stack: "list[_Span]" = []
         self.metrics = MetricRegistry()
         self._frames: "list[dict]" = []
-        self._frame_mark_spans = 0
-        self._frame_mark_counters: "dict[str, float]" = {}
-        #: Per-worker attribution accumulated by :meth:`merge_remote`:
-        #: ``{worker_id: {"stages": {...}, "counters": {...}}}``.
-        self._workers: "dict[object, dict]" = {}
+        #: Trace thread id -> thread name, in first-use order.
+        self._threads: "dict[int, str]" = {}
+
+    def _thread(self) -> _ThreadState:
+        """The calling thread's state, created on first use."""
+        local = self._local
+        state = getattr(local, "state", None)
+        if state is None:
+            with self._lock:
+                tid = len(self._threads) + 1
+                self._threads[tid] = threading.current_thread().name
+            state = local.state = _ThreadState(tid)
+        return state
+
+    @property
+    def _stack(self) -> "list[_Span]":
+        """The calling thread's open spans, innermost last."""
+        return self._thread().stack
+
+    @property
+    def threads(self) -> "dict[int, str]":
+        """Trace thread id -> name of every thread that reported."""
+        with self._lock:
+            return dict(self._threads)
 
     # -- lifecycle ------------------------------------------------------
 
@@ -135,14 +180,13 @@ class Telemetry:
 
     def reset(self) -> None:
         """Drop all collected data (keeps ``enabled`` and the sink)."""
-        self._epoch = time.perf_counter()
-        self._spans.clear()
-        self._stack.clear()
-        self.metrics.clear()
-        self._frames.clear()
-        self._frame_mark_spans = 0
-        self._frame_mark_counters = {}
-        self._workers.clear()
+        with self._lock:
+            self._local = threading.local()
+            self._epoch = time.perf_counter()
+            self._spans.clear()
+            self.metrics.clear()
+            self._frames.clear()
+            self._threads.clear()
 
     # -- stage timers ---------------------------------------------------
 
@@ -178,23 +222,29 @@ class Telemetry:
     def count(self, name: str, amount: float = 1) -> None:
         if not self.enabled:
             return
-        self.metrics.counter(name).add(amount)
+        with self._lock:
+            self.metrics.counter(name).add(amount)
+        window = self._thread().counters
+        window[name] = window.get(name, 0) + amount
 
     def gauge(self, name: str, value: float) -> None:
         if not self.enabled:
             return
-        self.metrics.gauge(name).set(value)
+        with self._lock:
+            self.metrics.gauge(name).set(value)
 
     def observe(self, name: str, value: float) -> None:
         if not self.enabled:
             return
-        self.metrics.histogram(name).observe(value)
+        with self._lock:
+            self.metrics.histogram(name).observe(value)
 
     def observe_many(self, name: str, values) -> None:
         """Fold a batch of observations (e.g. a numpy array) at once."""
         if not self.enabled:
             return
-        self.metrics.histogram(name).observe_many(values)
+        with self._lock:
+            self.metrics.histogram(name).observe_many(values)
 
     def counter_value(self, name: str) -> float:
         counter = self.metrics.counters.get(name)
@@ -213,17 +263,20 @@ class Telemetry:
     def frame_record(self, fields: "dict | None" = None, **extra) -> "dict | None":
         """Close one frame: snapshot stage times and counter deltas.
 
-        Stage wall-times aggregate the spans *completed* since the
-        previous record; counter values are deltas over the same
-        window. A span still open when the record is cut (e.g. the
-        enclosing ``session.evaluate``) lands in the next record.
+        Stage wall-times aggregate the spans the calling thread
+        *completed* since its previous record; counter values are the
+        increments it made over the same window (every counter known to
+        the registry is listed, untouched ones as 0). A span still open
+        when the record is cut (e.g. the enclosing ``session.evaluate``)
+        lands in the thread's next record.
         """
         if not self.enabled:
             return None
         record: "dict" = dict(fields or {})
         record.update(extra)
+        thread = self._thread()
         stages: "dict[str, dict]" = {}
-        for span in self._spans[self._frame_mark_spans:]:
+        for span in thread.spans:
             agg = stages.get(span.name)
             if agg is None:
                 agg = stages[span.name] = {
@@ -232,16 +285,16 @@ class Telemetry:
             agg["count"] += 1
             agg["total_us"] += span.dur_us
             agg["self_us"] += span.self_us
-        totals = self.metrics.counter_totals()
-        marks = self._frame_mark_counters
+        window = thread.counters
         record["ts_us"] = (time.perf_counter() - self._epoch) * 1e6
         record["stages"] = stages
-        record["counters"] = {
-            name: value - marks.get(name, 0) for name, value in totals.items()
-        }
-        self._frame_mark_spans = len(self._spans)
-        self._frame_mark_counters = totals
-        self._frames.append(record)
+        with self._lock:
+            record["counters"] = {
+                name: window.get(name, 0) for name in self.metrics.counters
+            }
+            self._frames.append(record)
+        thread.spans = []
+        thread.counters = {}
         return record
 
     @property
@@ -272,122 +325,6 @@ class Telemetry:
             if span.depth < agg["min_depth"]:
                 agg["min_depth"] = span.depth
         return summary
-
-    # -- cross-process merge (engine process backend) -------------------
-
-    def snapshot_remote(self) -> "dict[str, object]":
-        """Bundle this process's telemetry for shipping to a parent.
-
-        Pool workers call this after each job; the parent folds the
-        snapshot back in with :meth:`merge_remote`, so ``--jobs N``
-        runs still end with one coherent summary. The snapshot is
-        tagged with this process's id so the parent can keep a
-        per-worker dimension on the merged spans and counters.
-        """
-        return {
-            "worker": os.getpid(),
-            "stages": self.stage_summary(),
-            "counters": self.metrics.counter_totals(),
-        }
-
-    def merge_remote(self, snapshot: "dict | None") -> None:
-        """Fold a worker's :meth:`snapshot_remote` into this registry.
-
-        Each remote stage becomes one synthetic span carrying the
-        aggregated totals (its true call count and origin worker ride
-        in ``args``); remote counters add onto local ones. The same
-        stage/counter totals also accumulate under the snapshot's
-        worker id (see :meth:`worker_summary`), so merged totals and
-        the per-worker breakdown always sum to the same numbers.
-        """
-        if not self.enabled or not snapshot:
-            return
-        now_us = (time.perf_counter() - self._epoch) * 1e6
-        worker = snapshot.get("worker")
-        per_worker = None
-        if worker is not None:
-            per_worker = self._workers.setdefault(
-                worker, {"stages": {}, "counters": {}}
-            )
-        for name, agg in snapshot.get("stages", {}).items():
-            args = {"remote_calls": int(agg["count"])}
-            if worker is not None:
-                args["worker"] = worker
-            self._spans.append(
-                SpanRecord(
-                    name=name,
-                    start_us=now_us,
-                    dur_us=float(agg["total_us"]),
-                    self_us=float(agg["self_us"]),
-                    depth=int(agg.get("min_depth", 0)),
-                    args=args,
-                )
-            )
-            if per_worker is not None:
-                slot = per_worker["stages"].setdefault(
-                    name, {"count": 0, "total_us": 0.0, "self_us": 0.0}
-                )
-                slot["count"] += int(agg["count"])
-                slot["total_us"] += float(agg["total_us"])
-                slot["self_us"] += float(agg["self_us"])
-        for name, value in snapshot.get("counters", {}).items():
-            self.metrics.counter(name).add(value)
-            if per_worker is not None:
-                per_worker["counters"][name] = (
-                    per_worker["counters"].get(name, 0.0) + value
-                )
-
-    # -- per-worker attribution (filled by merge_remote) ----------------
-
-    @property
-    def worker_stats(self) -> "dict[object, dict]":
-        """Raw per-worker stage/counter accumulation (id-keyed)."""
-        return self._workers
-
-    def worker_summary(self) -> "dict[str, dict]":
-        """Utilization rollup per pool worker.
-
-        ``busy_us`` is the sum of stage *self* times attributed to the
-        worker (self times partition wall time, so they add without
-        double counting); ``jobs`` estimates processed chunks from
-        remote call counts of top-level spans. Returns ``{}`` for
-        serial runs — only :meth:`merge_remote` populates it.
-        """
-        summary: "dict[str, dict]" = {}
-        for worker, stats in self._workers.items():
-            busy_us = sum(
-                agg["self_us"] for agg in stats["stages"].values()
-            )
-            summary[str(worker)] = {
-                "busy_us": busy_us,
-                "stages": {
-                    name: dict(agg) for name, agg in stats["stages"].items()
-                },
-                "counters": dict(stats["counters"]),
-            }
-        return summary
-
-    def format_worker_summary(self) -> str:
-        """One-line-per-worker utilization/skew table (may be empty)."""
-        summary = self.worker_summary()
-        if not summary:
-            return ""
-        busiest = max(s["busy_us"] for s in summary.values())
-        mean = sum(s["busy_us"] for s in summary.values()) / len(summary)
-        lines = []
-        for worker in sorted(summary):
-            stats = summary[worker]
-            share = stats["busy_us"] / busiest if busiest > 0 else 0.0
-            lines.append(
-                f"worker {worker}: busy {stats['busy_us'] / 1e3:.1f} ms "
-                f"({share:.0%} of busiest)"
-            )
-        skew = busiest / mean if mean > 0 else 1.0
-        lines.append(
-            f"{len(summary)} worker(s), skew {skew:.2f}x "
-            "(busiest / mean busy time)"
-        )
-        return "\n".join(lines)
 
     def format_summary(self) -> str:
         """Human-readable per-stage time and counter tables."""

@@ -4,7 +4,10 @@ Serializes a :class:`~repro.obs.telemetry.Telemetry` registry's spans
 as complete (``ph: "X"``) events and its counters as counter
 (``ph: "C"``) events sampled at each frame-record boundary, in the
 Trace Event Format that both ``chrome://tracing`` and
-https://ui.perfetto.dev load directly.
+https://ui.perfetto.dev load directly. Each span lands on the track of
+the thread that ran it (``tid``; 1 is the first thread that reported,
+usually the main thread), so a ``--jobs N`` run shows its worker
+threads side by side on one timeline.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from ..ioutil import atomic_write_text
 from .jsonl import check_schema, jsonable
 from .telemetry import Telemetry
 
-#: Synthetic process/thread ids shown in the trace viewer.
+#: Synthetic process id shown in the trace viewer.
 TRACE_PID = 1
-TRACE_TID = 1
 
 #: Schema major of the exported trace document's ``otherData``
 #: metadata.
@@ -31,11 +33,21 @@ def trace_events(telemetry: Telemetry) -> "list[dict]":
         {
             "ph": "M",
             "pid": TRACE_PID,
-            "tid": TRACE_TID,
+            "tid": 1,
             "name": "process_name",
             "args": {"name": "repro"},
         }
     ]
+    events.extend(
+        {
+            "ph": "M",
+            "pid": TRACE_PID,
+            "tid": tid,
+            "name": "thread_name",
+            "args": {"name": name},
+        }
+        for tid, name in telemetry.threads.items()
+    )
     for span in telemetry.spans:
         event = {
             "name": span.name,
@@ -44,7 +56,7 @@ def trace_events(telemetry: Telemetry) -> "list[dict]":
             "ts": round(span.start_us, 3),
             "dur": round(span.dur_us, 3),
             "pid": TRACE_PID,
-            "tid": TRACE_TID,
+            "tid": span.tid,
         }
         if span.args:
             event["args"] = jsonable(span.args)

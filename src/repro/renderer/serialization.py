@@ -113,8 +113,8 @@ def capture_to_npz_bytes(capture: FrameCapture, *, compress: bool = True) -> byt
     Used by the capture store, which needs the whole payload up front
     so it can go through :func:`repro.ioutil.atomic_write_bytes`.
     ``compress=False`` writes a stored (deflate-free) zip — the right
-    trade for same-machine transfer between pool workers, where the
-    deflate pass costs more CPU than the saved disk bytes are worth.
+    trade for a same-machine cache, where the deflate pass costs more
+    CPU than the saved disk bytes are worth.
     ``np.load`` reads both forms, so readers never need to know.
     """
     buffer = io.BytesIO()

@@ -18,6 +18,7 @@ re-evaluations, exactly mirroring the hardware's structure.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import asdict as dataclasses_asdict
 from dataclasses import dataclass
 from dataclasses import replace as dataclasses_replace
@@ -204,6 +205,9 @@ class RenderSession:
         self._gpu_timing = GpuTimingModel(config, self.timing_params)
         self._energy_model = EnergyModel(config, self.energy_params)
         self._layouts: "dict[int, tuple[TextureLayout, dict[str, int]]]" = {}
+        # Captures of one scene may render on several threads at once
+        # (``--jobs N``); the first builds the layout, the rest wait.
+        self._layouts_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Capture
@@ -211,22 +215,23 @@ class RenderSession:
 
     def _scene_layout(self, scene) -> "tuple[TextureLayout, dict[str, int]]":
         key = id(scene)
-        cached = self._layouts.get(key)
-        if cached is None:
-            names = sorted(scene.textures)
-            chains = [MipChain(scene.textures[name]) for name in names]
-            if self.compressed_textures:
-                from ..texture.compression import (
-                    CompressedTextureLayout,
-                    compress_chain,
-                )
+        with self._layouts_lock:
+            cached = self._layouts.get(key)
+            if cached is None:
+                names = sorted(scene.textures)
+                chains = [MipChain(scene.textures[name]) for name in names]
+                if self.compressed_textures:
+                    from ..texture.compression import (
+                        CompressedTextureLayout,
+                        compress_chain,
+                    )
 
-                chains = [compress_chain(c) for c in chains]
-                layout = CompressedTextureLayout(chains)
-            else:
-                layout = TextureLayout(chains)
-            cached = (layout, {name: i for i, name in enumerate(names)})
-            self._layouts[key] = cached
+                    chains = [compress_chain(c) for c in chains]
+                    layout = CompressedTextureLayout(chains)
+                else:
+                    layout = TextureLayout(chains)
+                cached = (layout, {name: i for i, name in enumerate(names)})
+                self._layouts[key] = cached
         return cached
 
     def capture_frame(self, workload: Workload, frame_index: int) -> FrameCapture:

@@ -28,8 +28,6 @@ from .guards import (
     safe_anisotropy,
     safe_txds,
     sanitize_colors,
-    valid_chunk_outcome,
-    valid_chunk_outcomes,
 )
 
 
@@ -72,6 +70,4 @@ __all__ = [
     "safe_txds",
     "sanitize_colors",
     "save_checkpoint",
-    "valid_chunk_outcome",
-    "valid_chunk_outcomes",
 ]

@@ -25,14 +25,15 @@ Injection is deterministic: each site keeps its own call counter and
 derives an independent :class:`numpy.random.Generator` from
 ``(seed, crc32(site), call_index)``, so the same plan over the same
 call sequence corrupts the same elements — failures found in CI
-reproduce locally.
+reproduce locally. Reproducibility is defined by call order, so the
+engine runs every job on its calling thread while the injector is
+armed, whatever ``--jobs`` asks for.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, fields
-from dataclasses import replace as dataclass_replace
 
 import numpy as np
 
@@ -50,22 +51,13 @@ _COUNT_TAG_BITS = 5
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """Per-category injection rates (fraction of elements corrupted).
-
-    The ``worker_*`` / ``chunk_*`` rates drive *process-level* chaos in
-    pool workers (self-kill, hang, corrupted IPC payloads) and are
-    decided per job identity, not per call — see
-    :meth:`FaultInjector.chaos_decision`.
-    """
+    """Per-category injection rates (fraction of elements corrupted)."""
 
     seed: int = 0
     texel_rate: float = 0.0
     hash_rate: float = 0.0
     count_tag_rate: float = 0.0
     drop_rate: float = 0.0
-    worker_kill_rate: float = 0.0
-    worker_hang_rate: float = 0.0
-    chunk_corrupt_rate: float = 0.0
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -79,30 +71,10 @@ class FaultPlan:
 
     @classmethod
     def uniform(cls, rate: float, *, seed: int = 0) -> "FaultPlan":
-        """The same rate for every *data* fault category.
-
-        Process-level chaos rates stay zero: killing workers is a very
-        different blast radius from corrupting texels, so chaos is
-        always opted into per category (see :meth:`with_chaos`).
-        """
+        """The same rate for every fault category."""
         return cls(
             seed=seed, texel_rate=rate, hash_rate=rate,
             count_tag_rate=rate, drop_rate=rate,
-        )
-
-    def with_chaos(
-        self,
-        *,
-        kill: float = 0.0,
-        hang: float = 0.0,
-        corrupt: float = 0.0,
-    ) -> "FaultPlan":
-        """This plan with process-level chaos rates set."""
-        return dataclass_replace(
-            self,
-            worker_kill_rate=kill,
-            worker_hang_rate=hang,
-            chunk_corrupt_rate=corrupt,
         )
 
     @property
@@ -144,19 +116,6 @@ class FaultInjector:
     @property
     def total_injected(self) -> int:
         return sum(self.injected.values())
-
-    def merge_injected(self, injected: "dict[str, int] | None") -> None:
-        """Fold a pool worker's per-site tallies into this process.
-
-        The engine's process backend configures each worker with the
-        parent's :class:`FaultPlan`; workers ship their ``injected``
-        dicts back with every job result so the parent's end-of-run
-        summary covers faults injected anywhere.
-        """
-        if not injected:
-            return
-        for site, count in injected.items():
-            self.injected[site] = self.injected.get(site, 0) + count
 
     # -- deterministic site-local randomness ----------------------------
 
@@ -244,62 +203,6 @@ class FaultInjector:
         flat[mask] = prev[mask]
         self._record(site, "faults.dropped_fetches", count)
         return out
-
-    # -- process-level chaos (pool workers) -----------------------------
-    #
-    # Data faults above are decided per *call* (site call counters),
-    # because the same site runs many times per frame. Process chaos is
-    # decided per *job identity*: a marked job crashes or hangs its
-    # worker every time it is attempted, on any machine — which is what
-    # lets the supervisor's bisection deterministically isolate it, and
-    # lets tests and CI precompute which jobs a seed marks.
-
-    def _chaos_rng(self, site: str, identity: str) -> np.random.Generator:
-        return np.random.default_rng((
-            self.plan.seed,
-            zlib.crc32(site.encode("utf-8")),
-            zlib.crc32(identity.encode("utf-8")),
-        ))
-
-    def chaos_decision(self, site: str, identity: str, rate: float) -> bool:
-        """Deterministic per-identity coin flip for a chaos site."""
-        if not self.enabled or rate <= 0.0:
-            return False
-        return bool(self._chaos_rng(site, identity).random() < rate)
-
-    def should_kill_worker(self, identity: str) -> bool:
-        """Should the worker executing ``identity`` self-kill now?"""
-        return self.chaos_decision(
-            "chaos.worker_kill", identity, self.plan.worker_kill_rate
-        )
-
-    def should_hang_worker(self, identity: str) -> bool:
-        """Should the worker executing ``identity`` hang now?"""
-        return self.chaos_decision(
-            "chaos.worker_hang", identity, self.plan.worker_hang_rate
-        )
-
-    def corrupt_chunk_payload(
-        self, outcomes: "list[tuple]", identity: str
-    ) -> "list[tuple]":
-        """Maybe mangle a chunk's IPC result payload (worker side).
-
-        Models a truncated or garbled inter-process transfer: the list
-        loses its tail outcome, or an outcome's status tag is replaced
-        with garbage. The parent's structural validation
-        (:func:`repro.resilience.guards.valid_chunk_outcomes`) must
-        catch either shape and retry the chunk.
-        """
-        if not self.enabled or self.plan.chunk_corrupt_rate <= 0.0:
-            return outcomes
-        if not self.chaos_decision(
-            "chaos.chunk_corrupt", identity, self.plan.chunk_corrupt_rate
-        ):
-            return outcomes
-        rng = self._chaos_rng("chaos.chunk_corrupt_mode", identity)
-        if len(outcomes) > 1 and rng.random() < 0.5:
-            return outcomes[:-1]  # truncated payload
-        return [("garbage", None)] + outcomes[1:]  # garbled first outcome
 
 
 #: The process-wide injector used by all instrumented sites.

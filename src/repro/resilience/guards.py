@@ -78,50 +78,6 @@ def safe_anisotropy(
     return safe.astype(n_arr.dtype, copy=False), invalid
 
 
-def valid_chunk_outcome(outcome: object) -> bool:
-    """Structural check of one worker job-outcome tuple.
-
-    The process backend's wire format (see
-    :func:`repro.engine.worker.run_job_chunk`) is
-    ``("ok", payload, telemetry, injected, store_delta)`` or
-    ``("err", type_name, message, telemetry, injected, store_delta)``
-    with a store delta of 4 ints, optionally followed by a per-shard
-    traffic dict (or None). Anything else — a truncated pickle, a
-    chaos-corrupted payload, a foreign object — fails the check and the
-    supervisor retries the chunk instead of merging garbage.
-    """
-    if not isinstance(outcome, tuple) or len(outcome) not in (5, 6):
-        return False
-    status = outcome[0]
-    if status == "ok":
-        if len(outcome) != 5:
-            return False
-        if not (outcome[1] is None or isinstance(outcome[1], dict)):
-            return False
-    elif status == "err":
-        if len(outcome) != 6:
-            return False
-        if not (isinstance(outcome[1], str) and isinstance(outcome[2], str)):
-            return False
-    else:
-        return False
-    store = outcome[-1]
-    if not isinstance(store, tuple) or len(store) not in (4, 5):
-        return False
-    if not all(isinstance(v, int) for v in store[:4]):
-        return False
-    return len(store) == 4 or store[4] is None or isinstance(store[4], dict)
-
-
-def valid_chunk_outcomes(outcomes: object, expected: int) -> bool:
-    """Is ``outcomes`` a complete, well-formed chunk result list?"""
-    return (
-        isinstance(outcomes, list)
-        and len(outcomes) == expected
-        and all(valid_chunk_outcome(o) for o in outcomes)
-    )
-
-
 def safe_txds(txds: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
     """Sanitized Txds values plus the invalid-entry mask.
 

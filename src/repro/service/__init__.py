@@ -3,10 +3,9 @@
 ``repro serve`` turns the toolkit into a long-running service measured
 in requests/sec and p99 latency (ROADMAP item 4): concurrent clients
 speak a JSON-lines protocol, compatible in-flight requests coalesce
-into capture-affine engine batches (cross-request dedup), and
-execution lands on the engine backend ``--jobs`` selects, under the
-same supervision layer batch runs use. See :mod:`repro.service.server`
-for the architecture.
+into engine batches (cross-request dedup), and each batch runs through
+the same engine batch runs use, on ``--jobs`` threads. See
+:mod:`repro.service.server` for the architecture.
 """
 
 from __future__ import annotations

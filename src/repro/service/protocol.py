@@ -185,8 +185,8 @@ def error_response(
         status = 400
     elif isinstance(error, JobError):
         # A replayed engine failure reports the original error's type
-        # (WorkerCrashError for a quarantined poison job, etc.), same
-        # as a FailureRecord footer would. Failures whose original type
+        # (WorkloadError for an unknown game, etc.), same as a
+        # FailureRecord footer would. Failures whose original type
         # marks a bad *request* keep their client-error status even
         # through the park-and-replay path.
         payload["error"]["type"] = error.error_type  # type: ignore[index]

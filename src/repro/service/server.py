@@ -8,8 +8,8 @@ Architecture (see ``docs/architecture.md``)::
                                                      │
                                     engine thread: ctx.execute(batch)
                                        │                    │
-                                 process pool         sharded capture
-                              (ChunkSupervisor)           store
+                               --jobs N worker        sharded capture
+                                   threads                 store
 
 The front-end accepts any number of concurrent connections and speaks
 the JSON-lines protocol of :mod:`repro.service.protocol`. Each
@@ -18,22 +18,24 @@ whatever is queued the moment the engine goes idle and executes the
 whole batch as *one* planned job list. That is where coalescing
 happens — the engine's :func:`~repro.engine.jobs.dedupe_jobs` plans
 each distinct :class:`~repro.engine.jobs.EvalJob` once no matter how
-many clients asked for it, capture-affine chunking groups jobs that
-share frames, and previously evaluated design points are served from
-the context's caches without planning at all. Responses are built
-per-request from the context's metric cache, so two requests for the
-same design point get byte-identical payloads and a batched run stays
-byte-identical to sequential execution.
+many clients asked for it, the capture wave loads or renders each
+frame the batch needs once, and previously evaluated design points are
+served from the context's caches without planning at all. Responses
+are built per-request from the context's metric cache, so two
+requests for the same design point get byte-identical payloads and a
+batched run stays byte-identical to sequential execution.
 
 The engine runs on a dedicated single thread: the asyncio loop stays
 responsive (pings, stats, new connections) while a batch renders, and
-engine state needs no locking because exactly one thread touches it.
+context state needs no locking beyond the engine's own because exactly
+one thread calls ``execute()``.
 
 Admission control bounds the number of requests queued + executing;
 beyond ``max_pending`` the service rejects with a typed 429-style
 response immediately (:mod:`repro.resilience.admission`). ``--jobs``
-picks the backend exactly as for batch runs: serial in-process at 1,
-the supervised fork pool above.
+works exactly as for batch runs: 1 runs each batch on the engine
+thread, N spreads its captures and evaluations over N worker threads
+that ``execute()`` starts and joins.
 """
 
 from __future__ import annotations
@@ -82,7 +84,6 @@ class ServeConfig:
     #: that arrive while the engine is busy form the next batch, and a
     #: lone sequential client is never delayed.
     batch_window_s: float = 0.0
-    job_timeout: "float | None" = None
 
 
 @dataclass
@@ -119,7 +120,6 @@ class RenderService:
             frames=1,
             jobs=config.jobs,
             capture_cache=store,
-            job_timeout=config.job_timeout,
         )
         self.admission = AdmissionController(config.max_pending)
         self.counters = ServiceCounters()
@@ -182,18 +182,11 @@ class RenderService:
             except asyncio.CancelledError:
                 pass
             self._batcher = None
-        # Run blocking teardown off-loop, after any batch still running;
-        # it joins worker processes.
+        # Close the context off-loop, after any batch still running.
         await asyncio.get_running_loop().run_in_executor(
-            self._engine, self._close_backend
+            self._engine, self.ctx.close
         )
         self._engine.shutdown(wait=False)
-
-    def _close_backend(self) -> None:
-        from ..engine.scheduler import shutdown_pools
-
-        self.ctx.close()
-        shutdown_pools()
 
     # -- front-end -------------------------------------------------------
 
@@ -320,8 +313,8 @@ class RenderService:
                 if self.store is None and not self.ctx.has_capture(
                     workload, frame, variant
                 ):
-                    # Serial backend renders lazily on touch; the
-                    # process backend always publishes to the store.
+                    # Without a store, a capture exists once it is in
+                    # the context's memory cache.
                     self.ctx.capture(workload, frame, variant=variant)
                 return ok_response(request.id, capture={
                     "digest": spec_digest(spec),

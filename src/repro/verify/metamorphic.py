@@ -13,8 +13,8 @@ must hold regardless of how the pipeline computes them.
   shrink the approximated set (the predictions do not move).
 * **LOD-shift locality** — toggling LOD-shift elimination (scenario
   ``patu`` vs ``afssim_n_txds``) re-colors *only* approximated pixels.
-* **Backend equivalence** — the engine's process backend produces
-  byte-identical experiment tables to the serial backend.
+* **Backend equivalence** — the engine's ``--jobs 2`` thread pool
+  produces byte-identical experiment tables to the serial backend.
 
 The capture-based checks are exposed as pure functions over
 ``(capture, ...)`` so the test suite can run them against its own
@@ -244,12 +244,12 @@ def oracle_lod_shift_localized(cfg: VerifyConfig) -> OracleResult:
 
 
 def oracle_engine_parallel(cfg: VerifyConfig) -> OracleResult:
-    """Serial vs process-pool execution of a real experiment, byte-equal.
+    """Serial vs thread-pool execution of a real experiment, byte-equal.
 
     Reuses the engine end-to-end: two fresh contexts plan and run the
     Fig. 17 threshold sweep on one workload; the ``--jobs 2`` table
     must match the serial table byte-for-byte. Skipped under
-    ``--quick`` (spawning a pool dominates a quick run's budget).
+    ``--quick`` (two full sweeps dominate a quick run's budget).
     """
     if cfg.quick:
         return OracleResult(
@@ -257,7 +257,7 @@ def oracle_engine_parallel(cfg: VerifyConfig) -> OracleResult:
             layer=LAYER_METAMORPHIC,
             passed=True,
             skipped=True,
-            details={"reason": "process-pool oracle skipped in --quick mode"},
+            details={"reason": "backend oracle skipped in --quick mode"},
         )
     from ..experiments import fig17_threshold
     from ..experiments.runner import ExperimentContext, format_table

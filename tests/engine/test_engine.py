@@ -102,6 +102,18 @@ class TestParallelDeterminism:
         assert table_parallel == table_serial
         assert parallel.engine.report.executed > 0
 
+    def test_result_after_parallel_execute_is_a_cache_read(self, telemetry):
+        """Worker threads hand their ``FrameResult`` back to the context,
+        so after a ``jobs=2`` execute even ``result()`` evaluates
+        nothing."""
+        ctx = make_ctx(jobs=2)
+        ctx.execute(small_plan())
+        telemetry.reset()
+        result = ctx.result(WORKLOAD, 0, "patu", 0.4)
+        assert result.hierarchy.l1.accesses > 0
+        assert telemetry.counter_value("experiment.evaluations") == 0
+        assert telemetry.counter_value("session.capture_frames") == 0
+
     def test_parallel_failures_match_serial(self, tmp_path):
         bad = eval_job("no-such-game-1x1", 0, "patu", 0.4)
         serial = make_ctx()

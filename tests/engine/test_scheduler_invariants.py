@@ -1,17 +1,14 @@
-"""Scheduler accounting invariants and dispatch-chunking properties.
+"""Scheduler accounting invariants under ``--jobs N``.
 
-Regression tests for the cross-process dedup leak: synthetic capture
-jobs the wave planner adds on behalf of eval jobs must never count
-toward ``executed``, so ``executed == planned - skipped - failed``
-holds on the process backend exactly as it does serially.
+The capture wave loads or renders frames on behalf of eval jobs; that
+work must never count toward ``executed``, so
+``executed == planned - skipped - failed`` holds on worker threads
+exactly as it does serially.
 """
-
-from types import SimpleNamespace
 
 import pytest
 
 from repro.engine.jobs import eval_job
-from repro.engine.scheduler import _MAX_POOLS, _POOLS, Engine, shutdown_pools
 from repro.experiments import fig17_threshold
 from repro.experiments.runner import ExperimentContext, format_table
 
@@ -37,8 +34,8 @@ class TestExecutedEqualsPlanned:
         assert report.executed <= report.planned
 
     def test_warm_store_run_fuses_waves_and_still_balances(self, tmp_path):
-        """Second run over a populated store takes the fused single-wave
-        path (no renders to race); accounting must be unchanged."""
+        """Second run over a populated store loads every capture instead
+        of rendering it; table and accounting must be unchanged."""
         store = tmp_path / "captures"
         cold = make_ctx(jobs=2, capture_cache=store)
         cold_table = format_table(fig17_threshold.run(cold))
@@ -59,56 +56,3 @@ class TestExecutedEqualsPlanned:
         assert report.planned == 2
         assert report.executed == 1
         assert report.failed == 1
-
-
-class TestSharedPools:
-    def test_registry_is_bounded_and_clearable(self, tmp_path):
-        for i in range(_MAX_POOLS + 1):
-            ctx = make_ctx(jobs=2, capture_cache=tmp_path / f"captures{i}")
-            ctx.execute([eval_job(WORKLOAD, 0, "patu", 0.4)])
-        assert len(_POOLS) <= _MAX_POOLS
-        shutdown_pools()
-        assert not _POOLS
-
-
-class TestAffineChunks:
-    def _engine(self, jobs):
-        return Engine(SimpleNamespace(jobs=jobs))
-
-    def _wave(self, spec):
-        """``spec`` maps a frame index to how many jobs share its capture."""
-        wave = []
-        for frame, width in spec:
-            wave.extend(
-                (eval_job(WORKLOAD, frame, "patu", 0.1 * k), True)
-                for k in range(width)
-            )
-        return wave
-
-    def test_planned_order_is_preserved(self):
-        wave = self._wave([(0, 5), (1, 3), (2, 7), (3, 1)])
-        chunks = self._engine(4)._affine_chunks(wave)
-        flat = [entry for chunk in chunks for entry in chunk]
-        assert flat == wave
-
-    def test_chunks_cover_all_workers(self):
-        wave = self._wave([(0, 16)])
-        chunks = self._engine(4)._affine_chunks(wave)
-        assert len(chunks) >= 4
-        assert all(chunk for chunk in chunks)
-
-    def test_small_runs_coalesce_instead_of_fragmenting(self):
-        # 12 single-job captures on 2 workers: chunks must batch runs,
-        # not ship one job per round-trip.
-        wave = self._wave([(f, 1) for f in range(12)])
-        chunks = self._engine(2)._affine_chunks(wave)
-        assert len(chunks) <= 6
-
-    def test_shared_capture_runs_stay_together_when_possible(self):
-        # Two fat runs on two workers: each run should map to whole
-        # chunks, never interleave with the other capture's jobs.
-        wave = self._wave([(0, 8), (1, 8)])
-        chunks = self._engine(2)._affine_chunks(wave)
-        for chunk in chunks:
-            keys = {entry[0].capture_key() for entry in chunk}
-            assert len(keys) == 1

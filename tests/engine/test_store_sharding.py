@@ -1,6 +1,8 @@
 """Tests for the sharded capture store: layout, read-through, LRU."""
 
 import os
+import sys
+import threading
 
 import pytest
 
@@ -190,10 +192,35 @@ class TestObservability:
         CaptureStore(store.root).put(_spec("a"), capture)
         assert "" in store.shard_stats()
 
-    def test_merge_traffic_folds_worker_deltas(self, store):
-        store.merge_traffic({"a": {"hits": 2, "misses": 1}})
-        store.merge_traffic({"a": {"hits": 1, "misses": 0}})
-        assert store.shard_traffic["a"] == {"hits": 3, "misses": 1}
+
+class TestThreads:
+    def test_concurrent_lookups_lose_no_count(self, store):
+        """Worker threads share one store: under a short switch interval
+        no hit/miss update of the flat or per-shard counters is lost."""
+        workers, rounds = 8, 300
+        barrier = threading.Barrier(workers)
+
+        def work(index):
+            barrier.wait(timeout=10)
+            for frame in range(rounds):
+                assert store.get(_spec(f"w{index}", frame)) is None
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i,))
+                for i in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert store.stats.misses == workers * rounds
+        assert _shard_totals(store) == workers * rounds
 
 
 class TestFactory:

@@ -104,6 +104,24 @@ def test_cli_checkpoint_resume_flow(tmp_path, capsys):
     assert "resumed" in captured.err
 
 
+def test_faulted_table_is_the_same_at_any_jobs(tmp_path, capsys):
+    """Fault injection is reproducible by call order, so an armed
+    injector runs every job on the calling thread: the faulted table at
+    ``--jobs 2`` is the ``--jobs 1`` table."""
+    tables = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"table-{jobs}.txt"
+        assert main([
+            "experiment", "fig17", "--workloads", WL, "HL2-640x480",
+            "--frames", "1", "--scale", "0.0625",
+            "--inject-faults", "--fault-rate", "0.02", "--fault-seed", "7",
+            "--jobs", str(jobs), "--no-ledger", "--out", str(out),
+        ]) == 0
+        assert "0 fault(s) injected" not in capsys.readouterr().err
+        tables[jobs] = out.read_text()
+    assert tables[2] == tables[1]
+
+
 def test_process_backend_resume_skips_checkpointed_evaluations(tmp_path):
     """Same resume contract as serial, over the --jobs N backend: the
     second run must re-evaluate nothing and emit an identical table."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
 
 import pytest
@@ -155,88 +157,57 @@ class TestCountersAndFrames:
         assert tele.enabled  # reset keeps the enabled flag
 
 
-class TestRemoteMerge:
-    def make_worker(self, worker_id, *, ms, samples):
-        """A fake pool worker: spans + counters, pid-tagged snapshot."""
-        remote = Telemetry()
-        remote.enabled = True
-        with remote.span("job.evaluate"):
-            time.sleep(ms / 1000.0)
-        remote.count("texture.trilinear_samples", samples)
-        snapshot = remote.snapshot_remote()
-        snapshot["worker"] = worker_id  # pretend it's another process
-        return snapshot
+class TestThreads:
+    def test_threads_keep_their_own_stacks_and_windows(self, tele):
+        """Worker threads share one registry: under a short switch
+        interval no counter update is lost, spans nest per thread, and
+        each frame record holds only its own thread's work."""
+        workers, rounds = 8, 300
+        barrier = threading.Barrier(workers)
 
-    def test_snapshot_is_pid_tagged(self, tele):
-        import os
+        def work(index):
+            barrier.wait(timeout=10)
+            for round_ in range(rounds):
+                with tele.span("outer.work"):
+                    with tele.span("inner.work"):
+                        tele.count("work.items")
+                        tele.count(f"work.thread{index}")
+                        # Every thread creates each round's counter:
+                        # a racy check-then-create would drop counts.
+                        tele.count(f"work.round{round_}")
+                tele.frame_record(worker=index)
 
-        with tele.span("a.b"):
-            pass
-        snapshot = tele.snapshot_remote()
-        assert snapshot["worker"] == os.getpid()
-        assert "a.b" in snapshot["stages"]
-
-    def test_round_trip_preserves_totals_and_attribution(self, tele):
-        snap_a = self.make_worker(101, ms=2, samples=10)
-        snap_b = self.make_worker(202, ms=2, samples=32)
-        tele.count("texture.trilinear_samples", 5)  # local work too
-        tele.merge_remote(snap_a)
-        tele.merge_remote(snap_b)
-
-        # Merged totals include local + both workers.
-        assert tele.counter_value("texture.trilinear_samples") == 47
-        summary = tele.stage_summary()
-        assert summary["job.evaluate"]["count"] == 2
-        expected_us = (snap_a["stages"]["job.evaluate"]["total_us"]
-                       + snap_b["stages"]["job.evaluate"]["total_us"])
-        assert summary["job.evaluate"]["total_us"] == pytest.approx(expected_us)
-
-        # The per-worker dimension partitions the *remote* share exactly.
-        workers = tele.worker_summary()
-        assert set(workers) == {"101", "202"}
-        assert workers["101"]["counters"]["texture.trilinear_samples"] == 10
-        assert workers["202"]["counters"]["texture.trilinear_samples"] == 32
-        per_worker_us = sum(
-            w["stages"]["job.evaluate"]["total_us"] for w in workers.values()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i,))
+                for i in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert tele.counter_value("work.items") == workers * rounds
+        assert all(
+            tele.counter_value(f"work.round{round_}") == workers
+            for round_ in range(rounds)
         )
-        assert per_worker_us == pytest.approx(expected_us)
-
-    def test_repeated_snapshots_from_one_worker_accumulate(self, tele):
-        tele.merge_remote(self.make_worker(7, ms=1, samples=4))
-        tele.merge_remote(self.make_worker(7, ms=1, samples=6))
-        workers = tele.worker_summary()
-        assert set(workers) == {"7"}
-        assert workers["7"]["counters"]["texture.trilinear_samples"] == 10
-        assert workers["7"]["stages"]["job.evaluate"]["count"] == 2
-        assert workers["7"]["busy_us"] > 0
-
-    def test_merge_tags_synthetic_spans_with_worker(self, tele):
-        tele.merge_remote(self.make_worker(9, ms=1, samples=1))
-        (span,) = tele.spans
-        assert span.args == {"remote_calls": 1, "worker": 9}
-
-    def test_format_worker_summary_reports_skew(self, tele):
-        tele.merge_remote(self.make_worker(1, ms=1, samples=1))
-        tele.merge_remote(self.make_worker(2, ms=4, samples=1))
-        text = tele.format_worker_summary()
-        assert "worker 1:" in text and "worker 2:" in text
-        assert "2 worker(s), skew" in text
-        assert "of busiest" in text
-
-    def test_serial_runs_have_no_worker_dimension(self, tele):
-        with tele.span("a.b"):
-            pass
-        assert tele.worker_summary() == {}
-        assert tele.format_worker_summary() == ""
-
-    def test_merge_is_noop_when_disabled_or_empty(self):
-        registry = Telemetry()
-        registry.merge_remote({"worker": 1, "counters": {"a.b": 5}})
-        assert registry.counter_value("a.b") == 0  # disabled
-        registry.enabled = True
-        registry.merge_remote(None)
-        registry.merge_remote({})
-        assert registry.worker_summary() == {}
+        assert len(tele.frame_records) == workers * rounds
+        for record in tele.frame_records:
+            own = f"work.thread{record['worker']}"
+            counters = record["counters"]
+            assert counters["work.items"] == 1 and counters[own] == 1
+            assert sum(counters.values()) == 3
+            assert record["stages"]["inner.work"]["count"] == 1
+            assert record["stages"]["outer.work"]["count"] == 1
+        assert len({span.tid for span in tele.spans}) == workers
+        assert len(tele.threads) == workers
+        assert all(span.self_us >= 0 for span in tele.spans)
+        assert {s.depth for s in tele.spans if s.name == "inner.work"} == {1}
 
 
 class TestObserveMany:

@@ -129,75 +129,3 @@ def test_injected_tally_and_reset():
     injector.reset()
     assert not injector.enabled
     assert injector.total_injected == 0
-
-
-class TestProcessChaos:
-    def test_uniform_plan_leaves_chaos_off(self):
-        plan = FaultPlan.uniform(0.5, seed=7)
-        assert plan.worker_kill_rate == 0.0
-        assert plan.worker_hang_rate == 0.0
-        assert plan.chunk_corrupt_rate == 0.0
-
-    def test_with_chaos_sets_only_chaos_rates(self):
-        plan = FaultPlan.uniform(0.25, seed=7).with_chaos(
-            kill=0.1, hang=0.2, corrupt=0.3
-        )
-        assert plan.texel_rate == 0.25  # data rates untouched
-        assert (plan.worker_kill_rate, plan.worker_hang_rate,
-                plan.chunk_corrupt_rate) == (0.1, 0.2, 0.3)
-        assert plan.any_faults
-
-    def test_chaos_rates_are_validated(self):
-        with pytest.raises(FaultInjectionError):
-            FaultPlan(worker_kill_rate=1.5)
-        with pytest.raises(FaultInjectionError):
-            FaultPlan(chunk_corrupt_rate=-0.1)
-
-    def test_chaos_only_plan_arms_the_injector(self):
-        injector = FaultInjector()
-        injector.configure(FaultPlan(seed=1).with_chaos(kill=0.5))
-        assert injector.enabled
-
-    def test_decisions_agree_across_injector_instances(self):
-        """The parent's seed scan and the pool worker's runtime check
-        must reach the same verdict for every job identity — chaos
-        marks are per identity, never per process."""
-        plan = FaultPlan(seed=13).with_chaos(kill=0.4, hang=0.4)
-        a, b = FaultInjector(), FaultInjector()
-        a.configure(plan)
-        b.configure(plan)
-        identities = [f"eval|wolf|f{i}|patu|t0.4|cfg" for i in range(64)]
-        assert ([a.should_kill_worker(x) for x in identities]
-                == [b.should_kill_worker(x) for x in identities])
-        assert ([a.should_hang_worker(x) for x in identities]
-                == [b.should_hang_worker(x) for x in identities])
-
-    def test_decisions_are_stable_across_repeated_calls(self):
-        injector = FaultInjector()
-        injector.configure(FaultPlan(seed=3).with_chaos(kill=0.5))
-        verdicts = {injector.should_kill_worker("job-a") for _ in range(10)}
-        assert len(verdicts) == 1  # no call-counter drift
-
-    def test_sites_are_independent(self):
-        injector = FaultInjector()
-        injector.configure(FaultPlan(seed=5).with_chaos(kill=1.0))
-        assert injector.should_kill_worker("job-a")
-        assert not injector.should_hang_worker("job-a")  # rate 0
-
-    def test_disabled_injector_never_marks(self):
-        injector = FaultInjector()
-        assert not injector.should_kill_worker("job-a")
-        outcomes = [("ok", {}, None, None, (0, 0, 0, 0))]
-        assert injector.corrupt_chunk_payload(outcomes, "job-a") is outcomes
-
-    def test_payload_corruption_changes_shape_or_tag(self):
-        injector = FaultInjector()
-        injector.configure(FaultPlan(seed=2).with_chaos(corrupt=1.0))
-        outcomes = [
-            ("ok", {"a": 1.0}, None, None, (0, 0, 0, 0)),
-            ("ok", {"b": 2.0}, None, None, (0, 0, 0, 0)),
-        ]
-        mangled = injector.corrupt_chunk_payload(list(outcomes), "job-a")
-        truncated = len(mangled) == len(outcomes) - 1
-        garbled = len(mangled) == len(outcomes) and mangled[0][0] == "garbage"
-        assert truncated or garbled

@@ -2,20 +2,14 @@
 
 These run the real :class:`~repro.service.server.RenderService` at a
 tiny scale — the asyncio front-end, the batcher and the response paths
-are all exercised in-process, on the serial backend except for two
-two-worker pool runs, one of them under worker-kill chaos.
+are all exercised in-process, on the serial backend except for one
+two-thread (``jobs=2``) run.
 """
 
 import asyncio
 import json
 import threading
 
-import pytest
-
-from repro.engine.jobs import capture_job
-from repro.engine.worker import chaos_identity
-from repro.resilience import FAULTS
-from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.service.protocol import encode_response, parse_request
 from repro.service.server import RenderService, ServeConfig
 
@@ -178,7 +172,7 @@ class TestConcurrentDedup:
 class TestProcessPool:
     def test_pool_answers_a_coalesced_batch_like_serial(self, tmp_path):
         """A ``jobs=2`` service answers one coalesced eval batch
-        byte-identically to ``jobs=1`` and reports the process backend."""
+        byte-identically to ``jobs=1`` and reports the thread backend."""
         requests = [
             parse_request(_eval_line(f"p{i}", t))
             for i, t in enumerate([0.3, 0.5, 0.3, 0.7])
@@ -203,83 +197,13 @@ class TestProcessPool:
         serial, serial_stats = asyncio.run(scenario(1))
         pooled, pool_stats = asyncio.run(scenario(2))
         assert serial_stats["backend"] == "serial"
-        assert pool_stats["backend"] == "process"
+        assert pool_stats["backend"] == "threads"
         assert pool_stats["coalesced_batches"] == 1
         assert pool_stats["coalesced_jobs"] == 1
         assert all(payload["ok"] for payload in pooled)
         assert [encode_response(p) for p in pooled] == [
             encode_response(p) for p in serial
         ]
-
-
-def _scan_kill_seed(jobs, rate):
-    """First seed whose worker kills mark some but not all of ``jobs``
-    and never the capture they share: a killed capture would take every
-    dependent eval down with it."""
-    captures = {chaos_identity(capture_job(j.workload, j.frame, j.config_key))
-                for j in jobs}
-    probe = FaultInjector()
-    for seed in range(500):
-        probe.configure(FaultPlan(seed=seed).with_chaos(kill=rate))
-        marks = [probe.should_kill_worker(chaos_identity(j)) for j in jobs]
-        if (any(marks) and not all(marks)
-                and not any(map(probe.should_kill_worker, captures))):
-            return seed, marks
-    pytest.fail("no seed marks some but not all eval jobs")
-
-
-class TestPoolChaos:
-    def test_killed_pool_worker_fails_only_marked_points(self, tmp_path):
-        """Under worker-kill chaos a ``jobs=2`` service answers each
-        marked point with a quarantined ``WorkerCrashError``, every
-        other point byte-identically to a chaos-free ``jobs=1``
-        service, and still answers ``ping`` afterwards."""
-        requests = [
-            parse_request(_eval_line(f"k{i}", t))
-            for i, t in enumerate([0.2, 0.4, 0.6, 0.8])
-        ]
-        rate = 0.3
-        seed, marks = _scan_kill_seed([r.job for r in requests], rate)
-
-        async def scenario(jobs: int):
-            service = RenderService(ServeConfig(
-                scale=SCALE, jobs=jobs, job_timeout=30.0,
-                store_root=str(tmp_path / f"store-{jobs}"),
-            ))
-            loop = asyncio.get_running_loop()
-            futures = [loop.create_future() for _ in requests]
-            for request, future in zip(requests, futures):
-                service._queue.put_nowait((request, future))
-            await service.start()
-            try:
-                payloads = await asyncio.gather(*futures)
-                reader, writer = await asyncio.open_connection(
-                    *service.address
-                )
-                try:
-                    pong, _ = await _request(
-                        reader, writer, {"id": "p", "op": "ping"},
-                    )
-                finally:
-                    writer.close()
-                    await writer.wait_closed()
-                return payloads, pong
-            finally:
-                await service.aclose()
-
-        serial, _ = asyncio.run(scenario(1))
-        FAULTS.configure(FaultPlan(seed=seed).with_chaos(kill=rate))
-        pooled, pong = asyncio.run(scenario(2))
-
-        assert all(payload["ok"] for payload in serial)
-        for marked, got, want in zip(marks, pooled, serial):
-            if marked:
-                assert got["ok"] is False
-                assert got["error"]["type"] == "WorkerCrashError"
-                assert "quarantined" in got["error"]["message"]
-            else:
-                assert encode_response(got) == encode_response(want)
-        assert pong["ok"] and pong["pong"] == 1
 
 
 class TestFrontEnd:

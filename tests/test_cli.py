@@ -4,6 +4,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine.jobs import CaptureVariant
 
 
 class TestParser:
@@ -80,12 +81,42 @@ class TestServeWorkerParser:
                           ["compare", "hl2"], ["report"],
                           ["profile", "hl2"], ["serve"])
           for flag in (["--raster", "legacy"], ["--tile-size", "16"])),
+        *(command + ["--job-timeout", "30"]
+          for command in (["experiment", "fig17"], ["report"], ["serve"])),
+        *(command + [flag, "0.1"]
+          for command in (["experiment", "fig17"], ["report"],
+                          ["profile", "hl2"], ["serve"])
+          for flag in ("--chaos-worker-kill", "--chaos-worker-hang",
+                       "--chaos-chunk-corrupt")),
     ])
     def test_removed_options_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+
+class TestCaptureCacheLayout:
+    def test_experiment_hits_entries_serve_migrated(self, tmp_path, capsys):
+        """``experiment`` and ``serve`` open one store layout: after a
+        sharded lookup (what ``serve`` does) moved the entry, a second
+        experiment still loads it instead of rendering it again."""
+        from repro.engine.capture_store import make_store
+        from repro.experiments.runner import ExperimentContext
+
+        cache = tmp_path / "captures"
+        argv = ["experiment", "fig17", "--workloads", "wolf-640x480",
+                "--frames", "1", "--scale", "0.0625",
+                "--capture-cache", str(cache), "--no-ledger"]
+        assert main(argv) == 0
+        spec = ExperimentContext(scale=0.0625).capture_spec(
+            "wolf-640x480", 0, CaptureVariant()
+        )
+        assert make_store(cache, prefix=1).get(spec) is not None
+        capsys.readouterr()
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "capture store: 1 hit(s), 0 miss(es), 0 write(s)" in err, err
 
 
 class TestStoreCommand:
