@@ -79,6 +79,24 @@ def key_dtype(count: int) -> np.dtype:
     return np.dtype(np.uint64)
 
 
+def run_starts(lines: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Index of the first access of each run of one line in a segment.
+
+    ``bounds`` are the segment boundaries in ``lines`` (a CSR row
+    pointer); every segment's first access starts a run. Within a
+    segment, an access that repeats its predecessor hits the MRU line
+    of its set and leaves the LRU state unchanged, so only run starts
+    can miss or change a cache.
+    """
+    keep = np.ones(lines.size, dtype=bool)
+    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+    firsts = bounds[:-1]
+    keep[firsts[firsts < lines.size]] = True
+    # Integer gathers: numpy's boolean-mask indexing is several times
+    # slower on streams this long.
+    return np.flatnonzero(keep)
+
+
 def lru_misses(keys: np.ndarray, lines: np.ndarray, ways: int) -> np.ndarray:
     """Miss flag of every access of an LRU stream; every set starts empty.
 

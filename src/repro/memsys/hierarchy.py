@@ -17,7 +17,7 @@ import numpy as np
 from ..config import CacheConfig, GpuConfig
 from ..errors import ConfigError, PipelineError
 from ..obs import TELEMETRY
-from .cache import CacheStats, key_dtype, lru_misses
+from .cache import CacheStats, key_dtype, lru_misses, run_starts
 from .dram import DramModel, DramStats
 
 
@@ -69,6 +69,7 @@ class TextureMemoryHierarchy:
         lines: np.ndarray,
         tile_units: np.ndarray,
         tile_lengths: np.ndarray,
+        repeats: int = 0,
     ) -> HierarchyStats:
         """Run one frame of texture fetches through the hierarchy.
 
@@ -77,12 +78,19 @@ class TextureMemoryHierarchy:
                 scheduling order, each tile in intra-tile raster order.
             tile_units: the texture unit of each tile.
             tile_lengths: the number of ``lines`` of each tile.
+            repeats: accesses already removed from ``lines`` because
+                each repeated its predecessor within one pixel's fetch
+                segment. Each hit its unit's MRU L1 line and left the
+                LRU state unchanged, so they count as L1 accesses and
+                hits and change nothing else.
         """
+        if repeats < 0:
+            raise PipelineError(f"repeat count must be >= 0, got {repeats}")
         with TELEMETRY.span("memsys.process_frame", tiles=len(tile_units)):
             l2_stream, dram_stream = self.miss_streams(
                 lines, tile_units, tile_lengths
             )
-            accesses = int(np.size(lines))
+            accesses = int(np.size(lines)) + int(repeats)
             stats = HierarchyStats(
                 l1=CacheStats(accesses, accesses - l2_stream.size),
                 l2=CacheStats(l2_stream.size, l2_stream.size - dram_stream.size),
@@ -108,7 +116,11 @@ class TextureMemoryHierarchy:
         Both are line addresses in stream order; arguments as for
         :meth:`process_frame`.
         """
-        lines = np.asarray(lines, dtype=np.int64)
+        # Integer lines keep their dtype: sorting int32 evaluation
+        # streams is faster than widening them first.
+        lines = np.asarray(lines)
+        if lines.dtype.kind not in "iu":
+            lines = lines.astype(np.int64)
         units = np.asarray(tile_units, dtype=np.int64)
         lengths = np.asarray(tile_lengths, dtype=np.int64)
         if units.shape != lengths.shape or int(lengths.sum()) != lines.size:
@@ -126,11 +138,7 @@ class TextureMemoryHierarchy:
         # Within a tile, a repeat of the previous line hits the MRU line
         # of its L1 set. Across a tile boundary the L1 may be another
         # unit's, so every tile's first line goes to the LRU.
-        keep = np.ones(lines.size, dtype=bool)
-        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-        starts = np.cumsum(lengths) - lengths
-        keep[starts[starts < lines.size]] = True
-        keep = np.flatnonzero(keep)
+        keep = run_starts(lines, np.concatenate([[0], np.cumsum(lengths)]))
         dtype = key_dtype(num_units * l1.num_sets)
         keys = np.repeat((units * l1.num_sets).astype(dtype), lengths)[keep]
         lines = lines[keep]

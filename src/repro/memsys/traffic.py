@@ -11,7 +11,11 @@ from the frame's own statistics:
   tile), plus display scan-out readback;
 * depth — early-Z reads for generated fragments and writes for passing
   fragments, filtered by an on-chip tile depth buffer so only
-  tile-boundary traffic reaches DRAM;
+  tile-boundary traffic reaches DRAM. "Generated" is the binned
+  rasterizer's count: a tile that Hi-Z or occlusion culling rejects
+  runs no per-fragment early-Z test, so its fragments read nothing
+  from the depth buffer (the traffic Hi-Z exists to save) and are
+  not charged;
 * geometry — vertex attribute fetches (position + UV + assembly data).
 """
 

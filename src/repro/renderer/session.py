@@ -30,11 +30,13 @@ from ..core.af_ssim import sharing_fraction_from_csr, txds_from_csr
 from ..core.patu import FilterMode, PatuDecision, PerceptionAwareTextureUnit
 from ..core.scenarios import Scenario
 from ..errors import PipelineError
+from ..memsys.cache import run_starts
 from ..memsys.hierarchy import HierarchyStats, TextureMemoryHierarchy
 from ..memsys.traffic import BandwidthBreakdown, frame_breakdown
 from ..obs import TELEMETRY
 from ..power.components import EnergyParams
 from ..power.energy import EnergyBreakdown, EnergyModel, FrameEvents
+from ..quality.ssim import SsimReference
 from ..quality.ssim import mssim as mssim_fn
 from ..raster.quads import quad_divergence_fraction, quad_ids
 from ..resilience.guards import sanitize_colors
@@ -84,6 +86,11 @@ class FrameCapture:
     workload: FrameWorkload
     baseline_luminance: np.ndarray
     clear_luminance: float
+
+    #: What every evaluation of this capture reuses (:class:`_Derived`),
+    #: built by the first one. A plain attribute, not a field: it lives
+    #: only in memory and is no part of the capture's identity.
+    _derived = None
 
     @property
     def num_pixels(self) -> int:
@@ -504,6 +511,7 @@ class RenderSession:
             scenario=scenario.name,
             threshold=threshold,
         ):
+            derived = _derived(capture)
             with TELEMETRY.span("evaluate.reconstruct"):
                 colors = capture.af_color.copy()
                 tf_mask = decision.mode == FilterMode.TF_TF_LOD
@@ -521,7 +529,7 @@ class RenderSession:
                     lum = capture.baseline_luminance
                 else:
                     lum = capture.luminance_image(colors)
-                    quality = mssim_fn(capture.baseline_luminance, lum)
+                    quality = mssim_fn(derived.reference, lum)
                 if not np.isfinite(quality):
                     # Score a fully-degraded frame as zero quality
                     # rather than propagating NaN into results.
@@ -529,8 +537,8 @@ class RenderSession:
                     quality = 0.0
 
             with TELEMETRY.span("evaluate.fetch_stream"):
-                lines, lengths = self._fetch_stream(capture, decision)
-            hier = self._simulate_hierarchy(capture, lines, lengths)
+                lines, lengths, repeats = derived.segments.stream(decision.mode)
+            hier = self._simulate_hierarchy(capture, lines, lengths, repeats)
 
             events = self._frame_events(capture, decision, scenario, hier)
             tex_timing, frame_timing, req_latency = self._frame_timing(
@@ -600,59 +608,33 @@ class RenderSession:
     # Internals
     # ------------------------------------------------------------------
 
-    def _fetch_stream(
-        self, capture: FrameCapture, decision: PatuDecision
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Assemble the design point's texel fetch stream in pixel order.
-
-        Returns the concatenated line addresses and the per-pixel
-        segment lengths.
-        """
-        af_mask = decision.mode == FilterMode.AF
-        lengths = np.where(
-            af_mask, capture.n * TEXELS_PER_TRILINEAR, TEXELS_PER_TRILINEAR
-        ).astype(np.int64)
-        offsets = np.concatenate([[0], np.cumsum(lengths)])
-        out = np.empty(int(offsets[-1]), dtype=np.int64)
-
-        af_rows = np.nonzero(af_mask)[0]
-        if af_rows.size:
-            lens = lengths[af_rows]
-            dst = _expand_ranges(offsets[af_rows], lens)
-            src = _expand_ranges(
-                capture.sample_row_ptr[af_rows] * TEXELS_PER_TRILINEAR, lens
-            )
-            out[dst] = capture.af_lines[src]
-
-        for mask, table in (
-            (decision.mode == FilterMode.TF_TF_LOD, capture.tf_lines),
-            (decision.mode == FilterMode.TF_AF_LOD, capture.tfa_lines),
-        ):
-            rows_sel = np.nonzero(mask)[0]
-            if rows_sel.size:
-                dst = (
-                    offsets[rows_sel][:, None]
-                    + np.arange(TEXELS_PER_TRILINEAR)[None, :]
-                )
-                out[dst.ravel()] = table[rows_sel].ravel()
-        return out, lengths
-
     def _simulate_hierarchy(
-        self, capture: FrameCapture, lines: np.ndarray, lengths: np.ndarray
+        self,
+        capture: FrameCapture,
+        lines: np.ndarray,
+        lengths: np.ndarray,
+        repeats: int = 0,
     ) -> HierarchyStats:
-        """Run the design point's fetch stream through the caches."""
+        """Run the design point's fetch stream through the caches.
+
+        ``lengths`` are the per-pixel lengths of ``lines``; ``repeats``
+        counts the accesses removed from it as repeats of their
+        predecessor in the same pixel segment.
+        """
         with TELEMETRY.span("session.simulate_hierarchy", lines=int(lines.size)):
             tile_units, tile_lengths = self._tile_schedule(capture, lengths)
             hierarchy = TextureMemoryHierarchy(self.config)
-            return hierarchy.process_frame(lines, tile_units, tile_lengths)
+            return hierarchy.process_frame(
+                lines, tile_units, tile_lengths, repeats=repeats
+            )
 
     def _tile_schedule(
         self, capture: FrameCapture, lengths: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray]":
         """Each tile's texture unit and fetch-stream length, in tile order.
 
-        ``lengths`` are the per-pixel stream lengths of
-        :meth:`_fetch_stream`; tiles go round-robin over the units.
+        ``lengths`` are the per-pixel lengths of a fetch stream in pixel
+        order; tiles go round-robin over the units.
         """
         boundaries = np.nonzero(np.diff(capture.tile_ids))[0] + 1
         starts = np.concatenate([[0], boundaries])
@@ -714,6 +696,81 @@ class RenderSession:
             return tex_timing, frame_timing, req_latency
 
 
+class FetchSegments:
+    """Each pixel's fetch segment in every filter mode, repeats removed.
+
+    A pixel's segment is its AF samples' lines (``n`` x 8) or its 8 TF
+    or TFA lines. Within a segment, a line equal to its predecessor
+    hits the MRU line of the unit's L1 set and leaves the LRU state
+    unchanged (:func:`~repro.memsys.cache.run_starts`), so it is removed
+    here once per capture and counted back as an L1 hit. Cell ``[i, m]`` of ``starts``, ``lengths`` and
+    ``removed`` locates pixel ``i``'s kept segment for
+    :class:`FilterMode` ``m`` in ``lines`` and counts the lines removed
+    from it.
+    """
+
+    def __init__(self, capture: FrameCapture) -> None:
+        trilinear = np.arange(capture.num_pixels + 1) * TEXELS_PER_TRILINEAR
+        # Per FilterMode value: the full lines and their segment bounds.
+        full = (
+            (capture.af_lines, capture.sample_row_ptr * TEXELS_PER_TRILINEAR),
+            (capture.tf_lines.ravel(), trilinear),
+            (capture.tfa_lines.ravel(), trilinear),
+        )
+        kept, bounds = [], []
+        for lines, segment_bounds in full:
+            keep = run_starts(lines, segment_bounds)
+            offset = sum(part.size for part in kept)
+            bounds.append(np.searchsorted(keep, segment_bounds) + offset)
+            kept.append(lines[keep])
+        lines = np.concatenate(kept)
+        # int32 lines take half the memory, and the hierarchy sorts
+        # them faster than int64.
+        fits = lines.size == 0 or lines.max() <= np.iinfo(np.int32).max
+        self.lines = lines.astype(np.int32) if fits else lines
+        self.starts = np.stack([b[:-1] for b in bounds], axis=1)
+        self.lengths = np.stack([np.diff(b) for b in bounds], axis=1)
+        self.removed = np.stack([np.diff(b) for _, b in full], axis=1) - self.lengths
+
+    def stream(self, mode: np.ndarray) -> "tuple[np.ndarray, np.ndarray, int]":
+        """One design point's fetch stream, given each pixel's mode.
+
+        Returns the kept lines in pixel order, each pixel's kept
+        length, and the number of repeats removed from the full stream.
+        """
+        modes = self.lengths.shape[1]
+        cells = np.arange(0, modes * mode.size, modes)
+        cells += mode
+        lengths = self.lengths.take(cells)
+        lines = self.lines[_expand_ranges(self.starts.take(cells), lengths)]
+        return lines, lengths, int(self.removed.take(cells).sum())
+
+
+class _Derived:
+    """Per-capture state that every evaluation of the capture reuses."""
+
+    def __init__(self, capture: FrameCapture) -> None:
+        with TELEMETRY.span("evaluate.derive_segments"):
+            self.segments = FetchSegments(capture)
+        #: Filters its window statistics inside the first MSSIM call.
+        self.reference = SsimReference(capture.baseline_luminance)
+
+
+#: Serializes building :class:`_Derived`, so threads evaluating one
+#: capture at once (``--jobs N``) build it once.
+_DERIVED_LOCK = threading.Lock()
+
+
+def _derived(capture: FrameCapture) -> _Derived:
+    derived = capture._derived
+    if derived is None:
+        with _DERIVED_LOCK:
+            derived = capture._derived
+            if derived is None:
+                derived = capture._derived = _Derived(capture)
+    return derived
+
+
 def _group_index(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
     """Dense group index for (primary, secondary) key pairs."""
     combined = primary * (int(secondary.max()) + 1 if secondary.size else 1) + secondary
@@ -736,10 +793,9 @@ def _expand_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
+    seg_ends = np.cumsum(lengths)
+    total = int(seg_ends[-1]) if seg_ends.size else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    seg_ends = np.cumsum(lengths)
-    seg_starts = seg_ends - lengths
-    within = np.arange(total, dtype=np.int64) - np.repeat(seg_starts, lengths)
-    return np.repeat(starts, lengths) + within
+    shift = np.repeat(starts - (seg_ends - lengths), lengths)
+    return np.add(shift, np.arange(total, dtype=np.int64), out=shift)

@@ -443,6 +443,61 @@ def oracle_cache_lru(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+def oracle_mssim(cfg: VerifyConfig) -> OracleResult:
+    """Production MSSIM vs the ``np.convolve`` reference, compared with ``==``.
+
+    Seeded random image pairs (11x11, odd and non-square sizes) and the
+    verify capture at every Fig. 17 threshold. Production scores each
+    pair with a plain reference image and twice through one
+    :class:`~repro.quality.ssim.SsimReference` (its first call filters
+    the statistics, the second reuses them); the capture's points also
+    through ``RenderSession.evaluate``, which shares one cached
+    reference across the sweep.
+    """
+    from ..experiments.fig17_threshold import THRESHOLDS
+    from ..quality.ssim import SsimReference, mssim
+    from .metamorphic import _session_capture, _verify_scale
+    from .reference import ref_mssim
+
+    rng = np.random.default_rng(cfg.seed + 11)
+    checked: "list[str]" = []
+    mismatched: "list[str]" = []
+    max_err = 0.0
+    pixels = 0
+
+    def check(label: str, reference, y: np.ndarray, *scores: float) -> None:
+        nonlocal max_err, pixels
+        want = ref_mssim(reference.image, y)
+        got = (mssim(reference.image, y), mssim(reference, y), mssim(reference, y))
+        errors = [abs(score - want) for score in got + scores]
+        if any(error != 0.0 for error in errors):
+            mismatched.append(label)
+        max_err = max(max_err, *errors)
+        pixels += y.size
+        checked.append(label)
+
+    for shape in ((11, 11), (11, 16), (17, 13), (40, 23), (48, 64)):
+        x = rng.random(shape)
+        y = np.clip(x + rng.normal(0.0, 0.1, shape), 0.0, 1.0)
+        check(f"random{shape[0]}x{shape[1]}", SsimReference(x), y)
+
+    session, capture = _session_capture(_verify_scale(cfg))
+    reference = SsimReference(capture.baseline_luminance)
+    for threshold in THRESHOLDS:
+        result = session.evaluate(
+            capture, SCENARIOS["patu"], threshold, store_image=True
+        )
+        check(f"patu@{threshold:g}", reference, result.luminance, result.mssim)
+    return OracleResult(
+        name="diff_mssim",
+        layer=LAYER_DIFFERENTIAL,
+        passed=not mismatched,
+        max_error=max_err,
+        fragments=pixels,
+        details={"pairs": len(checked), "mismatched": mismatched},
+    )
+
+
 #: All differential oracles, in dependency-free execution order.
 DIFFERENTIAL_ORACLES = (
     oracle_bilinear,
@@ -454,4 +509,5 @@ DIFFERENTIAL_ORACLES = (
     oracle_two_stage,
     oracle_raster_backends,
     oracle_cache_lru,
+    oracle_mssim,
 )

@@ -10,9 +10,12 @@ generation profiles) and runs each through the existing oracle stack:
   invariance of N, nested approximation sets;
 * **raster bit-identity** — the binned sort-middle rasterizer vs the
   per-triangle reference, per byte, on the generated scene;
-* **cache identity** — the vectorized LRU hierarchy vs the per-access
-  dict walk, miss stream for miss stream, on the scenario's baseline
-  and PATU fetch streams.
+* **cache identity** — evaluation's hierarchy (collapsed fetch
+  segments plus the repeat count, vectorized LRU) vs the per-access
+  dict walk of the full fetch stream, count for count and miss stream
+  for miss stream, at the scenario's baseline and PATU points;
+* **conservation** — the hierarchy's conservation laws at the same
+  points.
 
 A failing spec is *shrunk*: each shrinkable axis (soup density,
 slivers, texture stress, UV regime, camera family, resolution, frame
@@ -44,6 +47,7 @@ from ..workloads.fuzz import (
 )
 from .metamorphic import (
     check_af_self_similarity,
+    check_conservation,
     check_rotation_invariance,
     check_threshold_monotone,
 )
@@ -62,7 +66,8 @@ DIFF_SAMPLES = 48
 #: Thresholds of the per-scenario monotonicity check.
 MONOTONE_THRESHOLDS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-#: Design points whose fetch streams the cache-identity check replays.
+#: Design points whose fetch streams the cache-identity and
+#: conservation checks replay.
 CACHE_POINTS = (("baseline", 1.0), ("patu", 0.4))
 
 #: G-buffer arrays compared for rasterizer bit-identity.
@@ -158,22 +163,18 @@ def _check_raster_identity(workload, camera, width, height) -> "dict[str, object
 
 
 def _check_cache_identity(session, capture) -> "dict[str, object]":
-    """Vectorized vs reference cache hierarchy on the frame's fetch streams."""
+    """Evaluation's cache hierarchy vs the reference on the full streams."""
     from ..core.patu import PerceptionAwareTextureUnit
     from ..core.scenarios import SCENARIOS
-    from .reference_cache import hierarchy_mismatches
+    from .reference_fetch import evaluation_mismatches
 
     mismatched: "list[str]" = []
     accesses = 0
     for scenario, threshold in CACHE_POINTS:
         device = PerceptionAwareTextureUnit(SCENARIOS[scenario], threshold)
         decision = device.decide(capture.n, capture.txds)
-        lines, lengths = session._fetch_stream(capture, decision)
-        units, tile_lengths = session._tile_schedule(capture, lengths)
-        levels, stats = hierarchy_mismatches(
-            session.config, lines, units, tile_lengths
-        )
-        mismatched.extend(f"{scenario}@{threshold:g}:{lv}" for lv in levels)
+        names, stats = evaluation_mismatches(session, capture, decision)
+        mismatched.extend(f"{scenario}@{threshold:g}:{name}" for name in names)
         accesses += stats.l1.accesses
     return {
         "passed": not mismatched,
@@ -218,6 +219,7 @@ def check_fuzz_spec(
         capture.n, capture.txds, MONOTONE_THRESHOLDS
     )
     checks["cache_identity"] = _check_cache_identity(session, capture)
+    checks["conservation"] = check_conservation(session, capture, CACHE_POINTS)
 
     failed = sorted(
         name for name, outcome in checks.items() if not outcome["passed"]

@@ -15,6 +15,10 @@ must hold regardless of how the pipeline computes them.
   ``patu`` vs ``afssim_n_txds``) re-colors *only* approximated pixels.
 * **Backend equivalence** — the engine's ``--jobs 2`` thread pool
   produces byte-identical experiment tables to the serial backend.
+* **Conservation** — every line fetch of the chosen filter modes is an
+  L1 access (``8 x`` the trilinear samples: ``n`` per AF pixel, one per
+  other pixel), every L1 miss an L2 access and every L2 miss a DRAM
+  line.
 
 The capture-based checks are exposed as pure functions over
 ``(capture, ...)`` so the test suite can run them against its own
@@ -31,6 +35,7 @@ from ..core.predictor import TwoStagePredictor
 from ..core.scenarios import SCENARIOS
 from ..obs import TELEMETRY
 from ..texture.footprint import compute_footprints
+from ..texture.unit import TEXELS_PER_TRILINEAR
 from ..workloads.games import get_workload
 from .report import LAYER_METAMORPHIC, OracleResult, VerifyConfig
 
@@ -182,6 +187,36 @@ def check_lod_shift_localized(capture, threshold: float) -> "dict[str, object]":
     }
 
 
+def check_conservation(
+    session, capture, points: "tuple[tuple[str, float], ...]"
+) -> "dict[str, object]":
+    """The texture hierarchy's conservation laws at each design point.
+
+    ``points`` are ``(scenario, threshold)`` pairs. The laws hold for a
+    fault-free evaluation, as ``repro verify`` runs it: an injected
+    count-tag flip changes the trilinear samples but not the captured
+    fetch stream.
+    """
+    violations: "list[str]" = []
+    for scenario, threshold in points:
+        result = session.evaluate(capture, SCENARIOS[scenario], threshold)
+        hier = result.hierarchy
+        laws = {
+            "l1_accesses": (
+                hier.l1.accesses,
+                TEXELS_PER_TRILINEAR * result.events.trilinear_samples,
+            ),
+            "l2_accesses": (hier.l2.accesses, hier.l1.misses),
+            "dram_lines": (hier.dram.lines_fetched, hier.l2.misses),
+        }
+        violations.extend(
+            f"{scenario}@{threshold:g}:{law}"
+            for law, (got, want) in laws.items() if got != want
+        )
+    return {"passed": not violations, "points": len(points),
+            "violations": violations}
+
+
 # ---------------------------------------------------------------------------
 # Oracle wrappers
 # ---------------------------------------------------------------------------
@@ -243,6 +278,22 @@ def oracle_lod_shift_localized(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+def oracle_conservation(cfg: VerifyConfig) -> OracleResult:
+    """Conservation laws at the baseline and every Fig. 17 threshold."""
+    from ..experiments.fig17_threshold import THRESHOLDS
+
+    session, capture = _session_capture(_verify_scale(cfg))
+    points = (("baseline", 1.0),) + tuple(("patu", t) for t in THRESHOLDS)
+    outcome = check_conservation(session, capture, points)
+    return OracleResult(
+        name="meta_conservation",
+        layer=LAYER_METAMORPHIC,
+        passed=bool(outcome.pop("passed")),
+        fragments=capture.num_pixels * len(points),
+        details=outcome,
+    )
+
+
 def oracle_engine_parallel(cfg: VerifyConfig) -> OracleResult:
     """Serial vs thread-pool execution of a real experiment, byte-equal.
 
@@ -288,5 +339,6 @@ METAMORPHIC_ORACLES = (
     oracle_rotation_invariance,
     oracle_threshold_monotone,
     oracle_lod_shift_localized,
+    oracle_conservation,
     oracle_engine_parallel,
 )

@@ -4,7 +4,9 @@ Every function here reimplements one vectorized kernel of
 :mod:`repro.texture` or :mod:`repro.core` as a straight-line,
 per-fragment Python loop, directly from the definitions (OpenGL-style
 bilinear/trilinear filtering, Eq. 3 anisotropic averaging, and the
-paper's Eq. 5/6/8/9/10 predictors). The differential oracle layer
+paper's Eq. 5/6/8/9/10 predictors), plus the MSSIM of
+:mod:`repro.quality.ssim` with its original per-row and per-column
+``np.convolve`` filter. The differential oracle layer
 (:mod:`repro.verify.differential`) compares the two implementations on
 seeded random fragment batches; because the reference shares *no code
 path* with the production kernels (no broadcasting, no fancy indexing,
@@ -21,7 +23,7 @@ otherwise be an un-actionable flake, not a caught bug.
 Tolerance policy (see ``docs/testing.md``): colors within ``1e-6``
 absolute (the production kernels blend in float32, the reference in
 float64); integer state (mip levels, anisotropy degree, footprint
-keys) must agree exactly.
+keys) must agree exactly, and so must MSSIM, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import math
 
 import numpy as np
 
+from ..quality.ssim import _KERNEL
 from ..texture.mipmap import MipChain
 from ..texture.sampler import _COORD_BITS, _COORD_MASK
 
@@ -39,7 +42,9 @@ __all__ = [
     "ref_anisotropic",
     "ref_bilinear",
     "ref_compute_footprint",
+    "ref_filter2d",
     "ref_footprint_key",
+    "ref_mssim",
     "ref_trilinear",
     "ref_trilinear_levels",
     "ref_two_stage_decision",
@@ -246,3 +251,34 @@ def ref_two_stage_decision(
         use_stage2 and not stage1 and ref_af_ssim_txds(txds) > thr2
     )
     return stage1, stage2
+
+
+def ref_filter2d(img: np.ndarray) -> np.ndarray:
+    """Separable Gaussian window filter, one ``np.convolve`` per row, then
+    one per column of the result (reflect padding, 'same' output)."""
+    padded = np.pad(img, _KERNEL.size // 2, mode="reflect")
+    rows = np.apply_along_axis(
+        lambda row: np.convolve(row, _KERNEL, mode="valid"), 1, padded
+    )
+    return np.apply_along_axis(
+        lambda col: np.convolve(col, _KERNEL, mode="valid"), 0, rows
+    )
+
+
+def ref_mssim(x: np.ndarray, y: np.ndarray, data_range: float = 1.0) -> float:
+    """Eq. (1)-(2): mean SSIM of ``y`` against ``x``, five filtered maps."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    c1 = (0.01 * data_range) ** 2
+    c2 = (0.03 * data_range) ** 2
+    mu_x = ref_filter2d(x)
+    mu_y = ref_filter2d(y)
+    mu_xx = mu_x * mu_x
+    mu_yy = mu_y * mu_y
+    mu_xy = mu_x * mu_y
+    sigma_xx = ref_filter2d(x * x) - mu_xx
+    sigma_yy = ref_filter2d(y * y) - mu_yy
+    sigma_xy = ref_filter2d(x * y) - mu_xy
+    lum = (2.0 * mu_xy + c1) / (mu_xx + mu_yy + c1)
+    cs = (2.0 * sigma_xy + c2) / (sigma_xx + sigma_yy + c2)
+    return float((lum * cs).mean())

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig, GpuConfig
 from repro.errors import ConfigError
-from repro.memsys.cache import key_dtype, lru_misses
+from repro.memsys.cache import key_dtype, lru_misses, run_starts
 from repro.memsys.hierarchy import TextureMemoryHierarchy
 from repro.verify.reference_cache import collapse_consecutive
 
@@ -36,6 +36,25 @@ class TestCollapseConsecutive:
         arr = np.asarray(stream, dtype=np.int64)
         pre, _ = collapse_consecutive(arr)
         assert _misses(arr).tolist() == _misses(pre).tolist()
+
+
+class TestRunStarts:
+    def test_every_segment_starts_a_run(self):
+        # Segments [1, 1], [], [1, 2, 2, 1] and a trailing empty one:
+        # the third segment's first 1 repeats the first segment's last
+        # line but starts a run of its own.
+        lines = np.array([1, 1, 1, 2, 2, 1])
+        assert run_starts(lines, np.array([0, 2, 2, 6, 6])).tolist() == [
+            0, 2, 3, 5
+        ]
+
+    def test_one_segment_matches_collapse_consecutive(self):
+        lines = np.array([1, 1, 2, 2, 2, 1, 3])
+        kept = lines[run_starts(lines, np.array([0, lines.size]))]
+        assert kept.tolist() == collapse_consecutive(lines)[0].tolist()
+
+    def test_empty_stream(self):
+        assert run_starts(np.array([], dtype=np.int64), np.array([0, 0])).size == 0
 
 
 class TestLruBehaviour:

@@ -204,13 +204,14 @@ def test_every_game_matches_the_reference_hierarchy(name):
     from repro.core.patu import PerceptionAwareTextureUnit
     from repro.core.scenarios import SCENARIOS
     from repro.renderer.session import RenderSession
+    from repro.verify.reference_fetch import evaluation_mismatches
     from repro.workloads.games import get_workload
 
+    # Evaluation's collapsed segments plus repeat count vs the reference
+    # walk of the full stream.
     session = RenderSession(scale=0.25)
     capture = session.capture_frame(get_workload(name), 0)
     for scenario, threshold in (("baseline", 1.0), ("patu", 0.4)):
         device = PerceptionAwareTextureUnit(SCENARIOS[scenario], threshold)
         decision = device.decide(capture.n, capture.txds)
-        lines, lengths = session._fetch_stream(capture, decision)
-        units, tile_lengths = session._tile_schedule(capture, lengths)
-        assert_hierarchies_agree(session.config, lines, units, tile_lengths)
+        assert evaluation_mismatches(session, capture, decision)[0] == []

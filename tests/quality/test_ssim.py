@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
 from repro.quality.metrics import mse, psnr
-from repro.quality.ssim import mssim, ssim_components, ssim_map
+from repro.quality import ssim
+from repro.quality.ssim import SsimReference, mssim, ssim_components, ssim_map
+from repro.verify.reference import ref_filter2d, ref_mssim
 
 
 def _image(seed=0, size=32):
@@ -86,6 +88,50 @@ class TestSsimSensitivity:
         shifted = np.clip(a * 0.5 + 0.25, 0, 1)  # contrast halved, mean kept
         lum, cs = ssim_components(a, shifted)
         assert lum.mean() > cs.mean()
+
+
+class TestBitExactness:
+    """The shifted multiply-add filter against per-row ``np.convolve``."""
+
+    @pytest.mark.parametrize("shape", [(11, 11), (11, 30), (23, 17), (48, 64)])
+    def test_filter_and_mssim_equal_the_reference(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        x = rng.random(shape)
+        y = np.clip(x + rng.normal(0, 0.1, shape), 0, 1)
+        assert np.array_equal(ssim._filter2d(x), ref_filter2d(x))
+        assert mssim(x, y) == ref_mssim(x, y)
+
+    def test_map_is_column_major_like_the_reference(self):
+        # mean() sums in memory order; a row-major map differs in the
+        # last bit on some images.
+        assert ssim._filter2d(_image(14)).flags.f_contiguous
+        assert ssim_map(_image(14), _image(15)).flags.f_contiguous
+
+    def test_cached_reference_scores_identically(self):
+        x = _image(16, size=40)
+        reference = SsimReference(x)
+        for seed in (17, 18, 19):
+            y = np.clip(x + np.random.default_rng(seed).normal(0, 0.1, x.shape), 0, 1)
+            assert mssim(reference, y) == mssim(x, y)
+
+    def test_reference_statistics_are_filtered_once(self, monkeypatch):
+        calls = []
+        real = ssim._filter2d
+
+        def counting(img):
+            calls.append(img.shape)
+            return real(img)
+
+        monkeypatch.setattr(ssim, "_filter2d", counting)
+        reference = SsimReference(_image(20))
+        mssim(reference, _image(21))
+        assert len(calls) == 5
+        mssim(reference, _image(22))
+        assert len(calls) == 8
+
+    def test_cached_reference_is_validated(self):
+        with pytest.raises(ReproError):
+            mssim(SsimReference(np.zeros((8, 8))), np.zeros((8, 8)))
 
 
 class TestClassicMetrics:

@@ -5,13 +5,26 @@ intricate vectorized code in the repository; these tests pin them
 against straightforward per-pixel reference implementations.
 """
 
+import dataclasses
+import sys
+import threading
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core.patu import FilterMode, PerceptionAwareTextureUnit
 from repro.core.scenarios import SCENARIOS
-from repro.renderer.session import _group_index, _group_mean
+from repro.renderer import session as session_module
+from repro.renderer.session import (
+    FetchSegments,
+    FrameCapture,
+    _group_index,
+    _group_mean,
+)
 from repro.texture.unit import TEXELS_PER_TRILINEAR
+from repro.timing.gpu_timing import FrameWorkload
+from repro.verify.reference_fetch import evaluation_mismatches, fetch_stream
 
 
 class TestGroupHelpers:
@@ -65,7 +78,7 @@ class TestFetchStreamReference:
                                       threshold):
         device = PerceptionAwareTextureUnit(SCENARIOS[scenario], threshold)
         decision = device.decide(capture.n, capture.txds)
-        lines, lengths = session._fetch_stream(capture, decision)
+        lines, lengths = fetch_stream(capture, decision)
         expected = self._reference_stream(capture, decision)
         assert np.array_equal(lines, expected)
         assert lengths.sum() == expected.size
@@ -73,7 +86,7 @@ class TestFetchStreamReference:
     def test_lengths_match_modes(self, session, capture):
         device = PerceptionAwareTextureUnit(SCENARIOS["patu"], 0.4)
         decision = device.decide(capture.n, capture.txds)
-        _, lengths = session._fetch_stream(capture, decision)
+        _, lengths = fetch_stream(capture, decision)
         af = decision.mode == FilterMode.AF
         assert np.array_equal(
             lengths,
@@ -86,15 +99,151 @@ class TestTileStreams:
     def test_hierarchy_sees_whole_stream(self, session, capture):
         device = PerceptionAwareTextureUnit(SCENARIOS["baseline"], 1.0)
         decision = device.decide(capture.n, capture.txds)
-        lines, lengths = session._fetch_stream(capture, decision)
+        lines, lengths = fetch_stream(capture, decision)
         hier = session._simulate_hierarchy(capture, lines, lengths)
         assert hier.l1.accesses == lines.size
 
     def test_unit_assignment_is_stable(self, session, capture):
         device = PerceptionAwareTextureUnit(SCENARIOS["baseline"], 1.0)
         decision = device.decide(capture.n, capture.txds)
-        lines, lengths = session._fetch_stream(capture, decision)
+        lines, lengths = fetch_stream(capture, decision)
         a = session._simulate_hierarchy(capture, lines, lengths)
         b = session._simulate_hierarchy(capture, lines, lengths)
         assert a.l1.hits == b.l1.hits
         assert a.dram.lines_fetched == b.dram.lines_fetched
+
+
+def _hand_built_capture() -> FrameCapture:
+    """Three pixels: two in tile 0 (unit 0), one in tile 1 (unit 1).
+
+    Every segment repeats lines inside itself. Pixel 1's AF segment
+    starts with pixel 0's last AF line, inside one tile; pixel 2's
+    starts with pixel 1's last, across the tile boundary onto unit 1.
+    """
+    af_lines = np.array(
+        [1, 1, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 6, 6, 6, 7]  # pixel 0, n=2
+        + [7, 7, 8, 8, 9, 9, 9, 9]  # pixel 1, n=1
+        + [9, 9, 30, 30, 31, 31, 32, 32, 32, 33, 33, 33, 34, 34, 34, 34]
+    )
+    tf_lines = np.array([
+        [10, 10, 10, 11, 11, 12, 12, 13],
+        [13, 14, 14, 14, 14, 14, 14, 14],
+        [14, 15, 16, 17, 18, 19, 20, 21],
+    ])
+    tfa_lines = tf_lines + 100
+    pixels = 3
+    return FrameCapture(
+        workload_name="hand", frame_index=0, width=32, height=16,
+        tile_size=16,
+        rows=np.zeros(pixels, dtype=np.int64),
+        cols=np.array([0, 1, 16]),
+        tile_ids=np.array([0, 0, 1]),
+        tex_ids=np.zeros(pixels, dtype=np.int16),
+        n=np.array([2, 1, 2]),
+        lod_tf=np.zeros(pixels), lod_af=np.zeros(pixels),
+        txds=np.ones(pixels), share_fraction=np.zeros(pixels),
+        af_color=np.zeros((pixels, 4), dtype=np.float32),
+        tf_color=np.zeros((pixels, 4), dtype=np.float32),
+        tfa_color=np.zeros((pixels, 4), dtype=np.float32),
+        sample_row_ptr=np.array([0, 2, 3, 5]),
+        sample_keys=np.arange(5),
+        af_lines=af_lines, tf_lines=tf_lines, tfa_lines=tfa_lines,
+        workload=FrameWorkload(
+            vertices=3, triangles=1, tile_triangle_pairs=2,
+            fragments_generated=pixels, fragments_shaded=pixels,
+        ),
+        baseline_luminance=np.zeros((16, 32)),
+        clear_luminance=0.0,
+    )
+
+
+def _decision(modes) -> SimpleNamespace:
+    return SimpleNamespace(mode=np.asarray(modes, dtype=np.uint8))
+
+
+class TestFetchSegments:
+    """Evaluation's collapsed streams against the full reference stream."""
+
+    def test_repeats_inside_a_segment_are_removed_once(self):
+        segments = FetchSegments(_hand_built_capture())
+        lines, lengths, repeats = segments.stream(np.zeros(3, dtype=np.uint8))
+        # Pixel 1 keeps its first line 7 and pixel 2 its first line 9:
+        # only repeats inside one pixel's segment are removed.
+        assert lines.tolist() == [1, 2, 3, 4, 5, 6, 7, 7, 8, 9,
+                                  9, 30, 31, 32, 33, 34]
+        assert lengths.tolist() == [7, 3, 6]
+        assert repeats == 40 - 16
+
+    def test_hand_built_capture_matches_the_reference(self, session):
+        capture = _hand_built_capture()
+        names, stats = evaluation_mismatches(session, capture, _decision([0, 0, 0]))
+        assert names == []
+        assert stats.l1.accesses == 40
+        # Unit 0 misses on 1..9 once each: the repeat of 7 inside tile 0
+        # hits. Unit 1's first line 9 stays and misses in its cold L1;
+        # the L2 already holds it.
+        assert stats.l1.misses == 9 + 6
+        assert stats.l2.hits == 1
+        assert stats.dram.lines_fetched == 14
+
+    @pytest.mark.parametrize(
+        "modes", [[0, 0, 0], [1, 1, 1], [2, 2, 2], [0, 1, 2], [2, 0, 1]]
+    )
+    def test_every_mode_mix_matches_the_reference(self, session, modes):
+        capture = _hand_built_capture()
+        assert evaluation_mismatches(session, capture, _decision(modes))[0] == []
+
+    @pytest.mark.parametrize(
+        "scenario,threshold",
+        [("baseline", 1.0), ("afssim_n", 0.0), ("patu", 0.4), ("patu", 0.8)],
+    )
+    def test_rendered_capture_matches_the_reference(self, session, capture,
+                                                    scenario, threshold):
+        device = PerceptionAwareTextureUnit(SCENARIOS[scenario], threshold)
+        decision = device.decide(capture.n, capture.txds)
+        assert evaluation_mismatches(session, capture, decision)[0] == []
+
+    def test_derived_state_is_no_part_of_the_capture(self, session):
+        capture = _hand_built_capture()
+        session.evaluate(capture, SCENARIOS["baseline"], 1.0)
+        assert capture._derived is not None
+        names = {field.name for field in dataclasses.fields(capture)}
+        assert "_derived" not in names
+        assert dataclasses.replace(capture)._derived is None
+
+    def test_threads_evaluating_one_capture_derive_it_once(
+        self, session, capture, monkeypatch
+    ):
+        fresh = dataclasses.replace(capture)
+        built = []
+        real = session_module.FetchSegments
+
+        def counted(capture):
+            built.append(capture)
+            return real(capture)
+
+        monkeypatch.setattr(session_module, "FetchSegments", counted)
+        thresholds = [0.1 * i for i in range(8)]
+        results = {}
+
+        def evaluate(threshold):
+            results[threshold] = session.evaluate(
+                fresh, SCENARIOS["patu"], threshold
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=evaluate, args=(t,))
+                       for t in thresholds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(built) == 1
+        for threshold in thresholds:
+            serial = session.evaluate(capture, SCENARIOS["patu"], threshold)
+            assert results[threshold].to_dict() == serial.to_dict()

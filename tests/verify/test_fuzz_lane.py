@@ -33,9 +33,10 @@ class TestOracleRegistration:
         assert set(outcome["checks"]) == {
             "raster_bit_identity", "differential_footprint",
             "metamorphic_rotation", "metamorphic_af_self",
-            "metamorphic_monotone", "cache_identity",
+            "metamorphic_monotone", "cache_identity", "conservation",
         }
         assert outcome["checks"]["cache_identity"]["accesses"] > 0
+        assert outcome["checks"]["conservation"]["points"] == 2
 
 
 class TestShrinking:

@@ -8,9 +8,11 @@ render a Table II workload and spawn a process pool — are ``slow``.
 import numpy as np
 import pytest
 
+from repro.renderer.session import FetchSegments
 from repro.verify.metamorphic import (
     METAMORPHIC_ORACLES,
     check_af_self_similarity,
+    check_conservation,
     check_lod_shift_localized,
     check_rotation_invariance,
     check_threshold_monotone,
@@ -59,6 +61,32 @@ def test_lod_shift_localized_on_mini_scene(capture):
         # Re-colored pixels exist at permissive thresholds and are all
         # inside the approximated set.
         assert outcome["recolored"] <= outcome["approximated"]
+
+
+CONSERVATION_POINTS = (("baseline", 1.0), ("afssim_n", 0.0), ("patu", 0.4))
+
+
+def test_conservation_on_mini_scene(session, capture):
+    outcome = check_conservation(session, capture, CONSERVATION_POINTS)
+    assert outcome["passed"], outcome
+    assert outcome["points"] == 3
+
+
+def test_conservation_catches_a_lost_repeat_count(
+    session, capture, monkeypatch
+):
+    real = FetchSegments.stream
+
+    def forgetful(self, mode):
+        lines, lengths, _ = real(self, mode)
+        return lines, lengths, 0
+
+    monkeypatch.setattr(FetchSegments, "stream", forgetful)
+    outcome = check_conservation(session, capture, CONSERVATION_POINTS)
+    assert not outcome["passed"]
+    assert {v.rsplit(":", 1)[1] for v in outcome["violations"]} == {
+        "l1_accesses"
+    }
 
 
 @pytest.mark.slow

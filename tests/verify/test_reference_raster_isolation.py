@@ -1,5 +1,5 @@
-"""The reference rasterizer and cache walk are test oracles, not product
-dependencies."""
+"""The reference rasterizer, cache walk and fetch stream are test oracles,
+not product dependencies."""
 
 import ast
 import functools
@@ -8,7 +8,7 @@ import pathlib
 import subprocess
 import sys
 
-from repro.verify import reference_cache
+from repro.verify import reference_cache, reference_fetch
 from repro.verify.reference_raster import Rasterizer
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
@@ -53,15 +53,25 @@ def _imported_names(path: pathlib.Path) -> "set[str]":
     return names
 
 
+def _product_importers(oracle) -> "list[str]":
+    """Modules outside ``repro/verify`` that import ``oracle``."""
+    package = SRC / "repro"
+    short = oracle.__name__.rsplit(".", 1)[-1]
+    return [
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if path.parent != package / "verify"
+        and any(short in name for name in _imported_names(path))
+    ]
+
+
 def test_no_product_module_imports_the_reference_cache():
     assert reference_cache.__name__ not in _modules_loaded_by_entry_points()
     # Only the oracles in repro.verify import it, inside the functions
     # that run the comparison.
-    package = SRC / "repro"
-    importers = [
-        str(path.relative_to(package))
-        for path in package.rglob("*.py")
-        if path.parent != package / "verify"
-        and any("reference_cache" in name for name in _imported_names(path))
-    ]
-    assert importers == []
+    assert _product_importers(reference_cache) == []
+
+
+def test_no_product_module_imports_the_reference_fetch_stream():
+    assert reference_fetch.__name__ not in _modules_loaded_by_entry_points()
+    assert _product_importers(reference_fetch) == []
