@@ -41,9 +41,11 @@ stdout; informational messages go to stderr, so stdout stays pipeable.
 Engine (see ``docs/architecture.md``): ``experiment``/``report`` accept
 ``--jobs N`` to execute the planned job graph on N worker threads
 (tables are byte-identical to serial) and ``--capture-cache DIR`` to
-keep rendered frames in a persistent content-addressed store shared
-with ``profile`` and ``serve`` — a warm store skips every render.
-Store traffic is reported on stderr.
+keep rendered frames in a persistent content-addressed store. Every
+command opens it the same way and keys a frame by its workload request
+name, so ``profile`` and ``serve`` hit what ``experiment`` wrote and
+vice versa — a warm store skips every render. Store traffic is
+reported on stderr.
 
 Resilience (see ``docs/resilience.md``): ``experiment``/``report``
 accept ``--checkpoint PATH`` to persist evaluated design points and
@@ -136,9 +138,9 @@ _LEDGER_KINDS = {
 #: the run computes — excluded from the ledger's config digest so
 #: re-runs into different output paths stay trend-comparable.
 _NON_SHAPING_ARGS = frozenset({
-    "command", "out", "plot", "trace", "metrics", "emit_metrics",
-    "verbose", "ledger", "no_ledger", "capture_cache", "checkpoint",
-    "resume", "report", "quality_maps", "fuzz_save",
+    "command", "out", "plot", "trace", "metrics", "verbose", "ledger",
+    "no_ledger", "capture_cache", "checkpoint", "resume", "report",
+    "quality_maps", "fuzz_save",
 })
 
 #: Facts a handler stashes for the ledger record written in ``main``'s
@@ -272,10 +274,6 @@ def _resume_begin(args, ctx: ExperimentContext) -> None:
         _info(f"resumed {loaded} design point(s) from {ctx.checkpoint_path}")
 
 
-def _metrics_path(args) -> "str | None":
-    return getattr(args, "metrics", None) or getattr(args, "emit_metrics", None)
-
-
 def _obs_begin(args) -> None:
     """Arm telemetry / progress reporting from the parsed flags.
 
@@ -285,7 +283,7 @@ def _obs_begin(args) -> None:
     """
     if (
         getattr(args, "trace", None)
-        or _metrics_path(args)
+        or getattr(args, "metrics", None)
         or _ledger_active(args)
     ):
         TELEMETRY.reset()
@@ -310,7 +308,7 @@ def _obs_end(args) -> bool:
             except OSError as exc:
                 print(f"error: cannot write trace: {exc}", file=sys.stderr)
                 ok = False
-        metrics_path = _metrics_path(args)
+        metrics_path = getattr(args, "metrics", None)
         if metrics_path and TELEMETRY.enabled:
             try:
                 write_metrics_jsonl(TELEMETRY.frame_records, metrics_path)
@@ -325,6 +323,11 @@ def _obs_end(args) -> bool:
     return ok
 
 
+def _is_engine_request(name: str) -> bool:
+    """Is ``name`` a generated-workload request name (fuzz, VR, R.Bench)?"""
+    return "@" in name or name.startswith("R.Bench")
+
+
 def _resolve_workload(name: str):
     """Find a workload by exact name, or fuzzily by game abbreviation.
 
@@ -334,7 +337,7 @@ def _resolve_workload(name: str):
     ``R.Bench-*``) resolve through the engine's resolver, so generated
     scenarios work everywhere a game name does.
     """
-    if "@" in name or name.startswith("R.Bench"):
+    if _is_engine_request(name):
         from .engine.worker import resolve_workload
 
         return resolve_workload(name)
@@ -594,16 +597,17 @@ def _cmd_verify(args) -> int:
 
 def _cmd_profile(args) -> int:
     """Render N frames with telemetry on; table to stdout, files to disk."""
-    from .engine import make_store
     from .engine.jobs import DEFAULT_VARIANT
-    from .engine.worker import capture_spec_for
 
     workload = _resolve_workload(args.workload)
+    # Key captures by request name, as experiment/report/serve do.
+    request = (
+        args.workload if _is_engine_request(args.workload) else workload.name
+    )
     scenario = get_scenario(args.scenario)
-    session = RenderSession(scale=args.scale)
-    store = (
-        make_store(args.capture_cache, prefix=1) if args.capture_cache
-        else None
+    ctx = ExperimentContext(
+        scale=args.scale, frames=args.frames,
+        capture_cache=args.capture_cache,
     )
     want_maps = getattr(args, "quality_maps", None)
     map_files = 0
@@ -611,19 +615,8 @@ def _cmd_profile(args) -> int:
         "profile", workload=workload.name, frames=args.frames
     ):
         for frame in range(args.frames):
-            capture = None
-            if store is not None:
-                spec = capture_spec_for(
-                    workload.name, frame,
-                    base_config=session.config, scale=args.scale,
-                    variant=DEFAULT_VARIANT,
-                )
-                capture = store.get(spec)
-            if capture is None:
-                capture = session.capture_frame(workload, frame)
-                if store is not None:
-                    store.put(spec, capture)
-            result = session.evaluate(
+            capture = ctx.load_capture((request, frame, DEFAULT_VARIANT))
+            result = ctx.session.evaluate(
                 capture, scenario, args.threshold,
                 store_image=want_maps is not None,
             )
@@ -641,14 +634,7 @@ def _cmd_profile(args) -> int:
     print(TELEMETRY.format_summary())
     if want_maps:
         _info(f"wrote {map_files} quality-map file(s) to {want_maps}")
-    if store is not None:
-        _info(f"capture store: {store.stats}")
-        _note(store={
-            "hits": store.stats.hits,
-            "misses": store.stats.misses,
-            "writes": store.stats.writes,
-            "corrupt": store.stats.corrupt,
-        })
+    _engine_end(ctx)
     return 0
 
 
@@ -662,11 +648,9 @@ def _cmd_serve(args) -> int:
         scale=args.scale,
         jobs=args.jobs,
         store_root=args.capture_cache,
-        store_prefix=args.store_prefix,
         store_max_bytes=args.store_max_bytes,
         max_pending=args.max_pending,
         max_batch=args.max_batch,
-        batch_window_s=args.batch_window,
     )
     return run_server(config)
 
@@ -682,14 +666,13 @@ def _format_bytes(n: int) -> str:
 
 def _cmd_store(args) -> int:
     """Capture-store maintenance: per-shard stats + offline eviction."""
-    from .engine.capture_store import ShardedCaptureStore, detect_shard_prefix
+    from .engine.capture_store import CaptureStore
 
     root = pathlib.Path(args.dir)
     if not root.is_dir():
         print(f"error: {root} is not a directory", file=sys.stderr)
         return 2
-    prefix = args.prefix or detect_shard_prefix(root) or 1
-    store = ShardedCaptureStore(root, prefix=prefix)
+    store = CaptureStore(root)
     if args.store_command == "prune":
         if args.dry_run:
             entries = store.entries()
@@ -710,15 +693,12 @@ def _cmd_store(args) -> int:
     shard_stats = store.shard_stats()
     entries = store.entries()
     total = sum(size for _, size, _ in entries)
-    print(f"== capture store: {root} (shard prefix {prefix}, "
-          f"{len(entries)} entry(ies), {_format_bytes(total)}) ==")
+    print(f"== capture store: {root} ({len(entries)} entry(ies), "
+          f"{_format_bytes(total)}) ==")
     if shard_stats:
-        width = max(len("shard"), *(len(s or "(flat)") for s in shard_stats))
-        print(f"{'shard':<{width}}  {'entries':>8}  {'bytes':>12}")
-        for shard in sorted(shard_stats):
-            bucket = shard_stats[shard]
-            print(f"{shard or '(flat)':<{width}}  "
-                  f"{bucket['entries']:>8}  "
+        print(f"{'shard':<5}  {'entries':>8}  {'bytes':>12}")
+        for shard, bucket in sorted(shard_stats.items()):
+            print(f"{shard:<5}  {bucket['entries']:>8}  "
                   f"{_format_bytes(bucket['bytes']):>12}")
     corrupt_count, corrupt_size = store.corrupt_bytes()
     print(f".corrupt/ quarantine: {corrupt_count} file(s), "
@@ -758,10 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--out", default=None, help="also write the table here")
     p_exp.add_argument("--plot", action="store_true",
                        help="render an ASCII chart of the average rows")
-    p_exp.add_argument("--emit-metrics", metavar="PATH", default=None,
-                       dest="emit_metrics",
-                       help="write per-frame metrics JSONL here "
-                            "(alias of --metrics)")
     _add_session_args(p_exp)
     _add_engine_args(p_exp)
     _add_obs_args(p_exp)
@@ -879,15 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=64, metavar="N",
                        help="largest request batch one engine dispatch "
                             "coalesces (default 64)")
-    p_srv.add_argument("--batch-window", type=float, dest="batch_window",
-                       default=0.0, metavar="SECONDS",
-                       help="extra wait for stragglers after the first "
-                            "queued request (default 0 = drain-only "
-                            "batching, lone clients never delayed)")
-    p_srv.add_argument("--store-prefix", type=int, dest="store_prefix",
-                       default=1, metavar="HEXCHARS",
-                       help="capture-store shard prefix width "
-                            "(default 1 = 16 shards)")
     p_srv.add_argument("--store-max-bytes", type=int,
                        dest="store_max_bytes", default=None,
                        metavar="BYTES",
@@ -908,9 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="per-shard entry counts/bytes + quarantine size"
     )
     p_sstats.add_argument("dir", help="capture store directory")
-    p_sstats.add_argument("--prefix", type=int, default=None,
-                          metavar="HEXCHARS",
-                          help="shard prefix width (default: detected)")
     p_sprune = store_sub.add_parser(
         "prune", help="apply the size-bounded LRU eviction offline"
     )
@@ -919,9 +883,6 @@ def build_parser() -> argparse.ArgumentParser:
                           dest="max_bytes", metavar="BYTES",
                           help="evict oldest entries until the store "
                                "fits this budget")
-    p_sprune.add_argument("--prefix", type=int, default=None,
-                          metavar="HEXCHARS",
-                          help="shard prefix width (default: detected)")
     p_sprune.add_argument("--dry-run", action="store_true", dest="dry_run",
                           help="report what would be evicted, delete "
                                "nothing")

@@ -102,10 +102,6 @@ class MemoryConfig:
         ) <= 0:
             raise ConfigError(f"memory parameters must be positive: {self}")
 
-    @property
-    def peak_bandwidth_bytes_per_cycle(self) -> int:
-        return self.bytes_per_cycle
-
 
 @dataclass(frozen=True)
 class TextureUnitConfig:

@@ -15,10 +15,7 @@ from __future__ import annotations
 from .capture_store import (
     STORE_VERSION,
     CaptureStore,
-    ShardedCaptureStore,
     capture_spec,
-    detect_shard_prefix,
-    make_store,
     spec_digest,
 )
 from .jobs import (
@@ -44,10 +41,7 @@ from .worker import (
 __all__ = [
     "STORE_VERSION",
     "CaptureStore",
-    "ShardedCaptureStore",
     "capture_spec",
-    "detect_shard_prefix",
-    "make_store",
     "spec_digest",
     "DEFAULT_CONFIG",
     "KIND_CAPTURE",

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from dataclasses import replace as dataclasses_replace
 
 from ..config import BASELINE_CONFIG, GpuConfig
-from ..engine.capture_store import CaptureStore, StoreStats, make_store
+from ..engine.capture_store import CaptureStore, StoreStats
 from ..engine.jobs import (
     DEFAULT_CONFIG,
     DEFAULT_VARIANT,
@@ -186,13 +186,12 @@ class ExperimentContext:
     ``jobs`` is how many worker threads :meth:`execute` runs planned
     jobs on (1 = all on the calling thread; the output is the same);
     ``capture_cache`` attaches a persistent on-disk capture store,
-    either a store object or a directory, which is opened sharded
-    (:func:`~repro.engine.capture_store.make_store` with ``prefix=1``,
-    the layout ``repro serve`` uses too). With ``checkpoint_path`` set,
-    every completed job's metrics dict is persisted (atomically, every
-    ``checkpoint_every`` new evaluations and at each experiment end)
-    and :meth:`load_checkpoint` seeds the cache so resumed sweeps skip
-    checkpointed evaluations entirely.
+    either a :class:`~repro.engine.capture_store.CaptureStore` or a
+    directory to open as one, the layout every command shares. With
+    ``checkpoint_path`` set, every completed job's metrics dict is
+    persisted (atomically, every ``checkpoint_every`` new evaluations
+    and at each experiment end) and :meth:`load_checkpoint` seeds the
+    cache so resumed sweeps skip checkpointed evaluations entirely.
 
     Thread safety: the work items of :meth:`execute` call only
     :meth:`load_capture` and :meth:`evaluate`, which write no context
@@ -241,9 +240,7 @@ class ExperimentContext:
         if isinstance(capture_cache, CaptureStore):
             self._store: "CaptureStore | None" = capture_cache
         else:
-            self._store = (
-                make_store(capture_cache, prefix=1) if capture_cache else None
-            )
+            self._store = CaptureStore(capture_cache) if capture_cache else None
         self.engine = Engine(self)
 
     # -- engine façade --------------------------------------------------

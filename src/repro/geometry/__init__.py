@@ -23,12 +23,11 @@ from .camera import Camera
 from .tessellation import tessellate
 from .clipping import clip_triangles_near
 from .culling import cull_backfaces
-from .tiling import Tile, TilingEngine
+from .tiling import TilingEngine
 
 __all__ = [
     "Camera",
     "Mesh",
-    "Tile",
     "TilingEngine",
     "TransformedTriangles",
     "VertexBuffer",

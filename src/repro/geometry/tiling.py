@@ -17,26 +17,6 @@ import numpy as np
 from ..errors import GeometryError
 
 
-@dataclass(frozen=True)
-class Tile:
-    """One screen tile: grid coordinates and pixel bounds (half-open)."""
-
-    tx: int
-    ty: int
-    x0: int
-    y0: int
-    x1: int
-    y1: int
-
-    @property
-    def width(self) -> int:
-        return self.x1 - self.x0
-
-    @property
-    def height(self) -> int:
-        return self.y1 - self.y0
-
-
 @dataclass
 class TilingStats:
     """Counters produced by one binning pass."""
@@ -130,64 +110,19 @@ class TilingEngine:
         self.tiles_y = (height + tile_size - 1) // tile_size
         self.stats = TilingStats()
 
-    @property
-    def num_tiles(self) -> int:
-        return self.tiles_x * self.tiles_y
-
-    def tile(self, tx: int, ty: int) -> Tile:
-        """Return the tile at grid position ``(tx, ty)``, clamped to the screen."""
-        if not (0 <= tx < self.tiles_x and 0 <= ty < self.tiles_y):
-            raise GeometryError(f"tile ({tx}, {ty}) outside grid")
-        x0 = tx * self.tile_size
-        y0 = ty * self.tile_size
-        return Tile(
-            tx=tx,
-            ty=ty,
-            x0=x0,
-            y0=y0,
-            x1=min(x0 + self.tile_size, self.width),
-            y1=min(y0 + self.tile_size, self.height),
-        )
-
-    def iter_tiles(self):
-        """Yield all tiles in raster (row-major) scheduling order."""
-        for ty in range(self.tiles_y):
-            for tx in range(self.tiles_x):
-                yield self.tile(tx, ty)
-
-    def bin_triangles(self, screen_xy: np.ndarray) -> "dict[tuple[int, int], list[int]]":
+    def bin_triangles_csr(
+        self, screen_xy: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
         """Bin triangles (``(m, 3, 2)`` screen-space corners) into tiles.
 
         Binning is conservative: a triangle lands in every tile its
-        bounding box overlaps, as in real tiling hardware.
+        bounding box overlaps, as in real tiling hardware. Returns the
+        flat (tile_id, triangle) pair arrays, triangle-major, with
+        row-major tile ids (``ty * tiles_x + tx``).
         """
         screen_xy = np.asarray(screen_xy, dtype=np.float64)
         if screen_xy.ndim != 3 or screen_xy.shape[1:] != (3, 2):
             raise GeometryError(f"screen_xy must be (m, 3, 2), got {screen_xy.shape}")
-        tile_ids, tri_ids = self.bin_triangles_csr(screen_xy)
-        bins: "dict[tuple[int, int], list[int]]" = {}
-        if tile_ids.size:
-            order = np.argsort(tile_ids, kind="stable")
-            tile_sorted = tile_ids[order]
-            tri_sorted = tri_ids[order]
-            boundaries = np.nonzero(np.diff(tile_sorted))[0] + 1
-            starts = np.concatenate([[0], boundaries, [tile_sorted.size]])
-            for s, e in zip(starts[:-1], starts[1:]):
-                tid = int(tile_sorted[s])
-                key = (tid % self.tiles_x, tid // self.tiles_x)
-                bins[key] = tri_sorted[s:e].tolist()
-        return bins
-
-    def bin_triangles_csr(
-        self, screen_xy: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Vectorized binning: (tile_id, triangle) pairs, triangle-major.
-
-        Same conservative bbox-overlap semantics as :meth:`bin_triangles`
-        (and the same stats side effects), but returns the flat pair
-        arrays directly instead of materializing per-tile lists.
-        """
-        screen_xy = np.asarray(screen_xy, dtype=np.float64)
         mins = screen_xy.min(axis=1)
         maxs = screen_xy.max(axis=1)
         ts = self.tile_size

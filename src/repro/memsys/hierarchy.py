@@ -30,10 +30,6 @@ class HierarchyStats:
     dram: DramStats = field(default_factory=DramStats)
 
     @property
-    def texel_reads(self) -> int:
-        return self.l1.accesses
-
-    @property
     def dram_bytes(self) -> int:
         return self.dram.bytes_fetched
 

@@ -43,7 +43,3 @@ class Framebuffer:
         """Rec. 601 luma of the frame, the channel SSIM operates on."""
         r, g, b = self.color[..., 0], self.color[..., 1], self.color[..., 2]
         return 0.299 * r + 0.587 * g + 0.114 * b
-
-    def as_array(self) -> np.ndarray:
-        """Return a copy of the RGBA image."""
-        return self.color.copy()

@@ -8,8 +8,8 @@ Architecture (see ``docs/architecture.md``)::
                                                      │
                                     engine thread: ctx.execute(batch)
                                        │                    │
-                               --jobs N worker        sharded capture
-                                   threads                 store
+                               --jobs N worker          capture
+                                   threads               store
 
 The front-end accepts any number of concurrent connections and speaks
 the JSON-lines protocol of :mod:`repro.service.protocol`. Each
@@ -46,7 +46,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from ..engine.capture_store import make_store, spec_digest
+from ..engine.capture_store import CaptureStore, spec_digest
 from ..engine.jobs import KIND_CAPTURE, dedupe_jobs
 from ..errors import AdmissionError, ProtocolError, ReproError
 from ..experiments.runner import ExperimentContext
@@ -75,15 +75,9 @@ class ServeConfig:
     scale: float = 0.25
     jobs: int = 1
     store_root: "str | None" = None
-    store_prefix: int = 1
     store_max_bytes: "int | None" = None
     max_pending: int = DEFAULT_MAX_PENDING
     max_batch: int = DEFAULT_MAX_BATCH
-    #: Extra seconds the batcher waits for stragglers after the first
-    #: queued request. 0 (default) = drain-only batching: requests
-    #: that arrive while the engine is busy form the next batch, and a
-    #: lone sequential client is never delayed.
-    batch_window_s: float = 0.0
 
 
 @dataclass
@@ -107,19 +101,15 @@ class RenderService:
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        store = None
-        if config.store_root:
-            store = make_store(
-                config.store_root,
-                prefix=config.store_prefix,
-                max_bytes=config.store_max_bytes,
-            )
-        self.store = store
+        self.store = (
+            CaptureStore(config.store_root, max_bytes=config.store_max_bytes)
+            if config.store_root else None
+        )
         self.ctx = ExperimentContext(
             scale=config.scale,
             frames=1,
             jobs=config.jobs,
-            capture_cache=store,
+            capture_cache=self.store,
         )
         self.admission = AdmissionController(config.max_pending)
         self.counters = ServiceCounters()
@@ -268,8 +258,6 @@ class RenderService:
         loop = asyncio.get_running_loop()
         while True:
             batch = [await self._queue.get()]
-            if self.config.batch_window_s > 0:
-                await asyncio.sleep(self.config.batch_window_s)
             while len(batch) < self.config.max_batch:
                 try:
                     batch.append(self._queue.get_nowait())
@@ -352,11 +340,8 @@ class RenderService:
                 "writes": stats.writes,
                 "corrupt": stats.corrupt,
                 "evictions": stats.evictions,
-                "readthrough": stats.readthrough,
             }
-            shard_stats = getattr(self.store, "shard_stats", None)
-            if shard_stats is not None:
-                payload["shards"] = shard_stats()
+            payload["shards"] = self.store.shard_stats()
         return payload
 
 

@@ -68,9 +68,6 @@ class TextureLayout:
             self._level_tiles_x.append(np.asarray(tiles, dtype=np.int64))
         self.total_bytes = cursor
 
-    def num_textures(self) -> int:
-        return len(self.chains)
-
     def texel_addresses(
         self,
         tex_index: int,

@@ -42,10 +42,6 @@ class FootprintInfo:
     major_du: np.ndarray  # full-footprint major-axis extent, normalized u
     major_dv: np.ndarray
 
-    @property
-    def num_fragments(self) -> int:
-        return self.n.shape[0]
-
 
 def compute_footprints(
     dudx: np.ndarray,

@@ -43,9 +43,5 @@ class Texture2D:
     def height(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def num_texels(self) -> int:
-        return self.width * self.height
-
     def __repr__(self) -> str:
         return f"Texture2D({self.name!r}, {self.width}x{self.height})"

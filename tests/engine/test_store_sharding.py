@@ -1,5 +1,6 @@
-"""Tests for the sharded capture store: layout, read-through, LRU."""
+"""Tests for the capture store's one layout: width-1 shards, LRU."""
 
+import asyncio
 import os
 import sys
 import threading
@@ -8,9 +9,7 @@ import pytest
 
 from repro.engine.capture_store import (
     CaptureStore,
-    ShardedCaptureStore,
     capture_spec,
-    detect_shard_prefix,
     make_store,
     spec_digest,
 )
@@ -25,7 +24,16 @@ def _spec(workload: str, frame: int = 0):
 
 @pytest.fixture
 def store(tmp_path):
-    return ShardedCaptureStore(tmp_path / "captures", prefix=1)
+    return CaptureStore(tmp_path / "captures")
+
+
+def _plant_root_entry(store, spec, capture):
+    """Put a valid entry for ``spec`` at the store root, where the
+    unsharded layout of older stores kept it."""
+    home = store.put(spec, capture)
+    root_entry = store.root / home.name
+    os.replace(home, root_entry)
+    return root_entry
 
 
 class TestLayout:
@@ -35,66 +43,51 @@ class TestLayout:
         assert path.parent.name == spec_digest(spec)[:1]
         assert path.parent.parent == store.root
 
-    def test_prefix_widths(self, tmp_path, capture):
-        for prefix in (1, 2, 4):
-            root = tmp_path / f"p{prefix}"
-            wide = ShardedCaptureStore(root, prefix=prefix)
-            spec = _spec("a")
-            assert wide.put(spec, capture).parent.name == (
-                spec_digest(spec)[:prefix]
-            )
-
-    @pytest.mark.parametrize("prefix", [0, 5, -1])
+    @pytest.mark.parametrize("prefix", [0, 2, 5, -1])
     def test_bad_prefix_rejected(self, tmp_path, prefix):
         with pytest.raises(PipelineError):
-            ShardedCaptureStore(tmp_path, prefix=prefix)
+            make_store(tmp_path, prefix=prefix)
 
-    def test_len_spans_shards_and_flat_entries(self, store, capture):
+    def test_root_entries_are_not_store_entries(self, store, capture):
         store.put(_spec("a"), capture)
         store.put(_spec("b"), capture)
-        # plant one flat legacy entry
-        flat = store.root / "legacy-f0-0000000000000000.npz"
-        flat.parent.mkdir(parents=True, exist_ok=True)
-        flat.write_bytes(b"x")
-        assert len(store) == 3
+        _plant_root_entry(store, _spec("c"), capture)
+        assert len(store) == 2
+        assert all(path.parent != store.root for path, _, _ in store.entries())
+        shards = store.shard_stats()
+        assert "" not in shards
+        assert sum(bucket["entries"] for bucket in shards.values()) == 2
 
 
 class TestReadThrough:
+    """There is no read-through: a lookup reads its home shard only."""
+
     def test_home_hit(self, store, capture):
         spec = _spec("a")
-        store.put(spec, capture)
+        home = store.put(spec, capture)
         assert store.get(spec) is not None
-        assert store.stats.hits == 1 and store.stats.readthrough == 0
-
-    def test_flat_legacy_entry_found_and_promoted(self, store, capture):
-        """An entry written by the old flat layout is found by lookup
-        and migrated into its home shard on first hit."""
-        spec = _spec("a")
-        home = store.path_for(spec)
-        flat_store = CaptureStore(store.root)
-        flat_store.put(spec, capture)
-        assert (store.root / home.name).exists()
-
-        assert store.get(spec) is not None
-        assert store.stats.readthrough == 1
-        assert home.exists()
-        assert not (store.root / home.name).exists()  # promoted away
-
-    def test_foreign_shard_entry_found_and_promoted(self, store, capture):
-        spec = _spec("a")
-        home = store.path_for(spec)
-        store.put(spec, capture)
-        foreign = store.root / ("0" if home.parent.name != "0" else "1")
-        foreign.mkdir()
-        os.replace(home, foreign / home.name)
-
-        assert store.get(spec) is not None
-        assert store.stats.readthrough == 1
-        assert home.exists() and not (foreign / home.name).exists()
+        assert (store.stats.hits, store.stats.misses) == (1, 0)
+        assert store.shard_traffic == {
+            home.parent.name: {"hits": 1, "misses": 0}
+        }
 
     def test_true_miss_counts_once(self, store):
         assert store.get(_spec("nothing")) is None
-        assert store.stats.misses == 1 and store.stats.readthrough == 0
+        assert (store.stats.hits, store.stats.misses) == (0, 1)
+
+    def test_root_entry_is_a_miss_and_stays_put(self, store, capture):
+        """An entry at the root misses once; the re-rendered capture
+        lands in its shard and hits from then on."""
+        spec = _spec("a")
+        root_entry = _plant_root_entry(store, spec, capture)
+        assert store.get(spec) is None
+        assert (store.stats.hits, store.stats.misses) == (0, 1)
+        assert root_entry.exists()  # neither moved nor counted
+        assert not store.path_for(spec).exists()
+
+        store.put(spec, capture)
+        assert store.get(spec) is not None
+        assert store.stats.hits == 1
 
 
 def _shard_totals(store) -> int:
@@ -120,16 +113,19 @@ class TestCorruptEntries:
     def test_corrupt_readthrough_entry_is_not_a_readthrough(
         self, store, capture
     ):
+        """A corrupt file where read-through once looked (the store
+        root) is never read: a plain miss, and nothing is quarantined."""
         spec = _spec("a")
         home = store.path_for(spec)
-        CaptureStore(store.root).put(spec, capture)
-        (store.root / home.name).write_bytes(b"not an npz")
+        planted = store.root / home.name
+        planted.write_bytes(b"not an npz")
 
         assert store.get(spec) is None
         assert (store.stats.hits, store.stats.misses) == (0, 1)
-        assert store.stats.corrupt == 1 and store.stats.readthrough == 0
-        assert store.shard_traffic[home.parent.name]["hits"] == 0
-        assert _shard_totals(store) == store.stats.hits + store.stats.misses
+        assert store.stats.corrupt == 0 and planted.exists()
+        assert store.shard_traffic == {
+            home.parent.name: {"hits": 0, "misses": 1}
+        }
 
 
 class TestEviction:
@@ -156,12 +152,10 @@ class TestEviction:
         assert path_a.exists() and not path_b.exists()
 
     def test_bounded_put_prunes_but_keeps_fresh_entry(self, tmp_path, capture):
-        entry_bytes = ShardedCaptureStore(tmp_path / "probe", prefix=1).put(
+        entry_bytes = CaptureStore(tmp_path / "probe").put(
             _spec("probe"), capture
         ).stat().st_size
-        store = ShardedCaptureStore(
-            tmp_path / "captures", prefix=1, max_bytes=entry_bytes
-        )
+        store = CaptureStore(tmp_path / "captures", max_bytes=entry_bytes)
         self_sized = store.put(_spec("a"), capture)
         os.utime(self_sized, (1_000, 1_000))
         fresh = store.put(_spec("b"), capture)
@@ -188,15 +182,11 @@ class TestObservability:
         miss_shard = spec_digest(_spec("nothing"))[:1]
         assert stats[miss_shard]["misses"] == 1
 
-    def test_flat_entries_report_as_pseudo_shard(self, store, capture):
-        CaptureStore(store.root).put(_spec("a"), capture)
-        assert "" in store.shard_stats()
-
 
 class TestThreads:
     def test_concurrent_lookups_lose_no_count(self, store):
         """Worker threads share one store: under a short switch interval
-        no hit/miss update of the flat or per-shard counters is lost."""
+        no hit/miss update of the store-wide or per-shard counters is lost."""
         workers, rounds = 8, 300
         barrier = threading.Barrier(workers)
 
@@ -224,20 +214,31 @@ class TestThreads:
 
 
 class TestFactory:
-    def test_prefix_zero_builds_flat_store(self, tmp_path):
-        store = make_store(tmp_path)
-        assert type(store) is CaptureStore
-
     def test_prefix_builds_sharded_store(self, tmp_path):
-        store = make_store(tmp_path, prefix=2, max_bytes=1024)
-        assert isinstance(store, ShardedCaptureStore)
-        assert store.prefix == 2 and store.max_bytes == 1024
+        store = make_store(tmp_path, prefix=1, max_bytes=1024)
+        assert type(store) is CaptureStore
+        assert store.max_bytes == 1024
 
-    def test_detect_shard_prefix(self, tmp_path, capture):
-        assert detect_shard_prefix(tmp_path / "missing") == 0
-        flat = tmp_path / "flat"
-        CaptureStore(flat).put(_spec("a"), capture)
-        assert detect_shard_prefix(flat) == 0
-        sharded = tmp_path / "sharded"
-        ShardedCaptureStore(sharded, prefix=2).put(_spec("a"), capture)
-        assert detect_shard_prefix(sharded) == 2
+    def test_every_opener_builds_exactly_a_capture_store(self, tmp_path):
+        """``perfbench/tracing.py`` wraps ``get``/``put`` of the store
+        class; a store of any subclass would be timed twice per call."""
+        from repro.experiments.runner import ExperimentContext
+        from repro.service.server import RenderService, ServeConfig
+
+        async def served_store():
+            service = RenderService(ServeConfig(
+                scale=0.07, store_root=str(tmp_path / "served"),
+            ))
+            try:
+                return service.store, service.ctx.capture_store
+            finally:
+                await service.aclose()
+
+        served, served_ctx = asyncio.run(served_store())
+        context = ExperimentContext(
+            scale=0.07, capture_cache=tmp_path / "context"
+        ).capture_store
+        opened = make_store(tmp_path / "factory")
+        for store in (opened, context, served):
+            assert type(store) is CaptureStore
+        assert served_ctx is served

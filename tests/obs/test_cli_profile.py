@@ -74,7 +74,7 @@ def test_experiment_emit_metrics(tmp_path, capsys):
     metrics = tmp_path / "m.jsonl"
     rc = main([
         "experiment", "fig19", "--frames", "1", "--scale", "0.05",
-        "--workloads", "HL2-640x480", "--emit-metrics", str(metrics),
+        "--workloads", "HL2-640x480", "--metrics", str(metrics),
     ])
     assert rc == 0
     records = read_metrics_jsonl(metrics)

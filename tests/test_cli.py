@@ -70,7 +70,6 @@ class TestServeWorkerParser:
         assert args.command == "serve"
         assert args.port == 7070
         assert args.jobs == 1
-        assert args.store_prefix == 1
         assert args.max_batch == 64
 
     @pytest.mark.parametrize("argv", [
@@ -88,6 +87,11 @@ class TestServeWorkerParser:
                           ["profile", "hl2"], ["serve"])
           for flag in ("--chaos-worker-kill", "--chaos-worker-hang",
                        "--chaos-chunk-corrupt")),
+        ["serve", "--batch-window", "0.1"],
+        ["serve", "--store-prefix", "1"],
+        ["store", "stats", "DIR", "--prefix", "1"],
+        ["store", "prune", "DIR", "--max-bytes", "1", "--prefix", "1"],
+        ["experiment", "fig17", "--emit-metrics", "m.jsonl"],
     ])
     def test_removed_options_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -98,10 +102,11 @@ class TestServeWorkerParser:
 
 class TestCaptureCacheLayout:
     def test_experiment_hits_entries_serve_migrated(self, tmp_path, capsys):
-        """``experiment`` and ``serve`` open one store layout: after a
-        sharded lookup (what ``serve`` does) moved the entry, a second
-        experiment still loads it instead of rendering it again."""
-        from repro.engine.capture_store import make_store
+        """``experiment`` and ``serve`` open one store layout: a lookup
+        through ``serve``'s store hits the entry an experiment wrote,
+        and a second experiment loads it instead of rendering it
+        again."""
+        from repro.engine.capture_store import CaptureStore
         from repro.experiments.runner import ExperimentContext
 
         cache = tmp_path / "captures"
@@ -112,22 +117,49 @@ class TestCaptureCacheLayout:
         spec = ExperimentContext(scale=0.0625).capture_spec(
             "wolf-640x480", 0, CaptureVariant()
         )
-        assert make_store(cache, prefix=1).get(spec) is not None
+        assert CaptureStore(cache).get(spec) is not None
         capsys.readouterr()
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert "capture store: 1 hit(s), 0 miss(es), 0 write(s)" in err, err
 
+    @pytest.mark.parametrize("argv, request_name", [
+        (["fuzz@3", "--scale", "0.25"], "fuzz@3"),
+        (["hl2", "--scale", "0.05"], "HL2-640x480"),
+    ])
+    def test_profile_keys_captures_by_request_name(
+        self, tmp_path, capsys, argv, request_name
+    ):
+        """``profile`` stores a frame under the name every other command
+        looks it up by: the request itself for generated workloads, the
+        resolved game name for an abbreviation."""
+        from repro.experiments.runner import ExperimentContext
+
+        cache = tmp_path / "captures"
+        scale = float(argv[-1])
+        assert main(["profile", *argv, "--frames", "1",
+                     "--capture-cache", str(cache), "--no-ledger",
+                     "--trace", str(tmp_path / "t.json"),
+                     "--metrics", str(tmp_path / "m.jsonl")]) == 0
+        err = capsys.readouterr().err
+        assert "capture store: 0 hit(s), 1 miss(es), 1 write(s)" in err, err
+
+        ctx = ExperimentContext(scale=scale, capture_cache=cache)
+        ctx.capture(request_name, 0)
+        assert str(ctx.capture_store_stats()) == (
+            "1 hit(s), 0 miss(es), 0 write(s)"
+        )
+
 
 class TestStoreCommand:
     def _populated_store(self, tmp_path):
-        from repro.engine.capture_store import ShardedCaptureStore
+        from repro.engine.capture_store import CaptureStore
         root = tmp_path / "captures"
-        store = ShardedCaptureStore(root, prefix=2)
-        shard = root / "ab"
+        store = CaptureStore(root)
+        shard = root / "a"
         shard.mkdir(parents=True)
-        (shard / "w-f0-ab00000000000000.npz").write_bytes(b"x" * 2048)
-        (shard / "w-f1-ab11111111111111.npz").write_bytes(b"y" * 2048)
+        (shard / "w-f0-a000000000000000.npz").write_bytes(b"x" * 2048)
+        (shard / "w-f1-a111111111111111.npz").write_bytes(b"y" * 2048)
         corrupt = root / ".corrupt"
         corrupt.mkdir()
         (corrupt / "bad.npz").write_bytes(b"z" * 512)
@@ -137,10 +169,22 @@ class TestStoreCommand:
         root, _store = self._populated_store(tmp_path)
         assert main(["store", "stats", str(root)]) == 0
         out = capsys.readouterr().out
-        assert "shard prefix 2" in out  # width auto-detected
-        assert "ab" in out
         assert "2 entry(ies)" in out
+        assert any(line.split()[:2] == ["a", "2"] for line in out.splitlines())
         assert ".corrupt/ quarantine: 1 file(s)" in out
+
+    def test_stats_ignores_root_and_wide_shard_entries(self, tmp_path, capsys):
+        """Only one-hex-char shard directories hold entries: files at the
+        root or in wider directories are not counted."""
+        root, _store = self._populated_store(tmp_path)
+        (root / "w-f2-a222222222222222.npz").write_bytes(b"r" * 2048)
+        (root / "ab").mkdir()
+        (root / "ab" / "w-f3-ab33333333333333.npz").write_bytes(b"w" * 2048)
+        assert main(["store", "stats", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "2 entry(ies)" in out
+        shard_rows = out.splitlines()[2:-1]
+        assert [row.split()[0] for row in shard_rows] == ["a"]
 
     def test_missing_directory_fails_cleanly(self, tmp_path, capsys):
         assert main(["store", "stats", str(tmp_path / "nope")]) == 2
