@@ -50,10 +50,7 @@ reported on stderr.
 Resilience (see ``docs/resilience.md``): ``experiment``/``report``
 accept ``--checkpoint PATH`` to persist evaluated design points and
 ``--resume`` to continue an interrupted sweep (SIGINT flushes the
-checkpoint before exiting with status 130); ``--inject-faults`` (with
-``--fault-rate``/``--fault-seed``) exercises the graceful-degradation
-paths with deterministic corruption, and runs every job on the main
-thread so the corruption is the same at any ``--jobs``.
+checkpoint before exiting with status 130).
 """
 
 from __future__ import annotations
@@ -84,7 +81,7 @@ from .obs.trends import (
     DEFAULT_TIME_FLOOR,
     DEFAULT_WINDOW,
 )
-from .resilience import DEFAULT_MAX_PENDING, FAULTS, FaultPlan
+from .resilience import DEFAULT_MAX_PENDING
 from .quality.imageio import write_pgm, write_ppm
 from .quality.ssim import ssim_map
 from .renderer.session import RenderSession
@@ -209,19 +206,6 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
                         help="per-stage progress lines on stderr")
 
 
-def _add_fault_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--inject-faults", action="store_true",
-                        dest="inject_faults",
-                        help="enable deterministic fault injection "
-                             "(texel/hash/count-tag/fetch corruption)")
-    parser.add_argument("--fault-rate", type=float, default=0.01,
-                        dest="fault_rate", metavar="RATE",
-                        help="per-site fault probability (default 0.01)")
-    parser.add_argument("--fault-seed", type=int, default=0,
-                        dest="fault_seed", metavar="SEED",
-                        help="seed for the fault injector (default 0)")
-
-
 def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--checkpoint", metavar="PATH", default=None,
                         help="persist evaluated design points here "
@@ -240,31 +224,6 @@ def _checkpoint_path(args) -> "str | None":
     if path is None and getattr(args, "resume", False):
         path = DEFAULT_CHECKPOINT
     return path
-
-
-def _faults_begin(args) -> None:
-    """Arm the fault injector from the parsed flags."""
-    if not getattr(args, "inject_faults", False):
-        return
-    # Degradation counters live in telemetry; a faulted run without
-    # --trace/--metrics still wants them, so arm telemetry too.
-    if not TELEMETRY.enabled:
-        TELEMETRY.reset()
-        TELEMETRY.enabled = True
-    FAULTS.configure(FaultPlan.uniform(args.fault_rate, seed=args.fault_seed))
-    _info(f"fault injection on: rate {args.fault_rate:g}, "
-          f"seed {args.fault_seed}")
-
-
-def _faults_end(args) -> None:
-    """Report what the injector did, then disarm it."""
-    if getattr(args, "inject_faults", False) and FAULTS.enabled:
-        degraded = TELEMETRY.counter_value("resilience.degraded_pixels")
-        fallback = TELEMETRY.counter_value("resilience.fallback_af_pixels")
-        _info(f"fault injection: {FAULTS.total_injected} fault(s) "
-              f"injected, {degraded:g} pixel prediction(s) degraded, "
-              f"{fallback:g} pixel(s) fell back to exact AF")
-    FAULTS.disable()
 
 
 def _resume_begin(args, ctx: ExperimentContext) -> None:
@@ -743,7 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_args(p_exp)
     _add_ledger_args(p_exp)
     _add_checkpoint_args(p_exp)
-    _add_fault_args(p_exp)
 
     p_render = sub.add_parser("render", help="render a frame to image files")
     p_render.add_argument("workload")
@@ -773,7 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_args(p_rep)
     _add_ledger_args(p_rep)
     _add_checkpoint_args(p_rep)
-    _add_fault_args(p_rep)
 
     p_ver = sub.add_parser(
         "verify",
@@ -833,7 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write per-frame AF-SSIM heatmaps here "
                              "(npz + png per frame)")
     _add_ledger_args(p_prof)
-    _add_fault_args(p_prof)
 
     p_srv = sub.add_parser(
         "serve",
@@ -863,7 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_session_args(p_srv)
     _add_engine_args(p_srv)
     _add_obs_args(p_srv)
-    _add_fault_args(p_srv)
 
     p_store = sub.add_parser(
         "store",
@@ -943,9 +898,6 @@ def main(argv=None) -> int:
     _obs_begin(args)
     rc = 0
     try:
-        # inside the try: a bad --fault-rate value must exit through
-        # the `error: ...` path like any other ReproError
-        _faults_begin(args)
         rc = handlers[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -959,7 +911,6 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         rc = 0
     finally:
-        _faults_end(args)
         # The ledger record must capture telemetry before _obs_end
         # disarms it.
         _ledger_end(args, argv, rc, started)

@@ -27,7 +27,6 @@ import numpy as np
 
 from ..errors import ReproError
 from ..obs import TELEMETRY
-from ..resilience.faults import FAULTS
 from ..resilience.guards import safe_anisotropy
 from .predictor import PredictionResult, TwoStagePredictor
 from .scenarios import Scenario
@@ -121,9 +120,6 @@ class PerceptionAwareTextureUnit:
                 hash-table contents.
         """
         n = np.asarray(n, dtype=np.int64)
-        if FAULTS.enabled:
-            # Bit-flipped count tags: the controller sees corrupted N.
-            n = FAULTS.corrupt_n(n, "patu.count_tags")
         with TELEMETRY.span("patu.decide", pixels=int(n.size)):
             pred = self._predictor.predict(n, txds)
             # Degraded pixels (corrupted N or Txds) fall back to exact

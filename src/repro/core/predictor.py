@@ -17,7 +17,6 @@ import numpy as np
 
 from ..errors import ReproError
 from ..obs import TELEMETRY
-from ..resilience.faults import FAULTS
 from ..resilience.guards import safe_anisotropy, safe_txds
 from .af_ssim import af_ssim_n, af_ssim_txds
 from .scenarios import Scenario
@@ -98,16 +97,12 @@ class TwoStagePredictor:
             txds: texel distribution similarity in [0, 1].
 
         Corrupted predictor state (non-finite or out-of-domain ``N`` /
-        ``Txds``, e.g. from a faulted hash table or a bit-flipped count
-        tag) never raises and never produces NaN: the affected pixels
+        ``Txds``, e.g. from a corrupt capture file or a direct API
+        caller) never raises and never produces NaN: the affected pixels
         are sanitized, marked ``degraded`` and excluded from both
         approximation stages, so they fall back to exact AF.
         """
         n = np.asarray(n)
-        if FAULTS.enabled:
-            txds = FAULTS.corrupt_txds(
-                np.asarray(txds, dtype=np.float64), "predictor.hash_table"
-            )
         txds = np.asarray(txds, dtype=np.float64)
         if n.shape != txds.shape:
             raise ReproError(f"N and Txds shapes differ: {n.shape} vs {txds.shape}")

@@ -163,14 +163,15 @@ class CaptureStore:
         A corrupt entry is quarantined and counts as a miss, in the
         store's and its shard's counters alike.
         """
-        path = self.path_for(spec)
-        capture = None
-        if path.exists():
-            self._touch(path)
-            capture = self._load(path)
-        self._count(
-            "hits" if capture is not None else "misses", path.parent.name
-        )
+        with TELEMETRY.span("store.get"):
+            path = self.path_for(spec)
+            capture = None
+            if path.exists():
+                self._touch(path)
+                capture = self._load(path)
+            self._count(
+                "hits" if capture is not None else "misses", path.parent.name
+            )
         return capture
 
     def _load(self, path: pathlib.Path) -> "FrameCapture | None":
@@ -225,12 +226,15 @@ class CaptureStore:
         Compressed entries from older runs still load fine. With
         ``max_bytes`` set, older entries are then evicted to fit.
         """
-        path = self.path_for(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(path, capture_to_npz_bytes(capture, compress=False))
-        self._count("writes")
-        if self.max_bytes is not None:
-            self.prune(self.max_bytes, keep=path)
+        with TELEMETRY.span("store.put"):
+            path = self.path_for(spec)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            atomic_write_bytes(
+                path, capture_to_npz_bytes(capture, compress=False)
+            )
+            self._count("writes")
+            if self.max_bytes is not None:
+                self.prune(self.max_bytes, keep=path)
         return path
 
     def prune(

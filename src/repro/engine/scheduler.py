@@ -18,10 +18,7 @@ passes that dominate both waves. Work items only compute. Every cache,
 checkpoint, failure and report update is applied on the calling thread,
 in planned order, as the results arrive. ``--jobs N`` output therefore
 equals serial output by construction, and after ``execute()`` the
-context's accessors are cache reads on every backend. While the fault
-injector is armed the waves stay on the calling thread whatever
-``jobs`` says, because injection is reproducible only for a fixed call
-order.
+context's accessors are cache reads on every backend.
 
 Failures never abort a run and never raise here: a failed job is parked
 in the context's negative cache as a :class:`~repro.errors.JobError`
@@ -39,7 +36,6 @@ from dataclasses import dataclass
 
 from ..errors import JobError
 from ..obs import TELEMETRY
-from ..resilience.faults import FAULTS
 from .jobs import KIND_CAPTURE, EvalJob, dedupe_jobs
 
 
@@ -111,12 +107,11 @@ class Engine:
             planned=len(jobs), skipped=len(jobs) - len(pending)
         )
         if pending:
-            workers = 1 if FAULTS.enabled else ctx.jobs
             pool = (
                 concurrent.futures.ThreadPoolExecutor(
-                    workers, thread_name_prefix="repro-job"
+                    ctx.jobs, thread_name_prefix="repro-job"
                 )
-                if workers > 1 else None
+                if ctx.jobs > 1 else None
             )
             try:
                 with TELEMETRY.span(

@@ -70,8 +70,8 @@ class ResilienceError(ReproError):
     """Base class for fault-handling and degradation failures.
 
     Raised when the resilience layer itself cannot proceed (as opposed
-    to :class:`DegradedResult` outcomes, which report that a component
-    *recovered* from corrupted state by falling back to a safe path).
+    to the degradation guards, which count a component *recovering*
+    from corrupted state by falling back to a safe path).
     """
 
 
@@ -86,10 +86,6 @@ class DegenerateInputError(ResilienceError):
 
 class CheckpointError(ResilienceError):
     """A checkpoint file is unreadable, corrupt, or incompatible."""
-
-
-class FaultInjectionError(ResilienceError):
-    """The fault-injection harness was configured incorrectly."""
 
 
 class AdmissionError(ResilienceError):

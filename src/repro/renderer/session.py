@@ -350,12 +350,12 @@ class RenderSession:
                 tf_lines[mask] = batch.tf_lines
                 tfa_lines[mask] = batch.tf_af_lod_lines
 
-        # Degradation guard: corrupted texels (injected or genuine) are
-        # clamped to a safe value here, so no NaN/inf ever reaches the
-        # reference image, the quality model, or a FrameResult.
-        af_color = sanitize_colors(af_color).value
-        tf_color = sanitize_colors(tf_color).value
-        tfa_color = sanitize_colors(tfa_color).value
+        # Degradation guard: corrupted texels are clamped to a safe
+        # value here, so no NaN/inf ever reaches the reference image,
+        # the quality model, or a FrameResult.
+        af_color = sanitize_colors(af_color)
+        tf_color = sanitize_colors(tf_color)
+        tfa_color = sanitize_colors(tfa_color)
 
         with TELEMETRY.span("capture.csr_merge"):
             # Frame-level CSR over AF samples, merged from per-texture batches.
@@ -521,7 +521,7 @@ class RenderSession:
                 # Belt-and-braces: captures are sanitized at creation,
                 # but a deserialized or hand-built capture must not be
                 # able to push NaN into the quality model either.
-                colors = sanitize_colors(colors).value
+                colors = sanitize_colors(colors)
 
             with TELEMETRY.span("evaluate.mssim"):
                 if scenario.name == "baseline":

@@ -1,16 +1,15 @@
-"""Resilient experiment execution: faults, degradation, checkpoints.
+"""Resilient experiment execution: degradation, checkpoints, admission.
 
 Three pillars (see ``docs/resilience.md``):
 
-* :mod:`repro.resilience.faults` — deterministic, seedable fault
-  injection into the simulated PATU pipeline (texel corruption,
-  hash-table garbage, count-tag bit flips, dropped fetches), armed via
-  the process-wide :data:`FAULTS` injector;
 * :mod:`repro.resilience.guards` — graceful degradation: sanitize
-  corrupted state, fall back to exact filtering, report through
-  :class:`DegradedResult` and telemetry counters;
+  corrupted state (captures loaded from disk, arrays handed in by
+  direct API callers), fall back to exact filtering, count every
+  fallback in telemetry;
 * :mod:`repro.resilience.checkpoint` — versioned, atomically-written
-  experiment checkpoints powering ``--resume``.
+  experiment checkpoints powering ``--resume``;
+* :mod:`repro.resilience.admission` — the service's bounded admission
+  queue.
 
 :class:`FailureRecord` is the structured record of one isolated
 per-(workload, frame) failure inside an experiment sweep.
@@ -22,13 +21,7 @@ from dataclasses import dataclass
 
 from .admission import DEFAULT_MAX_PENDING, AdmissionController
 from .checkpoint import SCHEMA_VERSION, load_checkpoint, save_checkpoint
-from .faults import FAULTS, FaultInjector, FaultPlan
-from .guards import (
-    DegradedResult,
-    safe_anisotropy,
-    safe_txds,
-    sanitize_colors,
-)
+from .guards import safe_anisotropy, safe_txds, sanitize_colors
 
 
 @dataclass(frozen=True)
@@ -59,11 +52,7 @@ class FailureRecord:
 __all__ = [
     "AdmissionController",
     "DEFAULT_MAX_PENDING",
-    "DegradedResult",
-    "FAULTS",
     "FailureRecord",
-    "FaultInjector",
-    "FaultPlan",
     "SCHEMA_VERSION",
     "load_checkpoint",
     "safe_anisotropy",

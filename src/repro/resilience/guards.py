@@ -1,58 +1,37 @@
 """Graceful-degradation guards: sanitize, fall back, count.
 
 The policy (``docs/resilience.md``): when corrupted state reaches a
-model boundary, the component **never silently emits garbage** — it
+model boundary — a capture loaded from disk, or arrays a direct API
+caller hands in — the component **never silently emits garbage**. It
 falls back to a safe exact path (PATU → exact AF), replaces
-non-representable values with deterministic safe ones, and reports the
-degradation through telemetry counters plus :class:`DegradedResult`
-outcomes so callers can observe it programmatically.
+non-representable values with deterministic safe ones, and counts each
+degradation in telemetry (``resilience.*``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..obs import TELEMETRY
 
 
-@dataclass(frozen=True)
-class DegradedResult:
-    """A value produced through a degraded (but safe) path.
-
-    Attributes:
-        value: the sanitized payload.
-        degraded: how many elements required sanitization (0 = clean).
-        reason: short machine-readable tag of what was degraded.
-    """
-
-    value: object
-    degraded: int
-    reason: str = ""
-
-    @property
-    def is_degraded(self) -> bool:
-        return self.degraded > 0
-
-
 def sanitize_colors(
     colors: np.ndarray,
     *,
     counter: str = "resilience.sanitized_texels",
-) -> DegradedResult:
+) -> np.ndarray:
     """Clamp non-finite color components to 0 (black texel fallback).
 
     Returns the input array itself (no copy) when it is already
-    finite, so clean captures pay only one vectorized check.
+    finite, so clean captures pay only one vectorized check; otherwise
+    a sanitized copy, after adding the number of clamped components to
+    ``counter``.
     """
     finite = np.isfinite(colors)
     if finite.all():
-        return DegradedResult(value=colors, degraded=0)
-    bad = int(colors.size - int(finite.sum()))
-    out = np.where(finite, colors, 0.0).astype(colors.dtype, copy=False)
-    TELEMETRY.count(counter, bad)
-    return DegradedResult(value=out, degraded=bad, reason="nonfinite_color")
+        return colors
+    TELEMETRY.count(counter, int(colors.size - int(finite.sum())))
+    return np.where(finite, colors, 0.0).astype(colors.dtype, copy=False)
 
 
 def safe_anisotropy(

@@ -220,9 +220,12 @@ class RenderService:
             ))
             return
         if request.op == "stats":
-            await self._write(writer, ok_response(
-                request.id, stats=self.stats()
-            ))
+            # The store listing stat()s every entry: run it off the
+            # loop, so pings and new connections never queue behind it.
+            stats = await asyncio.get_running_loop().run_in_executor(
+                None, self.stats
+            )
+            await self._write(writer, ok_response(request.id, stats=stats))
             return
         if request.op == "shutdown":
             await self._write(writer, ok_response(request.id, stopping=True))

@@ -107,8 +107,6 @@ def anisotropic_filter_batch(
     v: np.ndarray,
     footprints: FootprintInfo,
     row_ptr: np.ndarray,
-    *,
-    dedup: bool = False,
 ) -> AnisoBatchResult:
     """Anisotropically filter one whole fragment batch in fused kernels.
 
@@ -120,10 +118,6 @@ def anisotropic_filter_batch(
     full ``trilinear_info``. Outputs are bit-identical to the grouped
     path; only the per-row mean still iterates, once per distinct N, to
     preserve ``mean(axis=1)``'s float32 reduction order exactly.
-
-    ``dedup=True`` gathers each distinct texel once per batch
-    (sample-reuse in the spirit of Wronski et al. / Akenine-Möller et
-    al.) — profitable when overlapping footprints dominate.
     """
     n = footprints.n
     count = n.shape[0]
@@ -137,7 +131,7 @@ def anisotropic_filter_batch(
     sv = v + t * footprints.major_dv[rows]
 
     info = trilinear_info(chain, su, sv, footprints.lod_af[rows])
-    colors = trilinear_sample(chain, su, sv, None, info=info, dedup=dedup)
+    colors = trilinear_sample(chain, su, sv, None, info=info)
     sample_keys = trilinear_footprint_keys(
         chain, su, sv, footprints.lod_tf[rows]
     )

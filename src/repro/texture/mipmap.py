@@ -108,8 +108,7 @@ class MipChain:
         """Flat-store indices of (level, y, x) texels (wrap addressing).
 
         Two texel references alias the same flat index exactly when
-        they name the same physical texel, so these indices double as
-        the dedup identity for batch sample reuse.
+        they name the same physical texel.
         """
         _, bases, widths, heights = self.flat_store()
         level = np.asarray(level, dtype=np.int64)
@@ -120,16 +119,7 @@ class MipChain:
             + np.mod(np.asarray(ix, dtype=np.int64), w)
         )
 
-    def gather_flat(self, idx: np.ndarray, *, dedup: bool = False) -> np.ndarray:
-        """Texel colors for flat-store indices from :meth:`flat_indices`.
-
-        With ``dedup=True`` duplicate texels are fetched once and
-        broadcast back (sample reuse across overlapping footprints) —
-        worth it only when the batch's duplication ratio is high enough
-        to amortize the sort ``np.unique`` performs.
-        """
+    def gather_flat(self, idx: np.ndarray) -> np.ndarray:
+        """Texel colors for flat-store indices from :meth:`flat_indices`."""
         flat, _, _, _ = self.flat_store()
-        if dedup:
-            unique, inverse = np.unique(idx.reshape(-1), return_inverse=True)
-            return flat[unique][inverse].reshape(idx.shape + (4,))
         return flat[idx]

@@ -170,17 +170,11 @@ def trilinear_sample(
     v,
     lod,
     info: "TrilinearInfo | None" = None,
-    *,
-    dedup: bool = False,
 ) -> np.ndarray:
-    """Trilinearly sample the chain; optionally reuse precomputed info.
-
-    ``dedup=True`` fetches each distinct texel of the batch once
-    (sample reuse across overlapping footprints) before blending.
-    """
+    """Trilinearly sample the chain; optionally reuse precomputed info."""
     if info is None:
         info = trilinear_info(chain, u, v, lod)
-    g = chain.gather_flat(sample_flat_indices(chain, info), dedup=dedup)
+    g = chain.gather_flat(sample_flat_indices(chain, info))
     return _blend_gathered(info, g)
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from ..errors import TextureError
 from ..obs import TELEMETRY
-from ..resilience.faults import FAULTS
 from .addressing import TextureLayout
 from .anisotropic import anisotropic_filter_batch
 from .footprint import compute_footprints
@@ -72,14 +71,9 @@ class TextureUnit:
         layout: TextureLayout,
         *,
         max_aniso: int = 16,
-        dedup_gathers: bool = False,
     ) -> None:
         self.layout = layout
         self.max_aniso = max_aniso
-        #: Fetch each distinct texel once per AF batch (sample reuse).
-        #: Off by default: the np.unique sort only pays for itself on
-        #: batches with very high footprint overlap.
-        self.dedup_gathers = dedup_gathers
 
     def filter_batch(
         self,
@@ -123,30 +117,12 @@ class TextureUnit:
         total = int(row_ptr[-1])
 
         with TELEMETRY.span("texture.anisotropic", samples=total):
-            result = anisotropic_filter_batch(
-                chain, u, v, fp, row_ptr, dedup=self.dedup_gathers
-            )
+            result = anisotropic_filter_batch(chain, u, v, fp, row_ptr)
             af_color = result.color
             sample_keys = result.sample_keys
             af_lines = self._lines_from_info(
                 tex_index, result.sample_info
             ).reshape(-1)
-
-        if FAULTS.enabled:
-            # Injected hardware faults: garbage texels in the filtered
-            # outputs, and lost line fetches re-served from the line
-            # buffer. The capture layer sanitizes the colors (counting
-            # each scrubbed texel) before they reach the quality model.
-            af_color = FAULTS.corrupt_colors(af_color, "texture.af_color")
-            tf_color = FAULTS.corrupt_colors(tf_color, "texture.tf_color")
-            tf_af_lod_color = FAULTS.corrupt_colors(
-                tf_af_lod_color, "texture.tfa_color"
-            )
-            af_lines = FAULTS.drop_lines(af_lines, "texture.af_fetches")
-            tf_lines = FAULTS.drop_lines(tf_lines, "texture.tf_fetches")
-            tf_af_lod_lines = FAULTS.drop_lines(
-                tf_af_lod_lines, "texture.tfa_fetches"
-            )
 
         if TELEMETRY.enabled:
             TELEMETRY.count("texture.fragments", count)

@@ -193,9 +193,9 @@ def check_conservation(
     """The texture hierarchy's conservation laws at each design point.
 
     ``points`` are ``(scenario, threshold)`` pairs. The laws hold for a
-    fault-free evaluation, as ``repro verify`` runs it: an injected
-    count-tag flip changes the trilinear samples but not the captured
-    fetch stream.
+    capture whose count tags are valid, as every rendered capture's
+    are: a degraded pixel's sanitized ``N`` sets its trilinear samples
+    but not its captured fetch stream.
     """
     violations: "list[str]" = []
     for scenario, threshold in points:

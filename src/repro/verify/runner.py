@@ -1,10 +1,8 @@
 """The verify runner: executes the three oracle layers and aggregates.
 
-``run_verify`` is what ``python -m repro verify`` calls: it resets the
-fault injector (oracle verdicts must be hermetic — a leftover fault
-plan from an earlier run in the same process would turn verification
-into noise), runs every registered oracle under a telemetry span, and
-returns a :class:`~repro.verify.report.VerifyReport` ready for
+``run_verify`` is what ``python -m repro verify`` calls: it runs every
+registered oracle under a telemetry span and returns a
+:class:`~repro.verify.report.VerifyReport` ready for
 ``format_summary()`` / ``write()``.
 
 The golden layer lives here (rather than its own module) because its
@@ -17,7 +15,6 @@ from __future__ import annotations
 import time
 
 from ..obs import TELEMETRY
-from ..resilience import FAULTS
 from .differential import DIFFERENTIAL_ORACLES
 from .fuzz import FUZZ_ORACLES
 from .goldens import (
@@ -180,7 +177,6 @@ def run_verify(
     shrunk failing specs as corpus files). An oracle that *raises* is
     recorded as a failure, never aborts the run.
     """
-    FAULTS.reset()  # hermetic: a leftover fault plan would poison verdicts
     cfg = VerifyConfig(
         seed=seed,
         quick=quick,

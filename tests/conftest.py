@@ -14,7 +14,6 @@ from repro.config import GpuConfig
 from repro.experiments.runner import reset_default_context
 from repro.geometry.camera import Camera
 from repro.obs import TELEMETRY
-from repro.resilience import FAULTS
 from repro.geometry.mesh import make_box, make_quad
 from repro.renderer.session import RenderSession
 from repro.texture.image import Texture2D
@@ -100,14 +99,12 @@ def _isolated_global_state():
     """Keep the process-wide singletons from leaking between tests.
 
     The default experiment context caches rendered frames keyed only by
-    (workload, frame), the fault injector is a module-level global, and
-    the capture-store hit/miss/write counters accumulate in the global
-    telemetry registry; a test (or verify run) that touches any of them
-    must not affect its neighbours — oracle reports are hermetic.
+    (workload, frame), and the capture-store hit/miss/write counters
+    accumulate in the global telemetry registry; a test (or verify run)
+    that touches either must not affect its neighbours — oracle reports
+    are hermetic.
     """
-    FAULTS.reset()
     TELEMETRY.reset()
     yield
-    FAULTS.reset()
     TELEMETRY.reset()
     reset_default_context()

@@ -2,35 +2,45 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 from repro.config import GpuConfig
 from repro.core.patu import FilterMode, PerceptionAwareTextureUnit
 from repro.core.predictor import TwoStagePredictor
 from repro.core.scenarios import get_scenario
+from repro.obs import TELEMETRY
 from repro.renderer.session import RenderSession
-from repro.resilience import FAULTS, FaultPlan
 from repro.resilience.guards import (
     safe_anisotropy,
     safe_txds,
     sanitize_colors,
 )
+from repro.texture.unit import TEXELS_PER_TRILINEAR, TextureUnit
 
 
-def test_sanitize_colors_clean_path_is_identity():
+@pytest.fixture
+def telemetry():
+    TELEMETRY.reset()
+    TELEMETRY.enabled = True
+    yield TELEMETRY
+    TELEMETRY.enabled = False
+
+
+def test_sanitize_colors_clean_path_is_identity(telemetry):
     colors = np.ones((4, 4))
-    result = sanitize_colors(colors)
-    assert result.value is colors
-    assert not result.is_degraded
+    assert sanitize_colors(colors) is colors
+    assert telemetry.counter_value("resilience.sanitized_texels") == 0
 
 
-def test_sanitize_colors_zeroes_nonfinite_components():
+def test_sanitize_colors_zeroes_nonfinite_components(telemetry):
     colors = np.array([[1.0, np.nan], [np.inf, 2.0]])
-    result = sanitize_colors(colors)
-    assert result.is_degraded
-    assert result.degraded == 2
-    assert result.reason == "nonfinite_color"
-    np.testing.assert_array_equal(result.value, [[1.0, 0.0], [0.0, 2.0]])
+    out = sanitize_colors(colors)
+    np.testing.assert_array_equal(out, [[1.0, 0.0], [0.0, 2.0]])
+    assert np.isnan(colors[0, 1])  # the input is left as it was
+    assert telemetry.counter_value("resilience.sanitized_texels") == 2
 
 
 def test_safe_anisotropy_clamps_and_flags():
@@ -93,13 +103,61 @@ def test_patu_routes_degraded_pixels_to_exact_af():
     assert decision.to_dict()["degraded_pixels"] == 3
 
 
-def test_faulted_frame_still_produces_finite_metrics(mini_workload):
+def _faulty(batch):
+    """``batch`` as a faulty texture unit would return it.
+
+    One NaN component in each color variant, and count tags 0 and 33
+    (one flipped bit of N = 1) on the first two fragments, their CSR
+    samples cut or repeated to match.
+    """
+    tags = (0, 33)[:batch.count]
+    n = batch.n.copy()
+    n[:len(tags)] = tags
+    row_ptr = np.zeros(batch.count + 1, dtype=np.int64)
+    np.cumsum(n, out=row_ptr[1:])
+    rows = np.repeat(np.arange(batch.count), n)
+    within = np.arange(row_ptr[-1]) - row_ptr[rows]
+    src = batch.sample_row_ptr[rows] + np.minimum(within, batch.n[rows] - 1)
+    colors = {}
+    for name in ("af_color", "tf_color", "tf_af_lod_color"):
+        colors[name] = getattr(batch, name).copy()
+        colors[name][-1, 0] = np.nan
+    return dataclasses.replace(
+        batch, n=n, sample_row_ptr=row_ptr,
+        sample_keys=batch.sample_keys[src],
+        af_lines=batch.af_lines.reshape(-1, TEXELS_PER_TRILINEAR)[src]
+        .reshape(-1),
+        **colors,
+    )
+
+
+def test_faulted_frame_still_produces_finite_metrics(
+    mini_workload, monkeypatch, telemetry
+):
+    """Corrupt texture-unit output is sanitized at capture, and its
+    pixels fall back to exact AF when evaluated."""
+    filter_batch = TextureUnit.filter_batch
+    monkeypatch.setattr(
+        TextureUnit, "filter_batch",
+        lambda self, *args: _faulty(filter_batch(self, *args)),
+    )
     session = RenderSession(GpuConfig(), scale=1.0, scale_caches=False)
-    FAULTS.configure(FaultPlan.uniform(0.01, seed=5))
     capture = session.capture_frame(mini_workload, 0)
-    result = session.evaluate(capture, get_scenario("patu"), 0.4)
-    assert FAULTS.total_injected > 0
+    for colors in (capture.af_color, capture.tf_color, capture.tfa_color):
+        assert np.isfinite(colors).all()
+    assert telemetry.counter_value("resilience.sanitized_texels") > 0
+
+    bad = (capture.n < 1) | (capture.n > 16)
+    assert bad.any()
+    scenario = get_scenario("patu")
+    decision = PerceptionAwareTextureUnit(scenario, 0.4).decide(
+        capture.n, capture.txds
+    )
+    np.testing.assert_array_equal(decision.prediction.degraded, bad)
+    assert (decision.mode[bad] == FilterMode.AF).all()
+
+    result = session.evaluate(capture, scenario, 0.4)
+    assert result.degraded_pixels == int(bad.sum())
     assert np.isfinite(result.mssim)
     assert 0.0 <= result.mssim <= 1.0
     assert np.isfinite(result.approximation_rate)
-    assert result.degraded_pixels > 0

@@ -254,6 +254,52 @@ class TestFrontEnd:
 
         asyncio.run(scenario())
 
+    def test_ping_is_answered_while_stats_lists_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        """``stats`` lists the store off the event loop: a ping sent
+        while a slow listing is still running is answered at once."""
+        listing, release, listed = (threading.Event() for _ in range(3))
+
+        async def scenario():
+            service = await _start_service(tmp_path)
+            shard_stats = service.store.shard_stats
+
+            def slow_shard_stats():
+                listing.set()
+                release.wait(timeout=5)
+                listed.set()
+                return shard_stats()
+
+            monkeypatch.setattr(service.store, "shard_stats", slow_shard_stats)
+            host, port = service.address
+            stats_reader, stats_writer = await asyncio.open_connection(
+                host, port
+            )
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                stats_writer.write(b'{"id": "s", "op": "stats"}\n')
+                await stats_writer.drain()
+                assert await asyncio.to_thread(listing.wait, 5)
+                pong, _ = await asyncio.wait_for(
+                    _request(reader, writer, {"id": "p", "op": "ping"}), 5
+                )
+                assert pong["ok"] and pong["pong"] == 1
+                assert not listed.is_set()
+                release.set()
+                stats = json.loads(
+                    await asyncio.wait_for(stats_reader.readline(), 5)
+                )
+                assert stats["ok"] and "shards" in stats["stats"]
+            finally:
+                release.set()
+                for w in (writer, stats_writer):
+                    w.close()
+                    await w.wait_closed()
+                await service.aclose()
+
+        asyncio.run(scenario())
+
     def test_admission_overflow_rejects_with_429(self, tmp_path):
         async def scenario():
             service = await _start_service(tmp_path, max_pending=1)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 
 import pytest
 
@@ -122,6 +123,28 @@ class TestCaptureCacheLayout:
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert "capture store: 1 hit(s), 0 miss(es), 0 write(s)" in err, err
+
+    def test_warm_profile_traces_the_store_load(self, tmp_path, capsys):
+        """On a warm store, ``profile``'s trace shows the load as a
+        ``store.get`` span inside ``profile``."""
+        trace = tmp_path / "trace.json"
+        argv = ["profile", "hl2", "--frames", "1", "--scale", "0.05",
+                "--capture-cache", str(tmp_path / "captures"),
+                "--no-ledger", "--trace", str(trace),
+                "--metrics", str(tmp_path / "m.jsonl")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "capture store: 1 hit(s), 0 miss(es), 0 write(s)" in err, err
+        spans = {
+            event["name"]: event
+            for event in json.loads(trace.read_text())["traceEvents"]
+            if event["ph"] == "X"
+        }
+        get, profile = spans["store.get"], spans["profile"]
+        assert profile["ts"] <= get["ts"]
+        assert get["ts"] + get["dur"] <= profile["ts"] + profile["dur"]
 
     @pytest.mark.parametrize("argv, request_name", [
         (["fuzz@3", "--scale", "0.25"], "fuzz@3"),

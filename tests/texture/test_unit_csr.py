@@ -67,15 +67,6 @@ class TestMixedNSlots:
             )
             assert np.array_equal(solo.af_color[0], batch.af_color[i])
 
-    def test_dedup_gathers_is_bit_identical(self, unit):
-        args = _mixed_gradients(48)
-        dedup = TextureUnit(unit.layout, dedup_gathers=True)
-        a = unit.filter_batch(0, *args)
-        b = dedup.filter_batch(0, *args)
-        assert np.array_equal(a.af_color, b.af_color)
-        assert np.array_equal(a.sample_keys, b.sample_keys)
-        assert np.array_equal(a.af_lines, b.af_lines)
-
 
 class TestDegenerateN:
     def test_all_n_equal_one(self, unit):
