@@ -102,9 +102,16 @@ def af_ssim_txds(txds_value: np.ndarray) -> np.ndarray:
 
 
 def _per_row_counts(keys: np.ndarray) -> np.ndarray:
-    """For dense ``(rows, n)`` keys: how many row-mates equal each entry."""
-    eq = keys[:, :, None] == keys[:, None, :]
-    return eq.sum(axis=2)
+    """For dense ``(rows, n)`` keys: how many row-mates equal each entry.
+
+    Compares each row with its ``n - 1`` rotations: every pass is one
+    contiguous ``(rows, n)`` comparison, with no ``(rows, n, n)``
+    equality cube.
+    """
+    counts = np.ones(keys.shape, dtype=np.int64)
+    for shift in range(1, keys.shape[1]):
+        counts += keys == np.roll(keys, shift, axis=1)
+    return counts
 
 
 def _row_entropy_from_counts(counts: np.ndarray) -> np.ndarray:

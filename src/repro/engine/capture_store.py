@@ -32,7 +32,10 @@ process a store may be used from several threads (``--jobs N``); its
 Hits bump the entry's mtime, making file mtime an LRU clock; with
 ``max_bytes`` set, ``put`` evicts oldest-first until the store fits
 the budget (``prune()`` applies the same policy offline, as
-``repro store prune`` does).
+``repro store prune`` does). ``put`` checks the budget against a
+running byte total that one listing seeds and every ``prune`` re-seeds,
+so a put under budget lists nothing; entries that other processes
+write are counted at the next listing.
 """
 
 from __future__ import annotations
@@ -140,6 +143,9 @@ class CaptureStore:
         #: per-shard ``{"hits": n, "misses": n}`` for observability.
         self.shard_traffic: "dict[str, dict[str, int]]" = {}
         self._lock = threading.Lock()
+        #: Bytes the store held at the last listing plus what ``put``
+        #: wrote since; ``None`` until the first listing.
+        self._total_bytes: "int | None" = None
 
     def _count(self, field: str, shard: "str | None" = None) -> None:
         """Add one to a :class:`StoreStats` field (and its shard's)."""
@@ -224,17 +230,25 @@ class CaptureStore:
         same-machine cache, and on that path the deflate pass is pure
         CPU overhead — a load must stay cheap next to a render.
         Compressed entries from older runs still load fine. With
-        ``max_bytes`` set, older entries are then evicted to fit.
+        ``max_bytes`` set, older entries are then evicted to fit: the
+        running byte total decides whether the store is over budget,
+        and only then (or on the first put) is the store listed.
         """
         with TELEMETRY.span("store.put"):
             path = self.path_for(spec)
             path.parent.mkdir(parents=True, exist_ok=True)
-            atomic_write_bytes(
-                path, capture_to_npz_bytes(capture, compress=False)
-            )
+            payload = capture_to_npz_bytes(capture, compress=False)
+            replaced = _size(path) if self.max_bytes is not None else 0
+            atomic_write_bytes(path, payload)
             self._count("writes")
             if self.max_bytes is not None:
-                self.prune(self.max_bytes, keep=path)
+                with self._lock:
+                    over = self._total_bytes is None
+                    if not over:
+                        self._total_bytes += len(payload) - replaced
+                        over = self._total_bytes > self.max_bytes
+                if over:
+                    self.prune(self.max_bytes, keep=path)
         return path
 
     def prune(
@@ -246,7 +260,8 @@ class CaptureStore:
         """Evict oldest entries until the store fits ``max_bytes``.
 
         Returns ``(evicted_entries, freed_bytes)``. ``keep`` protects
-        one path (the entry ``put`` just published) from eviction.
+        one path (the entry ``put`` just published) from eviction. The
+        listing re-seeds the running byte total ``put`` checks.
         """
         budget = self.max_bytes if max_bytes is None else int(max_bytes)
         if budget is None:
@@ -267,6 +282,8 @@ class CaptureStore:
             freed += size
             evicted += 1
             self._count("evictions")
+        with self._lock:
+            self._total_bytes = total
         return evicted, freed
 
     def entries(self) -> "list[tuple[pathlib.Path, int, float]]":
@@ -316,6 +333,14 @@ class CaptureStore:
                 continue
             count += 1
         return count, total
+
+
+def _size(path: pathlib.Path) -> int:
+    """Bytes of the file at ``path``; 0 when there is none."""
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0
 
 
 class ShardedCaptureStore(CaptureStore):

@@ -19,6 +19,7 @@ re-evaluations, exactly mirroring the hardware's structure.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import asdict as dataclasses_asdict
 from dataclasses import dataclass
 from dataclasses import replace as dataclasses_replace
@@ -211,7 +212,9 @@ class RenderSession:
         self._texpipe = TexturePipelineModel(config, self.timing_params)
         self._gpu_timing = GpuTimingModel(config, self.timing_params)
         self._energy_model = EnergyModel(config, self.energy_params)
-        self._layouts: "dict[int, tuple[TextureLayout, dict[str, int]]]" = {}
+        #: ``id(scene)`` -> (weak reference to the scene, its layout,
+        #: texture name -> chain index).
+        self._layouts: "dict[int, tuple[weakref.ref, TextureLayout, dict[str, int]]]" = {}
         # Captures of one scene may render on several threads at once
         # (``--jobs N``); the first builds the layout, the rest wait.
         self._layouts_lock = threading.Lock()
@@ -224,7 +227,11 @@ class RenderSession:
         key = id(scene)
         with self._layouts_lock:
             cached = self._layouts.get(key)
-            if cached is None:
+            # An id names an object only while it lives: a scene freed
+            # since (an evicted fuzz workload, say) hands its id on to
+            # the next one allocated there, so an entry serves only the
+            # scene object it was built from.
+            if cached is None or cached[0]() is not scene:
                 names = sorted(scene.textures)
                 chains = [MipChain(scene.textures[name]) for name in names]
                 if self.compressed_textures:
@@ -237,9 +244,13 @@ class RenderSession:
                     layout = CompressedTextureLayout(chains)
                 else:
                     layout = TextureLayout(chains)
-                cached = (layout, {name: i for i, name in enumerate(names)})
+                cached = (
+                    weakref.ref(scene),
+                    layout,
+                    {name: i for i, name in enumerate(names)},
+                )
                 self._layouts[key] = cached
-        return cached
+        return cached[1], cached[2]
 
     def capture_frame(self, workload: Workload, frame_index: int) -> FrameCapture:
         """Render one frame and capture all per-pixel filtering state."""
@@ -313,10 +324,21 @@ class RenderSession:
                 "raster.quads_emitted",
                 int(quad_group.max()) + 1 if quad_group.size else 0,
             )
-        deriv = {}
+        # One stable sort by texture: each texture's pixels form one
+        # contiguous run, in the same (ascending pixel) order a
+        # per-texture mask would select them.
+        order = np.argsort(tex_of_pixel, kind="stable")
+        sorted_tex = tex_of_pixel[order]
+        bounds = np.flatnonzero(sorted_tex[1:] != sorted_tex[:-1]) + 1
+        bounds = np.concatenate([[0], bounds, [npx]])
+        sorted_rows = rows[order]
+        sorted_cols = cols[order]
+        u = gb.u[sorted_rows, sorted_cols].astype(np.float64)
+        v = gb.v[sorted_rows, sorted_cols].astype(np.float64)
+        deriv = []
         for field_name in ("dudx", "dvdx", "dudy", "dvdy"):
             values = getattr(gb, field_name)[rows, cols].astype(np.float64)
-            deriv[field_name] = _group_mean(values, quad_group)
+            deriv.append(_group_mean(values, quad_group)[order])
         n = np.empty(npx, dtype=np.int64)
         lod_tf = np.empty(npx, dtype=np.float64)
         lod_af = np.empty(npx, dtype=np.float64)
@@ -326,29 +348,26 @@ class RenderSession:
         tf_lines = np.empty((npx, TEXELS_PER_TRILINEAR), dtype=np.int64)
         tfa_lines = np.empty((npx, TEXELS_PER_TRILINEAR), dtype=np.int64)
 
-        batches = []
+        samples = []
         with TELEMETRY.span("capture.texture_filtering"):
-            for frame_tid in np.unique(tex_of_pixel):
-                mask = tex_of_pixel == frame_tid
-                chain_index = name_to_chain[rendered.texture_names[int(frame_tid)]]
+            for start, stop in zip(bounds[:-1], bounds[1:]):
+                run = slice(start, stop)
+                chain_index = name_to_chain[
+                    rendered.texture_names[int(sorted_tex[start])]
+                ]
                 batch = unit.filter_batch(
-                    chain_index,
-                    gb.u[rows, cols][mask].astype(np.float64),
-                    gb.v[rows, cols][mask].astype(np.float64),
-                    deriv["dudx"][mask],
-                    deriv["dvdx"][mask],
-                    deriv["dudy"][mask],
-                    deriv["dvdy"][mask],
+                    chain_index, u[run], v[run], *(d[run] for d in deriv)
                 )
-                batches.append((np.nonzero(mask)[0], batch))
-                n[mask] = batch.n
-                lod_tf[mask] = batch.lod_tf
-                lod_af[mask] = batch.lod_af
-                af_color[mask] = batch.af_color
-                tf_color[mask] = batch.tf_color
-                tfa_color[mask] = batch.tf_af_lod_color
-                tf_lines[mask] = batch.tf_lines
-                tfa_lines[mask] = batch.tf_af_lod_lines
+                pixel_idx = order[run]
+                n[pixel_idx] = batch.n
+                lod_tf[pixel_idx] = batch.lod_tf
+                lod_af[pixel_idx] = batch.lod_af
+                af_color[pixel_idx] = batch.af_color
+                tf_color[pixel_idx] = batch.tf_color
+                tfa_color[pixel_idx] = batch.tf_af_lod_color
+                tf_lines[pixel_idx] = batch.tf_lines
+                tfa_lines[pixel_idx] = batch.tf_af_lod_lines
+                samples.append((batch.sample_keys, batch.af_lines))
 
         # Degradation guard: corrupted texels are clamped to a safe
         # value here, so no NaN/inf ever reaches the reference image,
@@ -358,21 +377,24 @@ class RenderSession:
         tfa_color = sanitize_colors(tfa_color)
 
         with TELEMETRY.span("capture.csr_merge"):
-            # Frame-level CSR over AF samples, merged from per-texture batches.
+            # Frame-level CSR over AF samples, merged from per-texture
+            # batches: the batches hold the samples of the pixels in
+            # texture-sorted order, and ``dst`` is where each lands.
             row_ptr = np.zeros(npx + 1, dtype=np.int64)
             np.cumsum(n, out=row_ptr[1:])
             total_samples = int(row_ptr[-1])
             sample_keys = np.empty(total_samples, dtype=np.int64)
-            af_lines = np.empty(total_samples * TEXELS_PER_TRILINEAR, dtype=np.int64)
-            for pixel_idx, batch in batches:
-                lens = n[pixel_idx]
-                starts = row_ptr[pixel_idx]
-                dst = _expand_ranges(starts, lens)
-                sample_keys[dst] = batch.sample_keys
-                dst8 = _expand_ranges(
-                    starts * TEXELS_PER_TRILINEAR, lens * TEXELS_PER_TRILINEAR
-                )
-                af_lines[dst8] = batch.af_lines
+            af_lines = np.empty(
+                (total_samples, TEXELS_PER_TRILINEAR), dtype=np.int64
+            )
+            dst = _expand_ranges(row_ptr[order], n[order])
+            offset = 0
+            for keys, lines in samples:
+                part = dst[offset:offset + keys.size]
+                sample_keys[part] = keys
+                af_lines[part] = lines.reshape(-1, TEXELS_PER_TRILINEAR)
+                offset += keys.size
+            af_lines = af_lines.reshape(-1)
 
             # The per-pixel Txds still carries sub-texel alignment noise from
             # each pixel's own (u, v); the quad's pipelines process the quad

@@ -104,37 +104,44 @@ class TextureLayout:
 
         ``(iu, iv)`` is the top-left texel per sample; the result has
         shape ``(*sample_shape, 4)`` in the corner order of
-        :func:`~repro.texture.sampler.texel_coords_from_info`. Produces
-        bit-identical addresses to :meth:`texel_addresses` on the
-        expanded corners, but the tiled address decomposes into
-        independent x and y byte offsets — so the wrap mods and tile
-        splits run once per axis (not once per corner) and the
-        power-of-two tile math reduces to shifts over precomputed
-        per-level tile rows.
+        :func:`~repro.texture.sampler.texel_coords_from_info`.
+        Bit-identical to :meth:`texel_addresses` on the expanded
+        corners: the wrap mods run once per axis, and
+        :meth:`footprint_offsets` splits the tiled address into x and y
+        parts.
         """
         if not 0 <= tex_index < len(self.chains):
             raise TextureError(f"texture index {tex_index} out of range")
         level = np.asarray(level, dtype=np.int64)
-        bases = self._level_bases[tex_index][level]
         w = self._level_widths[tex_index][level]
         h = self._level_heights[tex_index][level]
-        tile_row_bytes = self._level_tiles_x[tex_index][level] << 8
         iu = np.asarray(iu, dtype=np.int64)
         iv = np.asarray(iv, dtype=np.int64)
-        x0 = np.mod(iu, w)
-        x1 = np.mod(iu + 1, w)
-        y0 = np.mod(iv, h)
-        y1 = np.mod(iv + 1, h)
-        # addr = base + tile_index*256 + intra*4 splits into
-        # ypart = (y>>3)*tiles_x*256 + (y&7)*32 and
-        # xpart = (x>>3)*256 + (x&7)*4.
+        row0, row1, col0, col1 = self.footprint_offsets(
+            tex_index, level,
+            np.mod(iu, w), np.mod(iu + 1, w), np.mod(iv, h), np.mod(iv + 1, h),
+        )
+        return np.stack(
+            [row0 + col0, row0 + col1, row1 + col0, row1 + col1], axis=-1
+        )
+
+    def footprint_offsets(self, tex_index: int, level, x0, x1, y0, y1):
+        """Per-axis byte offsets of 2x2 footprints at wrapped coordinates.
+
+        Returns ``(row0, row1, col0, col1)``: the footprint's texel
+        ``(y_i, x_j)`` lives at byte ``row_i + col_j``. The coordinates
+        must already be wrapped into the level. The tiled address
+        ``base + tile_index*256 + intra*4`` splits into
+        ``row = base + (y>>3)*tiles_x*256 + (y&7)*32`` and
+        ``col = (x>>3)*256 + (x&7)*4``.
+        """
+        bases = self._level_bases[tex_index][level]
+        tile_row_bytes = self._level_tiles_x[tex_index][level] << 8
         row0 = bases + (y0 >> 3) * tile_row_bytes + ((y0 & 7) << 5)
         row1 = bases + (y1 >> 3) * tile_row_bytes + ((y1 & 7) << 5)
         col0 = ((x0 >> 3) << 8) + ((x0 & 7) << 2)
         col1 = ((x1 >> 3) << 8) + ((x1 & 7) << 2)
-        return np.stack(
-            [row0 + col0, row0 + col1, row1 + col0, row1 + col1], axis=-1
-        )
+        return row0, row1, col0, col1
 
     @staticmethod
     def line_addresses(byte_addresses: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TextureError
+from .fetch import fetch_trilinear
 from .footprint import FootprintInfo
 from .mipmap import MipChain
 from .sampler import (
@@ -89,12 +90,15 @@ class AnisoBatchResult:
         sample_keys: ``(total,)`` int64 footprint keys at TF's LOD.
         sample_info: gather data for all ``total`` samples at AF's LOD.
         row_ptr: ``(count + 1,)`` CSR row pointer over fragments.
+        lines: ``(total, 8)`` int64 cache-line addresses of every
+            sample's texels, or ``None`` when filtered without a layout.
     """
 
     color: np.ndarray
     sample_keys: np.ndarray
     sample_info: TrilinearInfo
     row_ptr: np.ndarray
+    lines: "np.ndarray | None" = None
 
     def texel_coords(self):
         """The (levels, iy, ix) of all 8 texels of every sample."""
@@ -107,17 +111,21 @@ def anisotropic_filter_batch(
     v: np.ndarray,
     footprints: FootprintInfo,
     row_ptr: np.ndarray,
+    layout=None,
+    tex_index: int = 0,
 ) -> AnisoBatchResult:
     """Anisotropically filter one whole fragment batch in fused kernels.
 
     Equivalent to calling :func:`anisotropic_filter` once per equal-N
     group and scattering into CSR slots, but every per-sample stage —
-    position generation, LOD resolution, texel gathers, footprint keys
+    position generation, LOD resolution, texel fetch, footprint keys
     — runs as one dense kernel over the flat CSR sample axis, and the
     TF-LOD pass computes only the integer key state instead of a second
     full ``trilinear_info``. Outputs are bit-identical to the grouped
     path; only the per-row mean still iterates, once per distinct N, to
-    preserve ``mean(axis=1)``'s float32 reduction order exactly.
+    preserve ``mean(axis=1)``'s float32 reduction order exactly. With a
+    ``layout``, the same fetch also yields every sample's cache lines
+    (:func:`~repro.texture.fetch.fetch_trilinear`).
     """
     n = footprints.n
     count = n.shape[0]
@@ -131,7 +139,7 @@ def anisotropic_filter_batch(
     sv = v + t * footprints.major_dv[rows]
 
     info = trilinear_info(chain, su, sv, footprints.lod_af[rows])
-    colors = trilinear_sample(chain, su, sv, None, info=info)
+    colors, lines = fetch_trilinear(chain, info, layout, tex_index)
     sample_keys = trilinear_footprint_keys(
         chain, su, sv, footprints.lod_tf[rows]
     )
@@ -149,7 +157,8 @@ def anisotropic_filter_batch(
         slots = row_ptr[group][:, None] + np.arange(n_value)[None, :]
         color[group] = colors[slots].mean(axis=1)
     return AnisoBatchResult(
-        color=color, sample_keys=sample_keys, sample_info=info, row_ptr=row_ptr
+        color=color, sample_keys=sample_keys, sample_info=info,
+        row_ptr=row_ptr, lines=lines,
     )
 
 

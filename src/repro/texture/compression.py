@@ -153,31 +153,37 @@ class CompressedTextureLayout:
         Compressed counterpart of
         :meth:`TextureLayout.footprint_addresses` — same corner order,
         bit-identical to :meth:`texel_addresses` on the expanded
-        corners, with the block address split into per-axis byte
-        offsets computed once per sample.
+        corners.
         """
         if not 0 <= tex_index < len(self.chains):
             raise TextureError(f"texture index {tex_index} out of range")
         level = np.asarray(level, dtype=np.int64)
-        bases = self._level_bases[tex_index][level]
         w = self._level_widths[tex_index][level]
         h = self._level_heights[tex_index][level]
-        block_row_bytes = self._level_blocks_x[tex_index][level] << 3
         iu = np.asarray(iu, dtype=np.int64)
         iv = np.asarray(iv, dtype=np.int64)
-        x0 = np.mod(iu, w)
-        x1 = np.mod(iu + 1, w)
-        y0 = np.mod(iv, h)
-        y1 = np.mod(iv + 1, h)
-        # addr = base + ((y>>2)*blocks_x + (x>>2)) * 8 splits into
-        # ypart = (y>>2)*blocks_x*8 and xpart = (x>>2)*8.
+        row0, row1, col0, col1 = self.footprint_offsets(
+            tex_index, level,
+            np.mod(iu, w), np.mod(iu + 1, w), np.mod(iv, h), np.mod(iv + 1, h),
+        )
+        return np.stack(
+            [row0 + col0, row0 + col1, row1 + col0, row1 + col1], axis=-1
+        )
+
+    def footprint_offsets(self, tex_index: int, level, x0, x1, y0, y1):
+        """Per-axis byte offsets of 2x2 footprints at wrapped coordinates.
+
+        As :meth:`TextureLayout.footprint_offsets`, for blocks:
+        ``base + ((y>>2)*blocks_x + (x>>2)) * 8`` splits into
+        ``row = base + (y>>2)*blocks_x*8`` and ``col = (x>>2)*8``.
+        """
+        bases = self._level_bases[tex_index][level]
+        block_row_bytes = self._level_blocks_x[tex_index][level] << 3
         row0 = bases + (y0 >> 2) * block_row_bytes
         row1 = bases + (y1 >> 2) * block_row_bytes
         col0 = (x0 >> 2) << 3
         col1 = (x1 >> 2) << 3
-        return np.stack(
-            [row0 + col0, row0 + col1, row1 + col0, row1 + col1], axis=-1
-        )
+        return row0, row1, col0, col1
 
     @staticmethod
     def line_addresses(byte_addresses: np.ndarray) -> np.ndarray:

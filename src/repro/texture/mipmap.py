@@ -48,9 +48,9 @@ class MipChain:
 
         ``flat_texels`` is every level's texels concatenated row-major
         as one ``(total_texels, 4)`` float32 array; texel ``(lv, y, x)``
-        lives at ``bases[lv] + y * widths[lv] + x``. Turning the
-        per-level Python loop of the old gather into one fancy index is
-        the texture unit's main batching win.
+        lives at ``bases[lv] + y * widths[lv] + x``. The fused fetch
+        (:mod:`repro.texture.fetch`) gathers from it one 16-byte texel
+        per index.
         """
         token = tuple(id(lv) for lv in self.levels)
         if self._flat_cache is None or self._flat_token != token:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import TextureError
+from .fetch import fetch_trilinear
 from .mipmap import MipChain
 
 # Footprint-key packing widths. Textures up to 8192 texels/side (13 bits
@@ -114,56 +115,6 @@ def trilinear_info(chain: MipChain, u, v, lod) -> TrilinearInfo:
     )
 
 
-def _level_flat_indices(chain: MipChain, level, iu, iv) -> np.ndarray:
-    """Flat-store indices of one level's 2x2 footprint, corner-major.
-
-    Corner order matches :func:`texel_coords_from_info`:
-    ``(iv, iu), (iv, iu+1), (iv+1, iu), (iv+1, iu+1)``. The wrap mods
-    are computed once per axis and combined, instead of once per corner.
-    """
-    _, bases, widths, heights = chain.flat_store()
-    w = widths[level]
-    h = heights[level]
-    x0 = np.mod(iu, w)
-    x1 = np.mod(iu + 1, w)
-    row0 = bases[level] + np.mod(iv, h) * w
-    row1 = bases[level] + np.mod(iv + 1, h) * w
-    return np.stack(
-        [row0 + x0, row0 + x1, row1 + x0, row1 + x1], axis=-1
-    )
-
-
-def sample_flat_indices(chain: MipChain, info: TrilinearInfo) -> np.ndarray:
-    """Flat-store indices of all 8 texels of each trilinear sample.
-
-    Shape ``(*sample_shape, 8)``: the ``l0`` 2x2 footprint followed by
-    the ``l1`` footprint, in :func:`texel_coords_from_info` order.
-    """
-    return np.concatenate(
-        [
-            _level_flat_indices(chain, info.l0, info.iu0, info.iv0),
-            _level_flat_indices(chain, info.l1, info.iu1, info.iv1),
-        ],
-        axis=-1,
-    )
-
-
-def _blend_gathered(info: TrilinearInfo, g: np.ndarray) -> np.ndarray:
-    """Trilinear blend of pre-gathered ``(*shape, 8, 4)`` texel colors."""
-    fu0 = np.asarray(info.fu0, dtype=np.float32)[..., None]
-    fv0 = np.asarray(info.fv0, dtype=np.float32)[..., None]
-    top = g[..., 0, :] * (1 - fu0) + g[..., 1, :] * fu0
-    bot = g[..., 2, :] * (1 - fu0) + g[..., 3, :] * fu0
-    c0 = top * (1 - fv0) + bot * fv0
-    fu1 = np.asarray(info.fu1, dtype=np.float32)[..., None]
-    fv1 = np.asarray(info.fv1, dtype=np.float32)[..., None]
-    top = g[..., 4, :] * (1 - fu1) + g[..., 5, :] * fu1
-    bot = g[..., 6, :] * (1 - fu1) + g[..., 7, :] * fu1
-    c1 = top * (1 - fv1) + bot * fv1
-    lf = np.asarray(info.lfrac, dtype=np.float32)[..., None]
-    return (c0 * (1 - lf) + c1 * lf).astype(np.float32)
-
-
 def trilinear_sample(
     chain: MipChain,
     u,
@@ -174,8 +125,7 @@ def trilinear_sample(
     """Trilinearly sample the chain; optionally reuse precomputed info."""
     if info is None:
         info = trilinear_info(chain, u, v, lod)
-    g = chain.gather_flat(sample_flat_indices(chain, info))
-    return _blend_gathered(info, g)
+    return fetch_trilinear(chain, info)[0]
 
 
 def footprint_keys_from_info(info: TrilinearInfo) -> np.ndarray:

@@ -26,9 +26,10 @@ from ..errors import TextureError
 from ..obs import TELEMETRY
 from .addressing import TextureLayout
 from .anisotropic import anisotropic_filter_batch
+from .fetch import fetch_trilinear
 from .footprint import compute_footprints
 from .mipmap import MipChain
-from .sampler import trilinear_info, trilinear_sample
+from .sampler import trilinear_info
 
 #: Texels touched by one trilinear sample (2x2 at each of two levels).
 TEXELS_PER_TRILINEAR = 8
@@ -100,14 +101,17 @@ class TextureUnit:
                 max_aniso=self.max_aniso, max_level=chain.max_level,
             )
 
-        # Trilinear-only variants (one sample per fragment).
+        # Trilinear-only variants (one sample per fragment). Each fetch
+        # yields the colours and the cache lines from one address pass.
         with TELEMETRY.span("texture.trilinear_variants"):
-            tf_info = trilinear_info(chain, u, v, fp.lod_tf)
-            tf_color = trilinear_sample(chain, u, v, fp.lod_tf, info=tf_info)
-            tfa_info = trilinear_info(chain, u, v, fp.lod_af)
-            tf_af_lod_color = trilinear_sample(chain, u, v, fp.lod_af, info=tfa_info)
-            tf_lines = self._lines_from_info(tex_index, tf_info)
-            tf_af_lod_lines = self._lines_from_info(tex_index, tfa_info)
+            tf_color, tf_lines = fetch_trilinear(
+                chain, trilinear_info(chain, u, v, fp.lod_tf),
+                self.layout, tex_index,
+            )
+            tf_af_lod_color, tf_af_lod_lines = fetch_trilinear(
+                chain, trilinear_info(chain, u, v, fp.lod_af),
+                self.layout, tex_index,
+            )
 
         # Anisotropic variant: all N groups fused into one flat CSR
         # kernel pass (the flat sample order *is* the CSR value order,
@@ -117,12 +121,12 @@ class TextureUnit:
         total = int(row_ptr[-1])
 
         with TELEMETRY.span("texture.anisotropic", samples=total):
-            result = anisotropic_filter_batch(chain, u, v, fp, row_ptr)
+            result = anisotropic_filter_batch(
+                chain, u, v, fp, row_ptr, self.layout, tex_index
+            )
             af_color = result.color
             sample_keys = result.sample_keys
-            af_lines = self._lines_from_info(
-                tex_index, result.sample_info
-            ).reshape(-1)
+            af_lines = result.lines.reshape(-1)
 
         if TELEMETRY.enabled:
             TELEMETRY.count("texture.fragments", count)
@@ -151,23 +155,3 @@ class TextureUnit:
             tf_lines=tf_lines,
             tf_af_lod_lines=tf_af_lod_lines,
         )
-
-    def _lines_from_info(self, tex_index: int, info) -> np.ndarray:
-        """Cache-line addresses of the 8 texels of each trilinear sample.
-
-        Uses the layout's per-footprint address kernel (wrap mods and
-        tile math once per 2x2 footprint, not per texel); the 8-texel
-        order matches :func:`~repro.texture.sampler.texel_coords_from_info`.
-        """
-        addrs = np.concatenate(
-            [
-                self.layout.footprint_addresses(
-                    tex_index, info.l0, info.iu0, info.iv0
-                ),
-                self.layout.footprint_addresses(
-                    tex_index, info.l1, info.iu1, info.iv1
-                ),
-            ],
-            axis=-1,
-        )
-        return TextureLayout.line_addresses(addrs)

@@ -498,10 +498,84 @@ def oracle_mssim(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+def oracle_texture_fetch(cfg: VerifyConfig) -> OracleResult:
+    """Fused texel fetch vs the per-corner composition, compared with ``==``.
+
+    Seeded batches on a square and two non-square textures, through the
+    tiled and the block-compressed layout. Coordinates span several wrap
+    periods on both sides of zero; LODs reach every level down to 1x1
+    and past both chain ends; batch sizes straddle the kernel's chunk
+    (1, chunk - 1, chunk, chunk + 1, plus one 2-D batch). Colours must
+    match bit for bit and cache lines exactly
+    (:mod:`repro.verify.reference_texel_fetch`).
+    """
+    from ..texture.addressing import TextureLayout
+    from ..texture.compression import CompressedTextureLayout, compress_chain
+    from ..texture.fetch import FETCH_CHUNK, fetch_trilinear
+    from ..texture.image import Texture2D
+    from .reference_texel_fetch import fetch_trilinear_per_corner
+
+    rng = np.random.default_rng(cfg.seed + 13)
+    chains = [
+        _chain(cfg.seed),
+        MipChain(Texture2D("verify_wide", rng.random((16, 64, 4)))),
+        MipChain(Texture2D("verify_tall", rng.random((128, 8, 4)))),
+    ]
+    layouts = {
+        "tiled": TextureLayout(chains),
+        "compressed": CompressedTextureLayout(
+            [compress_chain(chain) for chain in chains]
+        ),
+    }
+    shapes = [(1,), (FETCH_CHUNK - 1,), (FETCH_CHUNK,), (FETCH_CHUNK + 1,), (7, 5)]
+    mismatched: "list[str]" = []
+    levels_missed: "list[str]" = []
+    max_err = 0.0
+    samples = 0
+    for name, layout in layouts.items():
+        for tex_index, chain in enumerate(layout.chains):
+            levels_hit = set()
+            for shape in shapes:
+                u, v = _uv(rng, int(np.prod(shape)))
+                lod = rng.uniform(-1.0, chain.max_level + 2.0, u.size)
+                # Integer LODs put every level, 1x1 included, at l0.
+                lod[: chain.num_levels] = np.arange(chain.num_levels)[: u.size]
+                info = trilinear_info(
+                    chain, u.reshape(shape), v.reshape(shape), lod.reshape(shape)
+                )
+                got = fetch_trilinear(chain, info, layout, tex_index)
+                want = fetch_trilinear_per_corner(chain, info, layout, tex_index)
+                label = f"{name}:{chain.name}:{'x'.join(map(str, shape))}"
+                if not (
+                    np.array_equal(got[0].view(np.uint32), want[0].view(np.uint32))
+                    and np.array_equal(got[1], want[1])
+                ):
+                    mismatched.append(label)
+                max_err = max(max_err, float(np.abs(got[0] - want[0]).max()))
+                levels_hit.update(np.unique(info.l0).tolist())
+                levels_hit.update(np.unique(info.l1).tolist())
+                samples += u.size
+            if levels_hit != set(range(chain.num_levels)):
+                levels_missed.append(f"{name}:{chain.name}")
+    return OracleResult(
+        name="diff_texture_fetch",
+        layer=LAYER_DIFFERENTIAL,
+        passed=not mismatched and not levels_missed,
+        max_error=max_err,
+        fragments=samples,
+        details={
+            "chunk": FETCH_CHUNK,
+            "mismatched": mismatched,
+            "levels_missed": levels_missed,
+        },
+    )
+
+
 #: All differential oracles, in dependency-free execution order.
 DIFFERENTIAL_ORACLES = (
     oracle_bilinear,
     oracle_trilinear,
+    oracle_texture_fetch,
     oracle_footprint,
     oracle_anisotropic,
     oracle_af_ssim_n,

@@ -163,6 +163,35 @@ class TestEviction:
         assert fresh.exists() and not self_sized.exists()
         assert store.stats.evictions == 1
 
+    def test_puts_under_budget_list_the_store_once(
+        self, tmp_path, capture, monkeypatch
+    ):
+        store = CaptureStore(tmp_path / "captures", max_bytes=1 << 40)
+        listings = []
+        real = store.entries
+        monkeypatch.setattr(
+            store, "entries", lambda: listings.append(1) or real()
+        )
+        for i in range(6):
+            store.put(_spec(f"w{i}"), capture)
+        assert len(listings) <= 1
+        assert len(real()) == 6
+
+    def test_put_crossing_the_budget_evicts_oldest_first(self, tmp_path, capture):
+        entry_bytes = CaptureStore(tmp_path / "probe").put(
+            _spec("probe"), capture
+        ).stat().st_size
+        store = CaptureStore(tmp_path / "captures", max_bytes=3 * entry_bytes)
+        paths = []
+        for i in range(3):
+            paths.append(store.put(_spec(f"w{i}"), capture))
+            os.utime(paths[-1], (1_000 + i, 1_000 + i))
+        assert store.stats.evictions == 0
+        fresh = store.put(_spec("w3"), capture)
+        assert not paths[0].exists()
+        assert paths[1].exists() and paths[2].exists() and fresh.exists()
+        assert store.stats.evictions == 1
+
     def test_unbounded_prune_is_a_no_op(self, store, capture):
         store.put(_spec("a"), capture)
         assert store.prune() == (0, 0)

@@ -137,3 +137,23 @@ class TestCacheScaling:
     def test_full_scale_never_scales(self):
         s = RenderSession(GpuConfig(), scale=1.0)
         assert s.config.texture_l2.size_bytes == 128 * 1024
+
+
+class TestSceneLayouts:
+    def test_a_recycled_scene_id_gets_its_own_textures(self):
+        from repro.workloads.fuzz import fuzz_workload
+
+        # Two scenes with the same texture names and sizes but
+        # different texels: a layout served to the wrong one renders
+        # without any error.
+        first, second = fuzz_workload(0), fuzz_workload(1)
+        session = RenderSession(GpuConfig(), scale=0.25)
+        session._scene_layout(first.scene)
+        # What a freed scene leaves behind when the next one is
+        # allocated at its address: its entry, under the new id.
+        session._layouts[id(second.scene)] = session._layouts[id(first.scene)]
+        planted = session.capture_frame(second, 0)
+        fresh = RenderSession(GpuConfig(), scale=0.25).capture_frame(second, 0)
+        assert np.array_equal(planted.af_color, fresh.af_color)
+        assert np.array_equal(planted.tf_color, fresh.tf_color)
+        assert np.array_equal(planted.af_lines, fresh.af_lines)

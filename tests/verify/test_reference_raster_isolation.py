@@ -1,5 +1,5 @@
-"""The reference rasterizer, cache walk and fetch stream are test oracles,
-not product dependencies."""
+"""The reference rasterizer, cache walk, fetch stream and texel fetch are
+test oracles, not product dependencies."""
 
 import ast
 import functools
@@ -8,7 +8,7 @@ import pathlib
 import subprocess
 import sys
 
-from repro.verify import reference_cache, reference_fetch
+from repro.verify import reference_cache, reference_fetch, reference_texel_fetch
 from repro.verify.reference_raster import Rasterizer
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
@@ -75,3 +75,8 @@ def test_no_product_module_imports_the_reference_cache():
 def test_no_product_module_imports_the_reference_fetch_stream():
     assert reference_fetch.__name__ not in _modules_loaded_by_entry_points()
     assert _product_importers(reference_fetch) == []
+
+
+def test_no_product_module_imports_the_reference_texel_fetch():
+    assert reference_texel_fetch.__name__ not in _modules_loaded_by_entry_points()
+    assert _product_importers(reference_texel_fetch) == []
