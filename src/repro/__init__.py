@@ -29,7 +29,7 @@ from .config import BASELINE_CONFIG, GpuConfig, MAX_ANISOTROPY
 from .core import SCENARIOS, PerceptionAwareTextureUnit, af_ssim_n, af_ssim_txds
 from .errors import ReproError
 from .renderer import FrameCapture, FrameResult, RenderSession
-from .workloads import GAME_WORKLOADS, get_workload, rbench_workload, workload_names
+from .workloads import get_workload, rbench_workload, workload_names
 
 __version__ = "1.0.0"
 
@@ -37,7 +37,6 @@ __all__ = [
     "BASELINE_CONFIG",
     "FrameCapture",
     "FrameResult",
-    "GAME_WORKLOADS",
     "GpuConfig",
     "MAX_ANISOTROPY",
     "PerceptionAwareTextureUnit",

@@ -93,33 +93,3 @@ class MipChain:
     def total_texels(self) -> int:
         """Total texel count across all levels (~4/3 of base level)."""
         return sum(lv.shape[0] * lv.shape[1] for lv in self.levels)
-
-    def gather(self, level: np.ndarray, iy: np.ndarray, ix: np.ndarray) -> np.ndarray:
-        """Gather texel colors for arrays of (level, y, x) with wrap addressing.
-
-        All three index arrays must share a shape; levels must be valid.
-        Returns colors of shape ``(*index_shape, 4)``.
-        """
-        return self.gather_flat(self.flat_indices(level, iy, ix))
-
-    def flat_indices(
-        self, level: np.ndarray, iy: np.ndarray, ix: np.ndarray
-    ) -> np.ndarray:
-        """Flat-store indices of (level, y, x) texels (wrap addressing).
-
-        Two texel references alias the same flat index exactly when
-        they name the same physical texel.
-        """
-        _, bases, widths, heights = self.flat_store()
-        level = np.asarray(level, dtype=np.int64)
-        w = widths[level]
-        return (
-            bases[level]
-            + np.mod(np.asarray(iy, dtype=np.int64), heights[level]) * w
-            + np.mod(np.asarray(ix, dtype=np.int64), w)
-        )
-
-    def gather_flat(self, idx: np.ndarray) -> np.ndarray:
-        """Texel colors for flat-store indices from :meth:`flat_indices`."""
-        flat, _, _, _ = self.flat_store()
-        return flat[idx]

@@ -18,7 +18,10 @@ must hold regardless of how the pipeline computes them.
 * **Conservation** — every line fetch of the chosen filter modes is an
   L1 access (``8 x`` the trilinear samples: ``n`` per AF pixel, one per
   other pixel), every L1 miss an L2 access and every L2 miss a DRAM
-  line.
+  line. PATU's two stages approve disjoint pixel sets that add up to
+  the approximated set, stage 2 approves no more pixels than it checks
+  and checks no more than the frame has, and the approximated share is
+  the evaluation's approximation rate.
 
 The capture-based checks are exposed as pure functions over
 ``(capture, ...)`` so the test suite can run them against its own
@@ -34,6 +37,7 @@ from ..core.patu import FilterMode, PerceptionAwareTextureUnit
 from ..core.predictor import TwoStagePredictor
 from ..core.scenarios import SCENARIOS
 from ..obs import TELEMETRY
+from ..resilience.guards import safe_anisotropy
 from ..texture.footprint import compute_footprints
 from ..texture.unit import TEXELS_PER_TRILINEAR
 from ..workloads.games import get_workload
@@ -187,31 +191,66 @@ def check_lod_shift_localized(capture, threshold: float) -> "dict[str, object]":
     }
 
 
+def stage2_checked(decision, n: np.ndarray, scenario) -> int:
+    """Pixels a PATU decision sent through stage 2's check.
+
+    Counted as :class:`~repro.core.predictor.TwoStagePredictor` counts
+    ``predictor.stage2_checked``: with stage 2 enabled, every pixel that
+    stage 1 did not approve, except the valid ``N <= 1`` pixels that need
+    no AF at all (degraded pixels are checked, and never approved).
+    """
+    if not scenario.use_stage2:
+        return 0
+    prediction = decision.prediction
+    n_safe, _ = safe_anisotropy(np.asarray(n, dtype=np.int64))
+    no_af_needed = n_safe <= 1
+    if prediction.degraded is not None:
+        no_af_needed &= ~prediction.degraded
+    return int((~prediction.stage1 & ~no_af_needed).sum())
+
+
 def check_conservation(
     session, capture, points: "tuple[tuple[str, float], ...]"
 ) -> "dict[str, object]":
-    """The texture hierarchy's conservation laws at each design point.
+    """The hierarchy's and PATU's conservation laws at each design point.
 
-    ``points`` are ``(scenario, threshold)`` pairs. The laws hold for a
-    capture whose count tags are valid, as every rendered capture's
-    are: a degraded pixel's sanitized ``N`` sets its trilinear samples
-    but not its captured fetch stream.
+    ``points`` are ``(scenario, threshold)`` pairs. The hierarchy laws
+    hold for a capture whose count tags are valid, as every rendered
+    capture's are: a degraded pixel's sanitized ``N`` sets its trilinear
+    samples but not its captured fetch stream. The PATU laws are checked
+    against the point's :class:`~repro.core.patu.PatuDecision`.
     """
     violations: "list[str]" = []
     for scenario, threshold in points:
-        result = session.evaluate(capture, SCENARIOS[scenario], threshold)
+        spec = SCENARIOS[scenario]
+        decision = PerceptionAwareTextureUnit(spec, threshold).decide(
+            capture.n, capture.txds
+        )
+        result = session.evaluate(capture, spec, threshold)
         hier = result.hierarchy
+        prediction = decision.prediction
+        pixels = int(decision.mode.size)
+        stage1 = int(prediction.stage1.sum())
+        stage2 = int(prediction.stage2.sum())
+        approximated = int(prediction.approximated.sum())
         laws = {
-            "l1_accesses": (
-                hier.l1.accesses,
-                TEXELS_PER_TRILINEAR * result.events.trilinear_samples,
+            "l1_accesses": hier.l1.accesses
+            == TEXELS_PER_TRILINEAR * result.events.trilinear_samples,
+            "l2_accesses": hier.l2.accesses == hier.l1.misses,
+            "dram_lines": hier.dram.lines_fetched == hier.l2.misses,
+            "stages_disjoint": not bool(
+                (prediction.stage1 & prediction.stage2).any()
             ),
-            "l2_accesses": (hier.l2.accesses, hier.l1.misses),
-            "dram_lines": (hier.dram.lines_fetched, hier.l2.misses),
+            "stages_sum": stage1 + stage2 == approximated,
+            "stage2_checked": (
+                stage2 <= stage2_checked(decision, capture.n, spec) <= pixels
+            ),
+            "approximation_rate": result.approximation_rate
+            == (approximated / pixels if pixels else 0.0),
         }
         violations.extend(
             f"{scenario}@{threshold:g}:{law}"
-            for law, (got, want) in laws.items() if got != want
+            for law, holds in laws.items() if not holds
         )
     return {"passed": not violations, "points": len(points),
             "violations": violations}

@@ -6,7 +6,8 @@ redistributable, so each game is substituted by a procedurally
 generated scene tuned to the game's rendering character — the relevant
 property being the *distribution of anisotropy and texel-footprint
 overlap* its surfaces produce (see DESIGN.md §2). All content is
-seeded and deterministic.
+seeded and deterministic, and each scene is built on the first read of
+a workload's ``scene``, once per game (:class:`SceneBuilder`).
 """
 
 from .proctex import (
@@ -22,8 +23,8 @@ from .proctex import (
     water_texture,
     wood_texture,
 )
-from .scene import Scene, CameraPath, Workload
-from .games import GAME_WORKLOADS, TABLE2_ROWS, get_workload, workload_names
+from .scene import Scene, CameraPath, SceneBuilder, Workload
+from .games import TABLE2_ROWS, get_workload, workload_names
 from .rbench import rbench_workload
 from .fuzz import (
     FUZZ_PREFIX,
@@ -39,9 +40,9 @@ __all__ = [
     "CameraPath",
     "FUZZ_PREFIX",
     "FuzzSpec",
-    "GAME_WORKLOADS",
     "PROFILES",
     "Scene",
+    "SceneBuilder",
     "TABLE2_ROWS",
     "Workload",
     "asphalt_texture",

@@ -29,7 +29,7 @@ from ..errors import WorkloadError
 from ..geometry.camera import Camera
 from ..geometry.mesh import make_quad
 from .proctex import checker_texture, facade_texture, noise_texture
-from .scene import Scene, Workload
+from .scene import Scene, SceneBuilder, Workload
 
 #: Workload-request prefix: ``"fuzz@7:grazing"`` is seed 7 of the
 #: grazing profile (``":default"`` may be omitted).
@@ -390,14 +390,16 @@ def build_camera_path(spec: FuzzSpec):
 
 @functools.lru_cache(maxsize=32)
 def workload_from_spec(spec: FuzzSpec, abbr: "str | None" = None) -> Workload:
-    """Build (and cache) the :class:`Workload` a spec describes."""
+    """The (cached) :class:`Workload` a spec describes; its scene is
+    built on first read."""
+    abbr = abbr or f"{FUZZ_PREFIX}{spec.seed}"
     return Workload(
-        abbr=abbr or f"{FUZZ_PREFIX}{spec.seed}",
+        abbr=abbr,
         title=f"Fuzz scenario (seed {spec.seed}, {spec.uv_regime})",
         width=spec.width,
         height=spec.height,
         library="fuzz",
-        scene=build_scene(spec),
+        scene_builder=SceneBuilder(abbr, functools.partial(build_scene, spec)),
         camera_path=build_camera_path(spec),
         num_frames=spec.frames,
     )

@@ -7,12 +7,13 @@ since that mix is what determines both AF's cost and PATU's opportunity
 (DESIGN.md §2 documents this substitution).
 
 The scene geometry is shared between resolutions of the same game
-(HL2 and Doom3 run at three resolutions each, Section VI).
+(HL2 and Doom3 run at three resolutions each, Section VI): each game
+has one :class:`~repro.workloads.scene.SceneBuilder`, which builds the
+scene on its first read, so a run builds only the games it renders.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -33,7 +34,7 @@ from .proctex import (
     water_texture,
     wood_texture,
 )
-from .scene import Scene, Workload
+from .scene import Scene, SceneBuilder, Workload
 
 
 def _ground(x0, x1, z_near, z_far, texture, uv_scale, y=0.0, subdivisions=6):
@@ -79,7 +80,6 @@ def _forward_path(eye0, target0, step, frames_to_target_ratio=0.0):
     return path
 
 
-@functools.lru_cache(maxsize=None)
 def _hl2_scene() -> Scene:
     """Half-Life 2: outdoor terrain, water, distant mountains, buildings."""
     scene = Scene(clear_color=(0.55, 0.65, 0.8, 1.0))
@@ -108,7 +108,6 @@ def _hl2_path(frame: int) -> Camera:
     return _forward_path((0.0, 3.0, 18.0), (2.0, 2.0, -60.0), 6.0)(frame)
 
 
-@functools.lru_cache(maxsize=None)
 def _doom3_scene() -> Scene:
     """Doom3: a dark metal corridor — all four bounding surfaces grazing."""
     scene = Scene(clear_color=(0.02, 0.02, 0.03, 1.0))
@@ -134,7 +133,6 @@ def _doom3_path(frame: int) -> Camera:
     return _forward_path((0.0, 3.2, 12.0), (0.0, 3.0, -40.0), 7.0)(frame)
 
 
-@functools.lru_cache(maxsize=None)
 def _grid_scene() -> Scene:
     """GRID: a race track — extreme grazing asphalt dominates the frame."""
     scene = Scene(clear_color=(0.6, 0.7, 0.85, 1.0))
@@ -162,7 +160,6 @@ def _grid_path(frame: int) -> Camera:
     return _forward_path((0.0, 1.6, 10.0), (0.0, 1.0, -80.0), 10.0)(frame)
 
 
-@functools.lru_cache(maxsize=None)
 def _nfs_scene() -> Scene:
     """Need For Speed: a city street canyon — road plus oblique facades."""
     scene = Scene(clear_color=(0.45, 0.5, 0.62, 1.0))
@@ -184,7 +181,6 @@ def _nfs_path(frame: int) -> Camera:
     return _forward_path((0.0, 2.0, 8.0), (0.0, 1.6, -60.0), 12.0)(frame)
 
 
-@functools.lru_cache(maxsize=None)
 def _stal_scene() -> Scene:
     """S.T.A.L.K.E.R.: open wasteland with ruins and fences."""
     scene = Scene(clear_color=(0.5, 0.52, 0.5, 1.0))
@@ -206,7 +202,6 @@ def _stal_path(frame: int) -> Camera:
     return _forward_path((0.0, 2.4, 15.0), (3.0, 1.5, -70.0), 8.0)(frame)
 
 
-@functools.lru_cache(maxsize=None)
 def _ut3_scene() -> Scene:
     """Unreal Tournament 3: a tech arena with ramps and platforms."""
     scene = Scene(clear_color=(0.2, 0.22, 0.3, 1.0))
@@ -234,7 +229,6 @@ def _ut3_path(frame: int) -> Camera:
     return _forward_path((0.0, 4.0, 12.0), (0.0, 3.0, -70.0), 6.0)(frame)
 
 
-@functools.lru_cache(maxsize=None)
 def _wolf_scene() -> Scene:
     """Wolfenstein: a low-fi stone dungeon corridor."""
     scene = Scene(clear_color=(0.05, 0.05, 0.06, 1.0))
@@ -267,22 +261,25 @@ TABLE2_ROWS = [
     ("wolf", "Wolfenstein", [(640, 480)], "DirectX3D"),
 ]
 
+#: Per game: its scene builder and its camera path.
 _BUILDERS = {
-    "HL2": (_hl2_scene, _hl2_path),
-    "doom3": (_doom3_scene, _doom3_path),
-    "grid": (_grid_scene, _grid_path),
-    "nfs": (_nfs_scene, _nfs_path),
-    "stal": (_stal_scene, _stal_path),
-    "Ut3": (_ut3_scene, _ut3_path),
-    "wolf": (_wolf_scene, _wolf_path),
+    abbr: (SceneBuilder(abbr, scene), path)
+    for abbr, scene, path in (
+        ("HL2", _hl2_scene, _hl2_path),
+        ("doom3", _doom3_scene, _doom3_path),
+        ("grid", _grid_scene, _grid_path),
+        ("nfs", _nfs_scene, _nfs_path),
+        ("stal", _stal_scene, _stal_path),
+        ("Ut3", _ut3_scene, _ut3_path),
+        ("wolf", _wolf_scene, _wolf_path),
+    )
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _build_workloads() -> "dict[str, Workload]":
+def _table2_workloads() -> "dict[str, Workload]":
     out: "dict[str, Workload]" = {}
     for abbr, title, resolutions, library in TABLE2_ROWS:
-        scene_fn, path = _BUILDERS[abbr]
+        scene_builder, path = _BUILDERS[abbr]
         for width, height in resolutions:
             wl = Workload(
                 abbr=abbr,
@@ -290,28 +287,28 @@ def _build_workloads() -> "dict[str, Workload]":
                 width=width,
                 height=height,
                 library=library,
-                scene=scene_fn(),
+                scene_builder=scene_builder,
                 camera_path=path,
             )
             out[wl.name] = wl
     return out
 
 
+#: Name -> Workload for all Table II configurations; no scene is built
+#: until a workload's ``scene`` is read.
+_WORKLOADS = _table2_workloads()
+
+
 def workload_names() -> "list[str]":
     """All Table II configuration names, in presentation order."""
-    return list(_build_workloads().keys())
+    return list(_WORKLOADS)
 
 
 def get_workload(name: str) -> Workload:
-    """Look up a workload by its ``abbr-WxH`` name."""
-    workloads = _build_workloads()
+    """Look up a workload by its ``abbr-WxH`` name (builds no scene)."""
     try:
-        return workloads[name]
+        return _WORKLOADS[name]
     except KeyError:
         raise WorkloadError(
-            f"unknown workload {name!r}; available: {sorted(workloads)}"
+            f"unknown workload {name!r}; available: {sorted(_WORKLOADS)}"
         ) from None
-
-
-#: Name -> Workload mapping for all Table II configurations.
-GAME_WORKLOADS = _build_workloads()

@@ -10,7 +10,6 @@ R.Bench's "high-quality color effects and large texture data" do.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -26,13 +25,12 @@ from .proctex import (
     noise_texture,
     water_texture,
 )
-from .scene import Scene, Workload
+from .scene import Scene, SceneBuilder, Workload
 
 #: Fig. 4 resolutions: "2K" and "4K".
 RBENCH_RESOLUTIONS = {"2K": (2560, 1440), "4K": (3840, 2160)}
 
 
-@functools.lru_cache(maxsize=None)
 def _rbench_scene() -> Scene:
     scene = Scene(clear_color=(0.3, 0.4, 0.6, 1.0))
     scene.add_texture(asphalt_texture("rb_ground", seed=201, lane_marks=False))
@@ -70,6 +68,10 @@ def _rbench_scene() -> Scene:
     return scene
 
 
+#: Both resolutions share one scene, built on first read.
+_RBENCH_SCENE = SceneBuilder("R.Bench", _rbench_scene)
+
+
 def _rbench_path(frame: int) -> Camera:
     sway = 1.5 * math.sin(frame * 0.5)
     dz = -9.0 * frame
@@ -95,7 +97,7 @@ def rbench_workload(resolution: str = "2K", num_frames: int = 8) -> Workload:
         width=width,
         height=height,
         library="OpenGL_ES3",
-        scene=_rbench_scene(),
+        scene_builder=_RBENCH_SCENE,
         camera_path=_rbench_path,
         num_frames=num_frames,
     )

@@ -5,16 +5,23 @@ row: a scene (meshes + textures), a camera path (one camera per frame)
 and the nominal resolution. Workloads are rendered at
 ``resolution * scale`` — the ``scale`` knob keeps pure-Python runtimes
 tractable while preserving relative resolution ratios (DESIGN.md §2).
+
+A workload holds its scene's :class:`SceneBuilder`, not the scene: the
+scene is built on the first read of :attr:`Workload.scene`, so naming
+or resolving a workload costs nothing, and a run builds only the
+scenes it renders.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import WorkloadError
 from ..geometry.camera import Camera
 from ..geometry.mesh import Mesh
+from ..obs import TELEMETRY
 from ..texture.image import Texture2D
 
 #: A camera path maps a frame index to a camera.
@@ -57,6 +64,39 @@ class Scene:
         return sum(m.num_vertices for m in self.meshes)
 
 
+class SceneBuilder:
+    """A scene built on the first call and returned by every later one.
+
+    One builder serves every workload that shares its scene (a game's
+    resolutions and their stereo variants), so a game's scene is built
+    at most once per process. The build runs under a lock: threads that
+    race on the first call (``--jobs N`` workers, concurrent service
+    requests) wait for the one build instead of each running their own,
+    as threads missing a ``functools.lru_cache`` would. The built scene
+    is validated before anyone sees it, and the build is traced as a
+    ``workloads.build`` span plus a ``workloads.scenes_built`` count.
+    """
+
+    def __init__(self, game: str, build: "Callable[[], Scene]") -> None:
+        self.game = game
+        self.build = build
+        self._lock = threading.Lock()
+        self._scene: "Scene | None" = None
+
+    def __call__(self) -> Scene:
+        scene = self._scene
+        if scene is None:
+            with self._lock:
+                if self._scene is None:
+                    with TELEMETRY.span("workloads.build", game=self.game):
+                        built = self.build()
+                        built.validate()
+                    TELEMETRY.count("workloads.scenes_built")
+                    self._scene = built
+                scene = self._scene
+        return scene
+
+
 @dataclass(frozen=True)
 class Workload:
     """One benchmark configuration (a Table II row at one resolution)."""
@@ -66,7 +106,7 @@ class Workload:
     width: int
     height: int
     library: str
-    scene: Scene
+    scene_builder: SceneBuilder
     camera_path: CameraPath
     num_frames: int = 8
 
@@ -75,7 +115,11 @@ class Workload:
             raise WorkloadError(f"bad resolution {self.width}x{self.height}")
         if self.num_frames < 1:
             raise WorkloadError("workload needs at least one frame")
-        self.scene.validate()
+
+    @property
+    def scene(self) -> Scene:
+        """The workload's scene, built (and validated) on first read."""
+        return self.scene_builder()
 
     @property
     def name(self) -> str:

@@ -76,7 +76,7 @@ def vr_workload(
         width=base.width,
         height=base.height,
         library=base.library,
-        scene=base.scene,
+        scene_builder=base.scene_builder,
         camera_path=stereo_path,
         num_frames=2 * steps,
     )

@@ -19,7 +19,7 @@ from repro.renderer.session import RenderSession
 from repro.texture.image import Texture2D
 from repro.texture.mipmap import MipChain
 from repro.workloads.proctex import checker_texture, facade_texture
-from repro.workloads.scene import Scene, Workload
+from repro.workloads.scene import Scene, SceneBuilder, Workload
 
 
 def _mini_scene() -> Scene:
@@ -47,7 +47,7 @@ def mini_workload() -> Workload:
         width=128,
         height=96,
         library="test",
-        scene=_mini_scene(),
+        scene_builder=SceneBuilder("mini", _mini_scene),
         camera_path=_mini_camera,
         num_frames=4,
     )

@@ -24,16 +24,15 @@ class TestContentDeterminism:
         assert np.array_equal(a, b)
 
     def test_scene_rebuild_is_identical(self):
+        # The raw build function, bypassing the game's once-only builder.
         from repro.workloads.games import _doom3_scene
 
-        _doom3_scene.cache_clear()
         first = _doom3_scene()
         tex_a = {k: v.data.copy() for k, v in first.textures.items()}
-        _doom3_scene.cache_clear()
         second = _doom3_scene()
+        assert second is not first
         for name, data in tex_a.items():
             assert np.array_equal(second.textures[name].data, data)
-        _doom3_scene.cache_clear()
 
     def test_user_study_population_stable(self):
         a = UserStudy(seed=2018)

@@ -189,10 +189,10 @@ class TestHierarchyAgreement:
 
 def _one_config_per_game() -> "list[str]":
     """Each game's highest-resolution Table II configuration."""
-    from repro.workloads.games import GAME_WORKLOADS
+    from repro.workloads.games import get_workload, workload_names
 
     by_game: "dict[str, str]" = {}
-    for workload in sorted(GAME_WORKLOADS.values(),
+    for workload in sorted(map(get_workload, workload_names()),
                            key=lambda w: w.width * w.height):
         by_game[workload.abbr] = workload.name
     return sorted(by_game.values())

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TextureError
+from repro.texture.fetch import fetch_trilinear
 from repro.texture.image import Texture2D
 from repro.texture.mipmap import MipChain
+from repro.texture.sampler import TrilinearInfo
 
 
 class TestTexture2D:
@@ -66,13 +68,20 @@ class TestMipChain:
             chain.level_size(10)
 
     def test_gather_wraps_coordinates(self):
+        # Zero fractions make each fetched colour one texel's, exactly:
+        # (u, v) = (0, 4) and (4, -4) both wrap to texel (0, 0).
         data = np.zeros((4, 4))
         data[0, 0] = 1.0
         chain = MipChain(Texture2D("t", data))
         level = np.zeros(2, dtype=np.int64)
-        out = chain.gather(level, np.array([4, -4]), np.array([0, 4]))
-        assert out[0, 0] == pytest.approx(1.0)
-        assert out[1, 0] == pytest.approx(1.0)
+        frac = np.zeros(2, dtype=np.float32)
+        iu, iv = np.array([0, 4]), np.array([4, -4])
+        info = TrilinearInfo(
+            l0=level, l1=level, iu0=iu, iv0=iv, fu0=frac, fv0=frac,
+            iu1=iu, iv1=iv, fu1=frac, fv1=frac, lfrac=frac,
+        )
+        colors, _ = fetch_trilinear(chain, info)
+        assert colors[:, 0].tolist() == [1.0, 1.0]
 
     @settings(max_examples=20)
     @given(st.integers(min_value=2, max_value=7))

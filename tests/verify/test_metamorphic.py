@@ -5,9 +5,15 @@ The pure ``check_*`` helpers run here on the shared conftest capture
 render a Table II workload and spawn a process pool — are ``slow``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.patu import PerceptionAwareTextureUnit
+from repro.core.predictor import TwoStagePredictor
+from repro.core.scenarios import SCENARIOS
+from repro.obs import TELEMETRY
 from repro.renderer.session import FetchSegments
 from repro.verify.metamorphic import (
     METAMORPHIC_ORACLES,
@@ -16,6 +22,7 @@ from repro.verify.metamorphic import (
     check_lod_shift_localized,
     check_rotation_invariance,
     check_threshold_monotone,
+    stage2_checked,
 )
 from repro.verify.report import VerifyConfig
 
@@ -87,6 +94,44 @@ def test_conservation_catches_a_lost_repeat_count(
     assert {v.rsplit(":", 1)[1] for v in outcome["violations"]} == {
         "l1_accesses"
     }
+
+
+def test_conservation_catches_overlapping_stages(
+    session, capture, monkeypatch
+):
+    # Stage 2 approving stage-1 pixels again, as its mask would without
+    # ``~stage1``.
+    real = TwoStagePredictor.predict
+
+    def overlapping(self, n, txds):
+        prediction = real(self, n, txds)
+        return dataclasses.replace(
+            prediction, stage2=prediction.stage2 | prediction.stage1
+        )
+
+    monkeypatch.setattr(TwoStagePredictor, "predict", overlapping)
+    outcome = check_conservation(session, capture, CONSERVATION_POINTS)
+    assert not outcome["passed"]
+    laws = {v.rsplit(":", 1)[1] for v in outcome["violations"]}
+    # Re-approved pixels may also push stage 2 past the pixels it checked.
+    assert {"stages_disjoint", "stages_sum"} <= laws <= {
+        "stages_disjoint", "stages_sum", "stage2_checked"
+    }
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_stage2_checked_matches_the_predictor_counter(capture, scenario):
+    TELEMETRY.enabled = True
+    try:
+        decision = PerceptionAwareTextureUnit(
+            SCENARIOS[scenario], 0.4
+        ).decide(capture.n, capture.txds)
+    finally:
+        TELEMETRY.enabled = False
+    counted = TELEMETRY.counter_value("predictor.stage2_checked")
+    assert stage2_checked(decision, capture.n, SCENARIOS[scenario]) == counted
+    if SCENARIOS[scenario].use_stage2:
+        assert counted > 0
 
 
 @pytest.mark.slow

@@ -5,11 +5,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.geometry.mesh import make_box
-from repro.workloads.games import (
-    GAME_WORKLOADS,
-    get_workload,
-    workload_names,
-)
+from repro.workloads.games import get_workload, workload_names
 from repro.workloads.rbench import RBENCH_RESOLUTIONS, rbench_workload
 from repro.workloads.scene import Scene
 
@@ -59,16 +55,16 @@ class TestTable2Registry:
         with pytest.raises(WorkloadError, match="unknown workload"):
             get_workload("quake-640x480")
 
-    @pytest.mark.parametrize("name", list(GAME_WORKLOADS))
+    @pytest.mark.parametrize("name", workload_names())
     def test_every_scene_is_valid(self, name):
-        wl = GAME_WORKLOADS[name]
+        wl = get_workload(name)
         wl.scene.validate()
         assert wl.scene.total_triangles > 0
         assert len(wl.scene.textures) >= 3
 
-    @pytest.mark.parametrize("name", list(GAME_WORKLOADS))
+    @pytest.mark.parametrize("name", workload_names())
     def test_camera_paths_cover_all_frames(self, name):
-        wl = GAME_WORKLOADS[name]
+        wl = get_workload(name)
         cams = [wl.camera(i) for i in range(wl.num_frames)]
         eyes = {tuple(np.round(c.eye, 6)) for c in cams}
         assert len(eyes) == wl.num_frames  # camera actually moves
