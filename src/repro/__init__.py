@@ -12,7 +12,7 @@ Public API quick tour::
 
 Subpackages:
 
-* :mod:`repro.core` — AF-SSIM prediction, hash table, PATU (the paper's
+* :mod:`repro.core` — AF-SSIM prediction, Txds, PATU (the paper's
   contribution).
 * :mod:`repro.geometry`, :mod:`repro.raster`, :mod:`repro.texture` —
   the rasterization GPU pipeline substrate.

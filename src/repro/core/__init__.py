@@ -1,10 +1,11 @@
 """The paper's primary contribution: runtime AF approximation.
 
-* :mod:`af_ssim` — the AF-SSIM formulation (Eq. 4-6, 8-10): similarity
-  degree, sample-area based prediction ``AF_SSIM(N)``, texel
-  distribution similarity ``Txds`` and ``AF_SSIM(Txds)``.
-* :mod:`hash_table` — the 16-entry texel-address hash table with count
-  tags (PATU component 2 in Fig. 14).
+* :mod:`af_ssim` — the AF-SSIM formulation (Eq. 4-6, 8-10): sample-area
+  based prediction ``AF_SSIM(N)``, texel distribution similarity
+  ``Txds`` and ``AF_SSIM(Txds)``.
+* :mod:`hash_table` — the §V-D storage constants of the 16-entry
+  texel-address hash table with count tags (PATU component 2 in
+  Fig. 14).
 * :mod:`predictor` — the two-stage runtime prediction flow (Fig. 13).
 * :mod:`scenarios` — the evaluated design points (Baseline,
   AF-SSIM(N), AF-SSIM(N)+(Txds), PATU).
@@ -13,15 +14,13 @@
 """
 
 from .af_ssim import (
-    af_ssim_from_similarity,
     af_ssim_n,
     af_ssim_txds,
     entropy,
-    sharing_fraction_from_csr,
     txds,
-    txds_from_csr,
+    txds_and_sharing_from_csr,
 )
-from .hash_table import TexelAddressHashTable, HASH_TABLE_ENTRIES
+from .hash_table import HASH_TABLE_ENTRIES
 from .predictor import PredictionResult, TwoStagePredictor
 from .scenarios import Scenario, SCENARIOS, BASELINE, AFSSIM_N, AFSSIM_N_TXDS, PATU
 from .patu import FilterMode, PatuDecision, PerceptionAwareTextureUnit
@@ -38,13 +37,10 @@ __all__ = [
     "PredictionResult",
     "SCENARIOS",
     "Scenario",
-    "TexelAddressHashTable",
     "TwoStagePredictor",
-    "af_ssim_from_similarity",
     "af_ssim_n",
     "af_ssim_txds",
     "entropy",
-    "sharing_fraction_from_csr",
     "txds",
-    "txds_from_csr",
+    "txds_and_sharing_from_csr",
 ]

@@ -3,7 +3,8 @@
 Section IV of the paper derives, from the hardware filtering method
 (Eq. 3), that the AF and TF colors of a pixel relate by a scalar
 *similarity degree* ``mu = Y / X`` (Eq. 4), collapses SSIM to a
-function of that degree alone (Eq. 5), and then substitutes two
+function of that degree alone (Eq. 5,
+``((2 mu + C1) / (mu^2 + 1 + C1))^2``), and then substitutes two
 runtime-computable proxies for ``mu``:
 
 * the anisotropy degree ``N`` (sample-area based prediction, Eq. 6) —
@@ -12,8 +13,9 @@ runtime-computable proxies for ``mu``:
   entropy (Eq. 8) of how AF's trilinear samples cluster into shared
   texel sets — available right after texel address calculation.
 
-All functions are numpy-vectorized; the CSR variants operate on the
-flattened per-sample footprint keys the texture unit captures.
+All functions are numpy-vectorized; :func:`txds_and_sharing_from_csr`
+operates on the flattened per-sample footprint keys the texture unit
+captures.
 """
 
 from __future__ import annotations
@@ -21,19 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DegenerateInputError, ReproError
-
-#: Stabilizing constant of Eq. (5); same role as C1 in classic SSIM.
-C1 = 1e-4
-
-
-def af_ssim_from_similarity(mu: np.ndarray, c1: float = C1) -> np.ndarray:
-    """Eq. (5): AF-SSIM as a function of the similarity degree ``mu``.
-
-    ``mu = 1`` (AF output identical to TF output) gives 1.0; the index
-    decays symmetrically as ``mu`` moves away from 1 in ratio.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    return ((2.0 * mu + c1) / (mu * mu + 1.0 + c1)) ** 2
 
 
 def af_ssim_n(n: np.ndarray) -> np.ndarray:
@@ -127,18 +116,31 @@ def _row_entropy_from_counts(counts: np.ndarray) -> np.ndarray:
     return -(np.log2(counts / n)).sum(axis=1) / n
 
 
-def txds_from_csr(keys: np.ndarray, row_ptr: np.ndarray) -> np.ndarray:
-    """Per-pixel Txds from CSR-packed sample footprint keys.
+def txds_and_sharing_from_csr(
+    keys: np.ndarray, row_ptr: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-pixel Txds and central-sample sharing from CSR footprint keys.
 
     ``keys[row_ptr[i]:row_ptr[i+1]]`` are pixel ``i``'s AF sample keys.
-    Pixels with a single sample get Txds = 1. Rows are processed in
-    equal-length groups so each group is one dense vectorized kernel.
+    Returns ``(txds, share)``:
+
+    * ``txds`` — Eq. (9) over the row's texel-set distribution, clipped
+      to ``[0, 1]``;
+    * ``share`` — the fraction of the row's samples that share the
+      central sample's texel set. The central sample is ``X_0`` in
+      Fig. 9/11, the one at the pixel's own (u, v), i.e. the one TF
+      itself would take (at AF's level); Fig. 12 averages this share.
+
+    Pixels with a single sample get 1 for both. Rows are grouped by
+    length once, and each group's duplicate counts feed both values:
+    the share is the central sample's count over ``n``.
     """
     keys = np.asarray(keys, dtype=np.int64)
     row_ptr = np.asarray(row_ptr, dtype=np.int64)
     num_rows = row_ptr.size - 1
     lengths = np.diff(row_ptr)
-    out = np.ones(num_rows, dtype=np.float64)
+    txds_out = np.ones(num_rows, dtype=np.float64)
+    share = np.ones(num_rows, dtype=np.float64)
     for n in np.unique(lengths):
         n = int(n)
         if n <= 1:
@@ -146,29 +148,6 @@ def txds_from_csr(keys: np.ndarray, row_ptr: np.ndarray) -> np.ndarray:
         rows = np.nonzero(lengths == n)[0]
         slots = row_ptr[rows][:, None] + np.arange(n)[None, :]
         counts = _per_row_counts(keys[slots])
-        out[rows] = 1.0 - _row_entropy_from_counts(counts) / np.log2(n)
-    return np.clip(out, 0.0, 1.0)
-
-
-def sharing_fraction_from_csr(keys: np.ndarray, row_ptr: np.ndarray) -> np.ndarray:
-    """Per-pixel fraction of AF samples sharing the central sample's texel set.
-
-    The central sample is ``X_0`` in Fig. 9/11 — the trilinear sample
-    at the pixel's own (u, v), i.e. the one TF itself would take (at
-    AF's level). This is the quantity Fig. 12 averages across frames.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    row_ptr = np.asarray(row_ptr, dtype=np.int64)
-    num_rows = row_ptr.size - 1
-    lengths = np.diff(row_ptr)
-    out = np.ones(num_rows, dtype=np.float64)
-    for n in np.unique(lengths):
-        n = int(n)
-        if n <= 1:
-            continue
-        rows = np.nonzero(lengths == n)[0]
-        slots = row_ptr[rows][:, None] + np.arange(n)[None, :]
-        dense = keys[slots]
-        center = dense[:, (n - 1) // 2][:, None]
-        out[rows] = (dense == center).mean(axis=1)
-    return out
+        txds_out[rows] = 1.0 - _row_entropy_from_counts(counts) / np.log2(n)
+        share[rows] = counts[:, (n - 1) // 2] / n
+    return np.clip(txds_out, 0.0, 1.0), share

@@ -1,22 +1,23 @@
-"""The runtime texel-address hash table (PATU component 2, Fig. 14).
+"""Storage constants of the runtime texel-address hash table (Fig. 14).
 
-A fully-associative 16-entry SRAM table, one per texture filtering
-pipeline. As the address ALU emits each trilinear sample's texel
-addresses, the table is probed top-to-bottom: a hit increments the
-entry's count tag, a miss allocates the first free entry. When all of
-a pixel's samples have been inserted, the count tags form the
-probability vector of Eq. (8); the table is then reset for the next
-pixel.
+PATU component 2 is a fully-associative 16-entry SRAM table, one per
+texture filtering pipeline. As the address ALU emits each trilinear
+sample's texel addresses, the table is probed top-to-bottom: a hit
+increments the entry's count tag, a miss allocates the first free
+entry. When all of a pixel's samples have been inserted, the count tags
+form the probability vector of Eq. (8); the table is then reset for the
+next pixel.
 
-This sequential model is the behavioural reference the vectorized
-:func:`repro.core.af_ssim.txds_from_csr` path is validated against in
-the test suite, and it carries the §V-D storage accounting
-(260 bits/entry: eight 32-bit addresses + a 4-bit count tag).
+The renderer computes the same statistic for whole frames with
+:func:`repro.core.af_ssim.txds_and_sharing_from_csr`; the sequential
+table it is checked against is
+:class:`repro.verify.reference_hash_table.TexelAddressHashTable`. This
+module keeps the §V-D storage accounting (260 bits/entry: eight 32-bit
+addresses + a 4-bit count tag) that the area model and the overhead
+experiments read.
 """
 
 from __future__ import annotations
-
-from ..errors import ReproError
 
 #: Max AF level on modern GPUs = max entries ever needed (Section V-A).
 HASH_TABLE_ENTRIES = 16
@@ -26,56 +27,3 @@ ADDRESS_BITS_PER_ENTRY = 8 * 32
 COUNT_TAG_BITS = 4
 #: Total bits per entry: (8x32) + 4 = 260 (Section V-D).
 BITS_PER_ENTRY = ADDRESS_BITS_PER_ENTRY + COUNT_TAG_BITS
-
-
-class TexelAddressHashTable:
-    """Sequential model of the 16-entry texel-address table."""
-
-    def __init__(self, entries: int = HASH_TABLE_ENTRIES) -> None:
-        if entries < 1:
-            raise ReproError(f"hash table needs >= 1 entry, got {entries}")
-        self.entries = entries
-        self._keys: "list[int]" = []
-        self._counts: "list[int]" = []
-        self.insertions = 0
-
-    def reset(self) -> None:
-        """Clear the table for the next pixel (Section V-B)."""
-        self._keys.clear()
-        self._counts.clear()
-        self.insertions = 0
-
-    def insert(self, key: int) -> bool:
-        """Insert one trilinear sample's texel-set key.
-
-        Returns True on a hit (count tag incremented), False on an
-        allocation. Raises if more distinct keys arrive than the table
-        has entries — impossible in hardware because a pixel has at
-        most ``max AF level`` samples.
-        """
-        self.insertions += 1
-        for i, existing in enumerate(self._keys):
-            if existing == key:
-                self._counts[i] += 1
-                return True
-        if len(self._keys) >= self.entries:
-            raise ReproError("texel address hash table overflow")
-        self._keys.append(key)
-        self._counts.append(1)
-        return False
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._keys)
-
-    def probability_vector(self) -> "list[float]":
-        """The probability vector P of Eq. (8) for the inserted samples."""
-        if self.insertions == 0:
-            raise ReproError("no samples inserted")
-        total = float(self.insertions)
-        return [c / total for c in self._counts]
-
-    @classmethod
-    def storage_bits(cls, entries: int = HASH_TABLE_ENTRIES) -> int:
-        """SRAM bits for one table instance (Section V-D)."""
-        return entries * BITS_PER_ENTRY

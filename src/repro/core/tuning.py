@@ -2,14 +2,14 @@
 
 Section VII-A frames the AF-SSIM threshold as a knob that is "either
 tuned by users' experience or set to a static optimal value based on
-architectural design space exploration". This module provides both
-directions as reusable algorithms on top of a render session:
+architectural design space exploration". The static optimum is Fig. 17's
+best point, which :mod:`repro.experiments.fig17_threshold` picks from
+its own sweep. This module provides the user-experience direction as
+reusable algorithms on top of a render session:
 
-* :func:`find_best_point` — the paper's BP search: argmax of
-  ``speedup x MSSIM`` over a threshold grid (Fig. 17).
-* :func:`threshold_for_quality` — the user-experience direction: the
-  most aggressive (lowest) threshold whose MSSIM still meets a quality
-  target, found by bisection over the monotone quality curve.
+* :func:`threshold_for_quality` — the most aggressive (lowest)
+  threshold whose MSSIM still meets a quality target, found by
+  bisection over the monotone quality curve.
 * :class:`AdaptiveThresholdController` — a frame-to-frame controller
   that nudges the threshold to hold a quality target across a replay,
   a natural runtime extension of the static knob (the paper's
@@ -34,47 +34,6 @@ class TuningPoint:
     threshold: float
     speedup: float
     mssim: float
-
-    @property
-    def metric(self) -> float:
-        """The paper's equal-weight tradeoff metric (Section VII-A)."""
-        return self.speedup * self.mssim
-
-
-def sweep(
-    session: RenderSession,
-    capture: FrameCapture,
-    *,
-    scenario: Scenario = PATU,
-    thresholds=None,
-) -> "list[TuningPoint]":
-    """Evaluate a threshold grid against one capture (Fig. 17 curve)."""
-    if thresholds is None:
-        thresholds = np.round(np.arange(0.0, 1.01, 0.1), 6)
-    baseline = session.evaluate(capture, scenario, 1.0)
-    points = []
-    for t in thresholds:
-        r = session.evaluate(capture, scenario, float(t))
-        points.append(
-            TuningPoint(
-                threshold=float(t),
-                speedup=baseline.frame_cycles / r.frame_cycles,
-                mssim=r.mssim,
-            )
-        )
-    return points
-
-
-def find_best_point(
-    session: RenderSession,
-    capture: FrameCapture,
-    *,
-    scenario: Scenario = PATU,
-    thresholds=None,
-) -> TuningPoint:
-    """The paper's BP: the grid point maximizing speedup x MSSIM."""
-    points = sweep(session, capture, scenario=scenario, thresholds=thresholds)
-    return max(points, key=lambda p: p.metric)
 
 
 def threshold_for_quality(

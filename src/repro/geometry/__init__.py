@@ -11,16 +11,11 @@ from .linalg import (
     look_at,
     normalize,
     perspective,
-    rotate_x,
-    rotate_y,
-    rotate_z,
     scale as scale_matrix,
-    translate,
 )
 from .mesh import Mesh, VertexBuffer
 from .transform import TransformedTriangles, transform_mesh
 from .camera import Camera
-from .tessellation import tessellate
 from .clipping import clip_triangles_near
 from .culling import cull_backfaces
 from .tiling import TilingEngine
@@ -37,11 +32,6 @@ __all__ = [
     "look_at",
     "normalize",
     "perspective",
-    "rotate_x",
-    "rotate_y",
-    "rotate_z",
     "scale_matrix",
-    "tessellate",
     "transform_mesh",
-    "translate",
 ]

@@ -20,44 +20,10 @@ def identity() -> np.ndarray:
     return np.eye(4, dtype=np.float64)
 
 
-def translate(tx: float, ty: float, tz: float) -> np.ndarray:
-    """Return a translation matrix."""
-    m = identity()
-    m[:3, 3] = (tx, ty, tz)
-    return m
-
-
 def scale(sx: float, sy: float, sz: float) -> np.ndarray:
     """Return a (possibly anisotropic) scaling matrix."""
     m = identity()
     m[0, 0], m[1, 1], m[2, 2] = sx, sy, sz
-    return m
-
-
-def rotate_x(angle: float) -> np.ndarray:
-    """Rotation about the +X axis by ``angle`` radians."""
-    m = identity()
-    c, s = math.cos(angle), math.sin(angle)
-    m[1, 1], m[1, 2] = c, -s
-    m[2, 1], m[2, 2] = s, c
-    return m
-
-
-def rotate_y(angle: float) -> np.ndarray:
-    """Rotation about the +Y axis by ``angle`` radians."""
-    m = identity()
-    c, s = math.cos(angle), math.sin(angle)
-    m[0, 0], m[0, 2] = c, s
-    m[2, 0], m[2, 2] = -s, c
-    return m
-
-
-def rotate_z(angle: float) -> np.ndarray:
-    """Rotation about the +Z axis by ``angle`` radians."""
-    m = identity()
-    c, s = math.cos(angle), math.sin(angle)
-    m[0, 0], m[0, 1] = c, -s
-    m[1, 0], m[1, 1] = s, c
     return m
 
 

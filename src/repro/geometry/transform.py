@@ -58,26 +58,16 @@ class TransformedTriangles:
         )
 
 
-def transform_mesh(
-    mesh: Mesh,
-    mvp: np.ndarray,
-    model: "np.ndarray | None" = None,
-) -> TransformedTriangles:
+def transform_mesh(mesh: Mesh, mvp: np.ndarray) -> TransformedTriangles:
     """Transform a mesh's vertices to clip space and assemble triangles.
 
     Args:
-        mesh: the input mesh.
+        mesh: the input mesh, in world space.
         mvp: the combined view-projection matrix (4x4).
-        model: optional model matrix applied before ``mvp``.
     """
     matrix = np.asarray(mvp, dtype=np.float64)
     if matrix.shape != (4, 4):
         raise GeometryError(f"mvp must be 4x4, got {matrix.shape}")
-    if model is not None:
-        model = np.asarray(model, dtype=np.float64)
-        if model.shape != (4, 4):
-            raise GeometryError(f"model matrix must be 4x4, got {model.shape}")
-        matrix = matrix @ model
     clip = transform_points(matrix, mesh.vertices.positions)
     return TransformedTriangles(
         clip_positions=clip[mesh.indices],

@@ -19,7 +19,6 @@ from .jsonl import (
     METRICS_SCHEMA,
     check_schema,
     jsonable,
-    read_metrics_jsonl,
     write_metrics_jsonl,
 )
 from .ledger import (
@@ -41,13 +40,8 @@ from .metrics import (
     MetricRegistry,
     validate_metric_name,
 )
-from .telemetry import NOOP_SPAN, SpanRecord, Telemetry, TELEMETRY, get_telemetry
-from .trace import (
-    TRACE_SCHEMA,
-    read_chrome_trace,
-    trace_events,
-    write_chrome_trace,
-)
+from .telemetry import NOOP_SPAN, SpanRecord, Telemetry, TELEMETRY
+from .trace import TRACE_SCHEMA, trace_events, write_chrome_trace
 from .trends import TrendReport, analyze_ledger, analyze_records
 
 __all__ = [
@@ -71,15 +65,12 @@ __all__ = [
     "check_schema",
     "config_digest",
     "default_ledger_dir",
-    "get_telemetry",
     "git_revision",
     "jsonable",
     "ledger_path",
     "machine_info",
-    "read_chrome_trace",
     "read_ledger",
     "read_ledgers",
-    "read_metrics_jsonl",
     "trace_events",
     "validate_metric_name",
     "validate_record",

@@ -17,8 +17,8 @@ from ..errors import SchemaError
 from ..ioutil import atomic_write_text
 
 #: Schema major of ``metrics.jsonl`` records. Stamped on every record
-#: at write time; :func:`read_metrics_jsonl` rejects unknown majors
-#: with a typed :class:`~repro.errors.SchemaError`. Records without a
+#: at write time; :func:`check_schema` rejects unknown majors with a
+#: typed :class:`~repro.errors.SchemaError`. Records without a
 #: ``schema`` field (pre-versioning files) are accepted as major 1.
 METRICS_SCHEMA = 1
 
@@ -72,25 +72,3 @@ def write_metrics_jsonl(records: "list[dict]", path) -> pathlib.Path:
     text = "\n".join(lines) + "\n" if lines else ""
     atomic_write_text(path, text)
     return path
-
-
-def read_metrics_jsonl(path) -> "list[dict]":
-    """Parse a metrics JSONL file back into records.
-
-    Raises :class:`~repro.errors.SchemaError` when any record carries
-    an unknown schema major (see :data:`METRICS_SCHEMA`).
-    """
-    path = pathlib.Path(path)
-    records = []
-    with path.open() as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(
-                    check_schema(
-                        json.loads(line),
-                        expected=METRICS_SCHEMA,
-                        what=str(path),
-                    )
-                )
-    return records

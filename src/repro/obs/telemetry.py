@@ -362,7 +362,3 @@ class Telemetry:
 #: The process-wide registry used by all instrumentation sites.
 TELEMETRY = Telemetry()
 
-
-def get_telemetry() -> Telemetry:
-    """The process-wide :class:`Telemetry` instance."""
-    return TELEMETRY

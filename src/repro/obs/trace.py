@@ -16,7 +16,7 @@ import json
 import pathlib
 
 from ..ioutil import atomic_write_text
-from .jsonl import check_schema, jsonable
+from .jsonl import jsonable
 from .telemetry import Telemetry
 
 #: Synthetic process id shown in the trace viewer.
@@ -95,19 +95,3 @@ def write_chrome_trace(telemetry: Telemetry, path) -> pathlib.Path:
     }
     atomic_write_text(path, json.dumps(document))
     return path
-
-
-def read_chrome_trace(path) -> "dict":
-    """Load a trace written by :func:`write_chrome_trace`.
-
-    Raises :class:`~repro.errors.SchemaError` on an unknown
-    ``otherData.schema`` major; traces written before versioning (no
-    field) load as major 1. Perfetto itself ignores ``otherData``, so
-    this reader exists for the toolkit's own consumers.
-    """
-    path = pathlib.Path(path)
-    document = json.loads(path.read_text())
-    check_schema(
-        document.get("otherData", {}), expected=TRACE_SCHEMA, what=str(path)
-    )
-    return document

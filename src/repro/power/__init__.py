@@ -13,12 +13,10 @@ claims are reported as ratios to the baseline, as in Figs. 5 and 20.
 
 from .components import EnergyParams
 from .energy import EnergyModel, EnergyBreakdown, FrameEvents
-from .dram_power import DramPowerModel
 from .area import PatuAreaModel, AreaReport
 
 __all__ = [
     "AreaReport",
-    "DramPowerModel",
     "EnergyBreakdown",
     "EnergyModel",
     "EnergyParams",

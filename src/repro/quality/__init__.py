@@ -1,4 +1,4 @@
-"""Image-quality analysis: SSIM, MSSIM, SSIM index maps and classic metrics.
+"""Image-quality analysis: SSIM, MSSIM and SSIM index maps.
 
 The paper measures user-perceived quality with the Structure Similarity
 index (Section II-C, Eq. 1-2) computed between a frame rendered with
@@ -8,6 +8,5 @@ index (Section II-C, Eq. 1-2) computed between a frame rendered with
 """
 
 from .ssim import ssim_map, mssim, ssim_components
-from .metrics import mse, psnr
 
-__all__ = ["mse", "mssim", "psnr", "ssim_components", "ssim_map"]
+__all__ = ["mssim", "ssim_components", "ssim_map"]

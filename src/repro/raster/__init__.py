@@ -9,13 +9,11 @@ texture units then consume the G-buffer in tile order.
 
 from .binned import BinnedRasterizer, RasterStats
 from .edges import edge_inside_mask
-from .framebuffer import Framebuffer
 from .gbuffer import GBuffer
 from .quads import count_shaded_quads, quad_ids, quad_divergence_fraction
 
 __all__ = [
     "BinnedRasterizer",
-    "Framebuffer",
     "GBuffer",
     "RasterStats",
     "count_shaded_quads",

@@ -27,7 +27,7 @@ from dataclasses import replace as dataclasses_replace
 import numpy as np
 
 from ..config import BASELINE_CONFIG, GpuConfig
-from ..core.af_ssim import sharing_fraction_from_csr, txds_from_csr
+from ..core.af_ssim import txds_and_sharing_from_csr
 from ..core.patu import FilterMode, PatuDecision, PerceptionAwareTextureUnit
 from ..core.scenarios import Scenario
 from ..errors import PipelineError
@@ -399,8 +399,8 @@ class RenderSession:
             # The per-pixel Txds still carries sub-texel alignment noise from
             # each pixel's own (u, v); the quad's pipelines process the quad
             # as one SIMD unit, so smooth the statistic over the quad too.
-            txds = _group_mean(txds_from_csr(sample_keys, row_ptr), quad_group)
-            share = sharing_fraction_from_csr(sample_keys, row_ptr)
+            txds, share = txds_and_sharing_from_csr(sample_keys, row_ptr)
+            txds = _group_mean(txds, quad_group)
 
         return {
             "rows": rows,

@@ -11,25 +11,13 @@ from .image import Texture2D
 from .mipmap import MipChain
 from .addressing import TextureLayout, TEXEL_BYTES, CACHE_LINE_BYTES
 from .footprint import FootprintInfo, compute_footprints
-from .sampler import bilinear_sample, trilinear_sample, trilinear_footprint_keys
-from .anisotropic import (
-    AnisoBatchResult,
-    AnisoResult,
-    anisotropic_filter,
-    anisotropic_filter_batch,
-    aniso_sample_positions,
-)
+from .sampler import trilinear_footprint_keys
+from .anisotropic import AnisoBatchResult, anisotropic_filter_batch
 from .unit import TextureUnit, FilteredBatch
-from .compression import (
-    CompressedTextureLayout,
-    compress_chain,
-    compress_texture,
-    compression_error,
-)
+from .compression import CompressedTextureLayout, compress_chain, compress_texture
 
 __all__ = [
     "AnisoBatchResult",
-    "AnisoResult",
     "CACHE_LINE_BYTES",
     "CompressedTextureLayout",
     "FilteredBatch",
@@ -39,14 +27,9 @@ __all__ = [
     "Texture2D",
     "TextureLayout",
     "TextureUnit",
-    "aniso_sample_positions",
-    "anisotropic_filter",
     "anisotropic_filter_batch",
-    "bilinear_sample",
     "compress_chain",
     "compress_texture",
-    "compression_error",
     "compute_footprints",
     "trilinear_footprint_keys",
-    "trilinear_sample",
 ]

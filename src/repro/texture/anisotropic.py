@@ -7,8 +7,9 @@ paper. Each constituent sample is taken at the anisotropic LOD
 LOD whenever ``N > 1``; that is where AF's sharpness comes from and
 also where its texel traffic goes.
 
-Fragments are processed in groups of equal ``N`` so every kernel stays
-a dense ``(group_size, N)`` numpy operation.
+:func:`anisotropic_filter_batch` runs a whole mixed-``N`` batch as one
+flat CSR pass over every fragment's samples: fragment ``i``'s samples
+sit at ``[row_ptr[i], row_ptr[i+1])``.
 """
 
 from __future__ import annotations
@@ -17,65 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import TextureError
 from .fetch import fetch_trilinear
 from .footprint import FootprintInfo
 from .mipmap import MipChain
-from .sampler import (
-    TrilinearInfo,
-    footprint_keys_from_info,
-    texel_coords_from_info,
-    trilinear_footprint_keys,
-    trilinear_info,
-    trilinear_sample,
-)
-
-
-def aniso_sample_positions(
-    u: np.ndarray,
-    v: np.ndarray,
-    major_du: np.ndarray,
-    major_dv: np.ndarray,
-    n: int,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Positions of the ``n`` trilinear samples along the major axis.
-
-    Samples are uniformly spaced at ``t_i = (i + 0.5) / n - 0.5`` so
-    they tile the one-pixel footprint extent symmetrically around the
-    fragment's own (u, v); for ``n == 1`` the single sample sits exactly
-    at the center, making AF degenerate to trilinear filtering.
-    """
-    if n < 1:
-        raise TextureError(f"sample count must be >= 1, got {n}")
-    t = (np.arange(n, dtype=np.float64) + 0.5) / n - 0.5
-    su = np.asarray(u, dtype=np.float64)[:, None] + t[None, :] * np.asarray(
-        major_du, dtype=np.float64
-    )[:, None]
-    sv = np.asarray(v, dtype=np.float64)[:, None] + t[None, :] * np.asarray(
-        major_dv, dtype=np.float64
-    )[:, None]
-    return su, sv
-
-
-@dataclass(frozen=True)
-class AnisoResult:
-    """Output of anisotropic filtering for one equal-``N`` fragment group.
-
-    Attributes:
-        color: ``(g, 4)`` filtered colors (mean of the N samples).
-        sample_keys: ``(g, n)`` int64 footprint keys, one per sample.
-        sample_info: gather data for all ``g*n`` samples (for addresses).
-        n: the group's anisotropy degree.
-    """
-
-    color: np.ndarray
-    sample_keys: np.ndarray
-    sample_info: TrilinearInfo
-    n: int
-
-    def texel_coords(self):
-        """The (levels, iy, ix) of all 8 texels of every sample."""
-        return texel_coords_from_info(self.sample_info)
+from .sampler import TrilinearInfo, trilinear_footprint_keys, trilinear_info
 
 
 @dataclass(frozen=True)
@@ -100,10 +46,6 @@ class AnisoBatchResult:
     row_ptr: np.ndarray
     lines: "np.ndarray | None" = None
 
-    def texel_coords(self):
-        """The (levels, iy, ix) of all 8 texels of every sample."""
-        return texel_coords_from_info(self.sample_info)
-
 
 def anisotropic_filter_batch(
     chain: MipChain,
@@ -116,15 +58,21 @@ def anisotropic_filter_batch(
 ) -> AnisoBatchResult:
     """Anisotropically filter one whole fragment batch in fused kernels.
 
-    Equivalent to calling :func:`anisotropic_filter` once per equal-N
-    group and scattering into CSR slots, but every per-sample stage —
-    position generation, LOD resolution, texel fetch, footprint keys
-    — runs as one dense kernel over the flat CSR sample axis, and the
-    TF-LOD pass computes only the integer key state instead of a second
-    full ``trilinear_info``. Outputs are bit-identical to the grouped
-    path; only the per-row mean still iterates, once per distinct N, to
-    preserve ``mean(axis=1)``'s float32 reduction order exactly. With a
-    ``layout``, the same fetch also yields every sample's cache lines
+    Sample ``s`` of a fragment with degree ``N`` sits at
+    ``t = (s + 0.5) / N - 0.5`` along the footprint's major axis, so
+    the samples tile the one-pixel extent symmetrically around the
+    fragment's (u, v); ``N == 1`` is trilinear filtering itself. Every
+    per-sample stage — position generation, LOD resolution, texel
+    fetch, footprint keys — runs as one dense kernel over the flat CSR
+    sample axis; only the per-row mean iterates, once per distinct N,
+    so each row reduces in ``mean(axis=1)``'s float32 order.
+
+    Filtering and the texel addresses use AF's LOD (``lod_af``). The
+    ``sample_keys`` identify each sample's footprint in *TF's* sampling
+    grid (``lod_tf``), the paper's sharing notion (Fig. 11: the
+    probability vector is over "the number of TF's sample areas that
+    AF's samples overlap with"). With a ``layout``, the same fetch also
+    yields every sample's cache lines
     (:func:`~repro.texture.fetch.fetch_trilinear`).
     """
     n = footprints.n
@@ -159,44 +107,4 @@ def anisotropic_filter_batch(
     return AnisoBatchResult(
         color=color, sample_keys=sample_keys, sample_info=info,
         row_ptr=row_ptr, lines=lines,
-    )
-
-
-def anisotropic_filter(
-    chain: MipChain,
-    u: np.ndarray,
-    v: np.ndarray,
-    footprints: FootprintInfo,
-    group_mask: np.ndarray,
-    n: int,
-) -> AnisoResult:
-    """Anisotropically filter the fragments selected by ``group_mask``.
-
-    All selected fragments must have anisotropy degree ``n`` (the
-    caller groups fragments by ``footprints.n``).
-
-    The returned ``sample_keys`` identify each sample's position in
-    *TF's* sampling grid — its bilinear footprint at ``lod_tf`` — which
-    is the paper's sharing notion (Fig. 11: the probability vector is
-    over "the number of TF's sample areas that AF's samples overlap
-    with"). Filtering itself and the texel addresses use AF's LOD.
-    """
-    sel_n = footprints.n[group_mask]
-    if sel_n.size and not np.all(sel_n == n):
-        raise TextureError("group_mask selects fragments with mixed N")
-    gu = np.asarray(u, dtype=np.float64)[group_mask]
-    gv = np.asarray(v, dtype=np.float64)[group_mask]
-    su, sv = aniso_sample_positions(
-        gu, gv, footprints.major_du[group_mask], footprints.major_dv[group_mask], n
-    )
-    lod = np.broadcast_to(footprints.lod_af[group_mask][:, None], su.shape)
-    info = trilinear_info(chain, su, sv, lod)
-    colors = trilinear_sample(chain, su, sv, lod, info=info)
-    key_lod = np.broadcast_to(footprints.lod_tf[group_mask][:, None], su.shape)
-    key_info = trilinear_info(chain, su, sv, key_lod)
-    return AnisoResult(
-        color=colors.mean(axis=1).astype(np.float32),
-        sample_keys=footprint_keys_from_info(key_info),
-        sample_info=info,
-        n=n,
     )

@@ -92,12 +92,6 @@ def compress_chain(chain: MipChain) -> MipChain:
     return compressed
 
 
-def compression_error(chain: MipChain) -> float:
-    """Mean absolute base-level error introduced by the encoder."""
-    decoded = compress_level(chain.levels[0])
-    return float(np.abs(decoded[..., :3] - chain.levels[0][..., :3]).mean())
-
-
 class CompressedTextureLayout:
     """Texel address calculation over compressed storage.
 

@@ -21,22 +21,24 @@ import functools
 
 import numpy as np
 
-from ..core.af_ssim import af_ssim_n, af_ssim_txds, txds_from_csr
+from ..core.af_ssim import af_ssim_n, af_ssim_txds, txds_and_sharing_from_csr
 from ..core.predictor import TwoStagePredictor
 from ..core.scenarios import SCENARIOS
 from ..obs import TELEMETRY
-from ..texture.anisotropic import anisotropic_filter
+from ..texture.addressing import TextureLayout
+from ..texture.anisotropic import anisotropic_filter_batch
+from ..texture.fetch import fetch_trilinear
 from ..texture.footprint import compute_footprints
 from ..texture.mipmap import MipChain
-from ..texture.sampler import bilinear_sample, trilinear_info, trilinear_sample
+from ..texture.sampler import trilinear_info
 from ..workloads.proctex import facade_texture
 from .reference import (
     ref_af_ssim_n,
     ref_af_ssim_txds,
     ref_anisotropic,
-    ref_bilinear,
     ref_compute_footprint,
     ref_footprint_key,
+    ref_sharing_fraction,
     ref_trilinear,
     ref_trilinear_levels,
     ref_two_stage_decision,
@@ -83,31 +85,6 @@ def _derivatives(rng: np.random.Generator, count: int) -> np.ndarray:
     return d
 
 
-def oracle_bilinear(cfg: VerifyConfig) -> OracleResult:
-    """Vectorized bilinear filtering vs the four-texel definition."""
-    rng = np.random.default_rng(cfg.seed)
-    chain = _chain(cfg.seed)
-    u, v = _uv(rng, FRAGMENTS)
-    levels = rng.integers(0, chain.num_levels, FRAGMENTS)
-    max_err = 0.0
-    for level in np.unique(levels):
-        mask = levels == level
-        got = bilinear_sample(chain, int(level), u[mask], v[mask])
-        for j, frag in enumerate(np.nonzero(mask)[0]):
-            want = ref_bilinear(chain, int(level), u[frag], v[frag])
-            max_err = max(
-                max_err, float(np.abs(got[j].astype(np.float64) - want).max())
-            )
-    return OracleResult(
-        name="diff_bilinear",
-        layer=LAYER_DIFFERENTIAL,
-        passed=max_err <= COLOR_TOL,
-        max_error=max_err,
-        fragments=FRAGMENTS,
-        details={"tolerance": COLOR_TOL, "levels": int(chain.num_levels)},
-    )
-
-
 def oracle_trilinear(cfg: VerifyConfig) -> OracleResult:
     """Trilinear colors within tolerance; enclosing mip levels exact.
 
@@ -119,7 +96,7 @@ def oracle_trilinear(cfg: VerifyConfig) -> OracleResult:
     u, v = _uv(rng, FRAGMENTS)
     lod = rng.uniform(-1.0, chain.max_level + 2.0, FRAGMENTS)
     info = trilinear_info(chain, u, v, lod)
-    got = trilinear_sample(chain, u, v, lod, info=info)
+    got = fetch_trilinear(chain, info)[0]
     max_err = 0.0
     level_mismatches = 0
     for i in range(FRAGMENTS):
@@ -178,8 +155,12 @@ def oracle_footprint(cfg: VerifyConfig) -> OracleResult:
 def oracle_anisotropic(cfg: VerifyConfig) -> OracleResult:
     """AF colors vs the Eq. (3) loop; per-sample footprint keys exact.
 
-    Fragments are grouped by N exactly as :class:`TextureUnit` groups
-    them, so the production kernel runs in its real dense-batch shape.
+    Every fragment goes through :func:`anisotropic_filter_batch` in one
+    mixed-N CSR batch, with ``row_ptr`` built from ``fp.n`` as
+    :class:`~repro.texture.unit.TextureUnit` builds it: the kernel
+    production runs, in the shape it runs in. Each fragment's colour is
+    checked against :func:`ref_anisotropic` and each of its samples'
+    keys against :func:`ref_footprint_key` at TF's LOD.
     """
     rng = np.random.default_rng(cfg.seed + 3)
     chain = _chain(cfg.seed)
@@ -189,34 +170,34 @@ def oracle_anisotropic(cfg: VerifyConfig) -> OracleResult:
         d[:, 0], d[:, 1], d[:, 2], d[:, 3], _TEX_SIZE, _TEX_SIZE,
         max_aniso=16, max_level=chain.max_level,
     )
+    row_ptr = np.zeros(FRAGMENTS + 1, dtype=np.int64)
+    np.cumsum(fp.n, out=row_ptr[1:])
+    result = anisotropic_filter_batch(
+        chain, u, v, fp, row_ptr, TextureLayout([chain])
+    )
     max_err = 0.0
     key_mismatches = 0
-    samples = 0
-    for n_value in np.unique(fp.n):
-        n_value = int(n_value)
-        mask = fp.n == n_value
-        result = anisotropic_filter(chain, u, v, fp, mask, n_value)
-        for j, frag in enumerate(np.nonzero(mask)[0]):
-            want = ref_anisotropic(
-                chain, u[frag], v[frag],
-                float(fp.major_du[frag]), float(fp.major_dv[frag]),
-                float(fp.lod_af[frag]), n_value,
+    for frag in range(FRAGMENTS):
+        n = int(fp.n[frag])
+        want = ref_anisotropic(
+            chain, u[frag], v[frag],
+            float(fp.major_du[frag]), float(fp.major_dv[frag]),
+            float(fp.lod_af[frag]), n,
+        )
+        max_err = max(
+            max_err,
+            float(np.abs(result.color[frag].astype(np.float64) - want).max()),
+        )
+        for s in range(n):
+            t = (s + 0.5) / n - 0.5
+            want_key = ref_footprint_key(
+                chain,
+                u[frag] + t * fp.major_du[frag],
+                v[frag] + t * fp.major_dv[frag],
+                float(fp.lod_tf[frag]),
             )
-            max_err = max(
-                max_err,
-                float(np.abs(result.color[j].astype(np.float64) - want).max()),
-            )
-            for s in range(n_value):
-                t = (s + 0.5) / n_value - 0.5
-                want_key = ref_footprint_key(
-                    chain,
-                    u[frag] + t * fp.major_du[frag],
-                    v[frag] + t * fp.major_dv[frag],
-                    float(fp.lod_tf[frag]),
-                )
-                if int(result.sample_keys[j, s]) != want_key:
-                    key_mismatches += 1
-                samples += 1
+            if int(result.sample_keys[row_ptr[frag] + s]) != want_key:
+                key_mismatches += 1
     return OracleResult(
         name="diff_anisotropic",
         layer=LAYER_DIFFERENTIAL,
@@ -225,8 +206,9 @@ def oracle_anisotropic(cfg: VerifyConfig) -> OracleResult:
         fragments=FRAGMENTS,
         details={
             "tolerance": COLOR_TOL,
-            "af_samples": samples,
+            "af_samples": int(row_ptr[-1]),
             "key_mismatches": key_mismatches,
+            "distinct_n": int(np.unique(fp.n).size),
             "mean_n": float(fp.n.mean()),
         },
     )
@@ -254,10 +236,11 @@ def oracle_af_ssim_n(cfg: VerifyConfig) -> OracleResult:
 
 
 def oracle_txds(cfg: VerifyConfig) -> OracleResult:
-    """CSR Txds + Eq. (10) vs the dict-counting entropy reference.
+    """CSR Txds, Eq. (10) and the sharing fraction vs dict counting.
 
     Keys are drawn from a small pool so rows actually contain shared
-    texel sets (the entropy is non-trivial for most rows).
+    texel sets (the entropy is non-trivial for most rows, and so is
+    the share of samples in the central sample's set).
     """
     rng = np.random.default_rng(cfg.seed + 5)
     lengths = rng.integers(1, 17, FRAGMENTS)
@@ -267,15 +250,17 @@ def oracle_txds(cfg: VerifyConfig) -> OracleResult:
     for i in range(FRAGMENTS):
         pool = rng.integers(0, max(1, lengths[i] // 2) + 1, lengths[i])
         keys[row_ptr[i]:row_ptr[i + 1]] = rng.integers(0, 1 << 40) + pool
-    got_t = txds_from_csr(keys, row_ptr)
+    got_t, got_share = txds_and_sharing_from_csr(keys, row_ptr)
     got_pred = af_ssim_txds(got_t)
     max_err = 0.0
     for i in range(FRAGMENTS):
         row = [int(k) for k in keys[row_ptr[i]:row_ptr[i + 1]]]
         want_t = ref_txds(row)
-        max_err = max(max_err, abs(float(got_t[i]) - want_t))
         max_err = max(
-            max_err, abs(float(got_pred[i]) - ref_af_ssim_txds(want_t))
+            max_err,
+            abs(float(got_t[i]) - want_t),
+            abs(float(got_pred[i]) - ref_af_ssim_txds(want_t)),
+            abs(float(got_share[i]) - ref_sharing_fraction(row)),
         )
     return OracleResult(
         name="diff_txds",
@@ -573,7 +558,6 @@ def oracle_texture_fetch(cfg: VerifyConfig) -> OracleResult:
 
 #: All differential oracles, in dependency-free execution order.
 DIFFERENTIAL_ORACLES = (
-    oracle_bilinear,
     oracle_trilinear,
     oracle_texture_fetch,
     oracle_footprint,

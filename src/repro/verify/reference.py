@@ -45,6 +45,7 @@ __all__ = [
     "ref_filter2d",
     "ref_footprint_key",
     "ref_mssim",
+    "ref_sharing_fraction",
     "ref_trilinear",
     "ref_trilinear_levels",
     "ref_two_stage_decision",
@@ -169,9 +170,9 @@ def ref_footprint_key(
     """Pack one trilinear sample's 8-texel set identity (pure Python ints).
 
     Mirrors the documented layout of
-    :func:`repro.texture.sampler.footprint_keys_from_info`: the coarse
-    level index, then the wrapped footprint coordinates of both levels,
-    each in ``_COORD_BITS``-bit fields.
+    :func:`repro.texture.sampler.trilinear_footprint_keys`: the level
+    ``l0``, then the wrapped footprint coordinates of both levels, each
+    in ``_COORD_BITS``-bit fields.
     """
     l0, l1, _ = ref_trilinear_levels(chain, lod)
     parts = []
@@ -221,6 +222,21 @@ def ref_txds(keys: "list[int]") -> float:
         h -= p * math.log2(p)
     t = 1.0 - h / math.log2(n)
     return min(max(t, 0.0), 1.0)
+
+
+def ref_sharing_fraction(keys: "list[int]") -> float:
+    """Share of one pixel's AF samples in the central sample's texel set.
+
+    The central sample is ``keys[(n - 1) // 2]`` (``X_0`` of Fig. 9/11);
+    the share is its group's size, counted through a dict, over ``n``.
+    """
+    n = len(keys)
+    if n <= 1:
+        return 1.0
+    counts: "dict[int, int]" = {}
+    for key in keys:
+        counts[key] = counts.get(key, 0) + 1
+    return counts[keys[(n - 1) // 2]] / n
 
 
 def ref_af_ssim_txds(t: float) -> float:

@@ -172,7 +172,7 @@ def run_verify(
 
     ``only`` filters oracles by substring match against the oracle
     function name or its layer (``--only differential`` runs one
-    layer; ``--only bilinear`` one oracle). ``fuzz`` > 0 arms the fuzz
+    layer; ``--only trilinear`` one oracle). ``fuzz`` > 0 arms the fuzz
     lane with that many generated scenarios (``fuzz_save`` persists
     shrunk failing specs as corpus files). An oracle that *raises* is
     recorded as a failure, never aborts the run.

@@ -5,31 +5,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.af_ssim import (
-    af_ssim_from_similarity,
     af_ssim_n,
     af_ssim_txds,
     entropy,
-    sharing_fraction_from_csr,
     txds,
-    txds_from_csr,
+    txds_and_sharing_from_csr,
 )
 from repro.errors import ReproError
 
 
-class TestAfSsimFromSimilarity:
-    def test_identity_similarity_gives_one(self):
-        assert af_ssim_from_similarity(1.0) == pytest.approx(1.0, abs=1e-6)
+def txds_from_csr(keys, row_ptr):
+    return txds_and_sharing_from_csr(keys, row_ptr)[0]
 
-    def test_decays_away_from_one(self):
-        values = af_ssim_from_similarity(np.array([0.25, 0.5, 1.0, 2.0, 4.0]))
-        assert values[2] == values.max()
-        assert values[0] < values[1] < values[2]
-        assert values[4] < values[3] < values[2]
 
-    @given(st.floats(min_value=0.0, max_value=100.0))
-    def test_bounded_in_unit_interval(self, mu):
-        v = float(af_ssim_from_similarity(mu))
-        assert 0.0 <= v <= 1.0 + 1e-9
+def sharing_fraction_from_csr(keys, row_ptr):
+    return txds_and_sharing_from_csr(keys, row_ptr)[1]
 
 
 class TestAfSsimN:

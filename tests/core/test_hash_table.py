@@ -1,17 +1,19 @@
-"""Tests for the texel-address hash table, including equivalence with
-the vectorized Txds path used by the renderer."""
+"""Tests for the sequential texel-address hash table (the reference in
+``repro.verify``), including equivalence with the vectorized Txds path
+used by the renderer, and for the §V-D storage constants."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.af_ssim import txds, txds_from_csr
-from repro.core.hash_table import (
-    BITS_PER_ENTRY,
-    HASH_TABLE_ENTRIES,
-    TexelAddressHashTable,
-)
+from repro.core.af_ssim import txds, txds_and_sharing_from_csr
+from repro.core.hash_table import BITS_PER_ENTRY, HASH_TABLE_ENTRIES
 from repro.errors import ReproError
+from repro.verify.reference_hash_table import TexelAddressHashTable
+
+
+def txds_from_csr(keys, row_ptr):
+    return txds_and_sharing_from_csr(keys, row_ptr)[0]
 
 
 class TestBasicOperation:

@@ -3,34 +3,8 @@
 import pytest
 
 from repro.core.scenarios import SCENARIOS
-from repro.core.tuning import (
-    AdaptiveThresholdController,
-    TuningPoint,
-    find_best_point,
-    sweep,
-    threshold_for_quality,
-)
+from repro.core.tuning import AdaptiveThresholdController, threshold_for_quality
 from repro.errors import ReproError
-
-
-class TestSweep:
-    def test_endpoints(self, session, capture):
-        points = sweep(session, capture, thresholds=(0.0, 1.0))
-        assert points[0].threshold == 0.0
-        assert points[-1].mssim == pytest.approx(1.0, abs=1e-9)
-        assert points[0].speedup >= points[-1].speedup - 1e-9
-
-    def test_metric_is_product(self):
-        p = TuningPoint(threshold=0.4, speedup=1.2, mssim=0.9)
-        assert p.metric == pytest.approx(1.08)
-
-
-class TestBestPoint:
-    def test_best_point_maximizes_metric(self, session, capture):
-        thresholds = (0.0, 0.4, 1.0)
-        points = sweep(session, capture, thresholds=thresholds)
-        best = find_best_point(session, capture, thresholds=thresholds)
-        assert best.metric == pytest.approx(max(p.metric for p in points))
 
 
 class TestThresholdForQuality:

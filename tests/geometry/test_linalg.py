@@ -12,16 +12,9 @@ from repro.geometry.linalg import (
     look_at,
     normalize,
     perspective,
-    rotate_x,
-    rotate_y,
-    rotate_z,
     scale,
     transform_points,
-    translate,
 )
-
-_angle = st.floats(min_value=-math.pi, max_value=math.pi)
-
 
 class TestBasicMatrices:
     def test_identity_is_noop(self):
@@ -30,29 +23,9 @@ class TestBasicMatrices:
         assert np.allclose(out[:, :3], pts)
         assert np.allclose(out[:, 3], 1.0)
 
-    def test_translate_moves_points(self):
-        out = transform_points(translate(1, -2, 3), np.array([[0.0, 0.0, 0.0]]))
-        assert np.allclose(out[0, :3], [1, -2, 3])
-
     def test_scale_is_componentwise(self):
         out = transform_points(scale(2, 3, 4), np.array([[1.0, 1.0, 1.0]]))
         assert np.allclose(out[0, :3], [2, 3, 4])
-
-    @given(_angle)
-    def test_rotations_are_orthonormal(self, angle):
-        for rot in (rotate_x, rotate_y, rotate_z):
-            m = rot(angle)[:3, :3]
-            assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
-            assert np.linalg.det(m) == pytest.approx(1.0)
-
-    def test_rotate_z_quarter_turn(self):
-        out = transform_points(rotate_z(math.pi / 2), np.array([[1.0, 0.0, 0.0]]))
-        assert np.allclose(out[0, :3], [0, 1, 0], atol=1e-12)
-
-    def test_rotate_y_quarter_turn(self):
-        out = transform_points(rotate_y(math.pi / 2), np.array([[0.0, 0.0, -1.0]]))
-        assert np.allclose(out[0, :3], [-1, 0, 0], atol=1e-12)
-
 
 class TestNormalize:
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=3, max_size=3))

@@ -28,15 +28,6 @@ class TestTransformMesh:
         assert tris.num_triangles == 2
         assert tris.clip_positions.shape == (2, 3, 4)
 
-    def test_model_matrix_applies_before_view(self):
-        from repro.geometry.linalg import translate
-
-        base = transform_mesh(_front_quad(), _camera_mvp())
-        moved = transform_mesh(_front_quad(), _camera_mvp(), model=translate(0, 0, -5))
-        w0 = base.clip_positions[0, 0, 3]
-        w1 = moved.clip_positions[0, 0, 3]
-        assert w1 > w0  # further from camera -> larger clip w
-
     def test_rejects_bad_matrix(self):
         with pytest.raises(GeometryError):
             transform_mesh(_front_quad(), np.eye(3))

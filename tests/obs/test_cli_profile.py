@@ -8,7 +8,8 @@ import pytest
 
 from repro.cli import _resolve_workload, main
 from repro.errors import WorkloadError
-from repro.obs import TELEMETRY, read_metrics_jsonl
+from repro.obs import TELEMETRY
+from repro.verify.readers import read_metrics_jsonl
 
 
 def test_profile_writes_trace_and_metrics(tmp_path, capsys):

@@ -11,13 +11,13 @@ from repro.errors import SchemaError
 from repro.obs import (
     Telemetry,
     jsonable,
-    read_metrics_jsonl,
     trace_events,
     write_chrome_trace,
     write_metrics_jsonl,
 )
 from repro.obs.jsonl import METRICS_SCHEMA, check_schema
-from repro.obs.trace import TRACE_SCHEMA, read_chrome_trace
+from repro.obs.trace import TRACE_SCHEMA
+from repro.verify.readers import read_chrome_trace, read_metrics_jsonl
 
 
 @pytest.fixture()

@@ -4,10 +4,8 @@ import pytest
 
 from repro.config import GpuConfig
 from repro.errors import PipelineError, ReproError
-from repro.memsys.dram import DramStats
 from repro.power.area import PatuAreaModel
 from repro.power.components import EnergyParams
-from repro.power.dram_power import DramPowerModel
 from repro.power.energy import EnergyModel, FrameEvents
 
 
@@ -70,29 +68,6 @@ class TestEnergyModel:
     def test_rejects_negative_events(self):
         with pytest.raises(PipelineError):
             _events(dram_lines=-1)
-
-
-class TestDramPower:
-    def test_row_hits_skip_activation_energy(self):
-        model = DramPowerModel()
-        friendly = model.frame_energy(
-            DramStats(lines_fetched=1000, row_hits=1000), 0.001
-        )
-        hostile = model.frame_energy(
-            DramStats(lines_fetched=1000, row_hits=0), 0.001
-        )
-        assert friendly.activate_nj == 0.0
-        assert hostile.activate_nj > 0.0
-        assert hostile.total_nj > friendly.total_nj
-
-    def test_burst_energy_per_line(self):
-        model = DramPowerModel()
-        bd = model.frame_energy(DramStats(lines_fetched=10, row_hits=10), 1.0)
-        assert bd.burst_nj == pytest.approx(10 * model.params.burst_nj)
-
-    def test_rejects_nonpositive_time(self):
-        with pytest.raises(PipelineError):
-            DramPowerModel().frame_energy(DramStats(), 0.0)
 
 
 class TestAreaModel:

@@ -12,7 +12,7 @@ from repro.quality.heatmap import (
     quality_maps,
     tile_reduce_mean,
 )
-from repro.quality.imageio import read_png
+from repro.verify.readers import read_png
 
 
 class TestTileReduce:

@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.quality.imageio import (
-    read_png,
-    read_pnm,
-    write_pgm,
-    write_png,
-    write_ppm,
-)
+from repro.quality.imageio import write_pgm, write_png, write_ppm
+from repro.verify.readers import read_png, read_pnm
 
 
 class TestRoundTrip:

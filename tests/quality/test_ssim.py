@@ -1,11 +1,10 @@
-"""Tests for SSIM/MSSIM and the classic metrics."""
+"""Tests for SSIM/MSSIM."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
-from repro.quality.metrics import mse, psnr
 from repro.quality import ssim
 from repro.quality.ssim import SsimReference, mssim, ssim_components, ssim_map
 from repro.verify.reference import ref_filter2d, ref_mssim
@@ -132,30 +131,3 @@ class TestBitExactness:
     def test_cached_reference_is_validated(self):
         with pytest.raises(ReproError):
             mssim(SsimReference(np.zeros((8, 8))), np.zeros((8, 8)))
-
-
-class TestClassicMetrics:
-    def test_mse_zero_for_identical(self):
-        img = _image()
-        assert mse(img, img) == 0.0
-
-    def test_psnr_infinite_for_identical(self):
-        img = _image()
-        assert psnr(img, img) == np.inf
-
-    def test_psnr_known_value(self):
-        a = np.zeros((16, 16))
-        b = np.full((16, 16), 0.1)
-        assert psnr(a, b) == pytest.approx(20.0)  # 10*log10(1/0.01)
-
-    def test_mse_shape_mismatch(self):
-        with pytest.raises(ReproError):
-            mse(np.zeros((4, 4)), np.zeros((5, 5)))
-
-    def test_ssim_and_psnr_agree_on_ordering_for_noise(self):
-        img = _image(12)
-        rng = np.random.default_rng(13)
-        small = np.clip(img + rng.normal(0, 0.05, img.shape), 0, 1)
-        large = np.clip(img + rng.normal(0, 0.3, img.shape), 0, 1)
-        assert mssim(img, small) > mssim(img, large)
-        assert psnr(img, small) > psnr(img, large)

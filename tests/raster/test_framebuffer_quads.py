@@ -1,44 +1,9 @@
-"""Tests for the framebuffer and quad bookkeeping."""
+"""Tests for the quad bookkeeping."""
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import PipelineError
-from repro.raster.framebuffer import Framebuffer
 from repro.raster.quads import quad_divergence_fraction, quad_ids
-
-
-class TestFramebuffer:
-    def test_clear_color_fills_frame(self):
-        fb = Framebuffer(8, 4, clear_color=(0.1, 0.2, 0.3, 1.0))
-        assert np.allclose(fb.color[3, 7], [0.1, 0.2, 0.3, 1.0])
-
-    def test_scatter_write(self):
-        fb = Framebuffer(8, 8)
-        fb.write(
-            np.array([0, 7]), np.array([0, 7]),
-            np.array([[1, 0, 0, 1], [0, 1, 0, 1]], dtype=np.float32),
-        )
-        assert np.allclose(fb.color[0, 0], [1, 0, 0, 1])
-        assert np.allclose(fb.color[7, 7], [0, 1, 0, 1])
-
-    def test_writes_are_clamped(self):
-        fb = Framebuffer(2, 2)
-        fb.write(np.array([0]), np.array([0]),
-                 np.array([[2.0, -1.0, 0.5, 1.0]], dtype=np.float32))
-        assert np.allclose(fb.color[0, 0], [1.0, 0.0, 0.5, 1.0])
-
-    def test_luminance_rec601(self):
-        fb = Framebuffer(2, 2, clear_color=(1.0, 1.0, 1.0, 1.0))
-        assert np.allclose(fb.luminance(), 1.0)
-        fb2 = Framebuffer(2, 2, clear_color=(1.0, 0.0, 0.0, 1.0))
-        assert np.allclose(fb2.luminance(), 0.299)
-
-    def test_length_mismatch_rejected(self):
-        fb = Framebuffer(4, 4)
-        with pytest.raises(PipelineError):
-            fb.write(np.array([0, 1]), np.array([0]), np.zeros((2, 4)))
 
 
 class TestQuadIds:

@@ -1,16 +1,34 @@
-"""Tests for anisotropic filtering."""
+"""Tests for anisotropic filtering.
+
+The filter tests run :func:`anisotropic_filter_batch`, the kernel the
+texture unit runs; the sample positions come from the reference in
+:mod:`repro.verify.reference_sampling`.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import TextureError
-from repro.texture.anisotropic import aniso_sample_positions, anisotropic_filter
+from repro.texture.anisotropic import anisotropic_filter_batch
+from repro.texture.fetch import fetch_trilinear
 from repro.texture.footprint import compute_footprints
 from repro.texture.image import Texture2D
 from repro.texture.mipmap import MipChain
-from repro.texture.sampler import trilinear_sample
+from repro.texture.sampler import trilinear_info
+from repro.verify.reference_sampling import aniso_sample_positions
 
 _TEX = 256
+
+
+def _trilinear(chain, u, v, lod):
+    return fetch_trilinear(chain, trilinear_info(chain, u, v, lod))[0]
+
+
+def _filter(chain, u, v, fp):
+    """One CSR batch over every fragment, as the texture unit builds it."""
+    row_ptr = np.zeros(fp.n.size + 1, dtype=np.int64)
+    np.cumsum(fp.n, out=row_ptr[1:])
+    return anisotropic_filter_batch(chain, u, v, fp, row_ptr)
 
 
 def _footprints(dudx, dvdx, dudy, dvdy, max_level=None):
@@ -68,12 +86,12 @@ class TestAnisotropicFilter:
         fp = _footprints(8 / _TEX, 0.0, 0.0, 2 / _TEX)
         u = np.array([0.4])
         v = np.array([0.6])
-        result = anisotropic_filter(noise_chain, u, v, fp, np.array([True]), int(fp.n[0]))
+        result = _filter(noise_chain, u, v, fp)
         su, sv = aniso_sample_positions(
             u, v, fp.major_du, fp.major_dv, int(fp.n[0])
         )
         lod = np.broadcast_to(fp.lod_af[:, None], su.shape)
-        expected = trilinear_sample(noise_chain, su, sv, lod).mean(axis=1)
+        expected = _trilinear(noise_chain, su, sv, lod).mean(axis=1)
         assert np.allclose(result.color, expected, atol=1e-6)
 
     def test_n_one_equals_trilinear(self, noise_chain):
@@ -81,8 +99,8 @@ class TestAnisotropicFilter:
         assert fp.n[0] == 1
         u = np.array([0.3])
         v = np.array([0.2])
-        result = anisotropic_filter(noise_chain, u, v, fp, np.array([True]), 1)
-        expected = trilinear_sample(noise_chain, u, v, fp.lod_af)
+        result = _filter(noise_chain, u, v, fp)
+        expected = _trilinear(noise_chain, u, v, fp.lod_af)
         assert np.allclose(result.color, expected, atol=1e-6)
 
     def test_af_is_sharper_than_tf_on_grazing_checker(self):
@@ -100,25 +118,11 @@ class TestAnisotropicFilter:
             np.full(n_frag, 16 / _TEX), np.zeros(n_frag),
             np.zeros(n_frag), np.full(n_frag, 2 / _TEX),
         )
-        af = anisotropic_filter(chain, u, v, fp, np.ones(n_frag, bool), int(fp.n[0]))
-        tf = trilinear_sample(chain, u, v, fp.lod_tf)
+        af = _filter(chain, u, v, fp)
+        tf = _trilinear(chain, u, v, fp.lod_tf)
         assert af.color[:, 0].std() > tf[:, 0].std()
-
-    def test_mixed_n_group_rejected(self, noise_chain):
-        fp = _footprints(
-            np.array([8 / _TEX, 4 / _TEX]), np.zeros(2),
-            np.zeros(2), np.full(2, 2 / _TEX),
-        )
-        with pytest.raises(TextureError):
-            anisotropic_filter(
-                noise_chain, np.array([0.5, 0.5]), np.array([0.5, 0.5]),
-                fp, np.array([True, True]), 4,
-            )
 
     def test_sample_keys_shape_matches_n(self, noise_chain):
         fp = _footprints(6 / _TEX, 0.0, 0.0, 2 / _TEX)
-        result = anisotropic_filter(
-            noise_chain, np.array([0.5]), np.array([0.5]), fp,
-            np.array([True]), int(fp.n[0]),
-        )
-        assert result.sample_keys.shape == (1, fp.n[0])
+        result = _filter(noise_chain, np.array([0.5]), np.array([0.5]), fp)
+        assert result.sample_keys.shape == (fp.n[0],)

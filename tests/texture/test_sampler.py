@@ -1,22 +1,33 @@
-"""Tests for bilinear/trilinear sampling and footprint keys."""
+"""Tests for bilinear/trilinear sampling and footprint keys.
+
+Sampling goes through what the texture unit runs:
+:func:`~repro.texture.sampler.trilinear_info` and then
+:func:`~repro.texture.fetch.fetch_trilinear`. Bilinear filtering of one
+level is a trilinear sample at that level's integer LOD.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import TextureError
+from repro.texture.fetch import fetch_trilinear
 from repro.texture.image import Texture2D
 from repro.texture.mipmap import MipChain
-from repro.texture.sampler import (
-    bilinear_sample,
-    footprint_keys_from_info,
-    texel_coords_from_info,
-    trilinear_footprint_keys,
-    trilinear_info,
-    trilinear_sample,
-)
+from repro.texture.sampler import trilinear_footprint_keys, trilinear_info
+from repro.verify.reference import ref_bilinear
+from repro.verify.reference_sampling import texel_coords_from_info
 
 _unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+
+def trilinear_sample(chain, u, v, lod):
+    """Production trilinear colours at (u, v, lod)."""
+    return fetch_trilinear(chain, trilinear_info(chain, u, v, lod))[0]
+
+
+def bilinear_sample(chain, level, u, v):
+    """Production bilinear colours of one level: its integer LOD."""
+    return trilinear_sample(chain, u, v, np.full(np.shape(u), float(level)))
 
 
 @pytest.fixture(scope="module")
@@ -49,17 +60,13 @@ class TestBilinear:
         t1 = gradient_chain.levels[0][0, 1]
         assert np.allclose(out[0], (t0 + t1) / 2, atol=1e-6)
 
-    def test_level_bounds_checked(self, flat_chain):
-        with pytest.raises(TextureError):
-            bilinear_sample(flat_chain, 99, np.array([0.5]), np.array([0.5]))
-
 
 class TestTrilinear:
     def test_integer_lod_equals_bilinear(self, checker_chain):
         u = np.array([0.37, 0.62])
         v = np.array([0.11, 0.93])
         tri = trilinear_sample(checker_chain, u, v, np.array([2.0, 2.0]))
-        bil = bilinear_sample(checker_chain, 2, u, v)
+        bil = [ref_bilinear(checker_chain, 2, u[i], v[i]) for i in range(2)]
         assert np.allclose(tri, bil, atol=1e-6)
 
     def test_fractional_lod_blends_levels(self, checker_chain):
@@ -124,9 +131,10 @@ class TestFootprintKeys:
         u = rng.random(64)
         v = rng.random(64)
         lod = rng.uniform(0, 3, 64)
-        info = trilinear_info(checker_chain, u, v, lod)
-        keys = footprint_keys_from_info(info)
-        levels, iy, ix = texel_coords_from_info(info)
+        keys = trilinear_footprint_keys(checker_chain, u, v, lod)
+        levels, iy, ix = texel_coords_from_info(
+            trilinear_info(checker_chain, u, v, lod)
+        )
         # Canonical texel-set identity: the sorted (level, y, x) triplets.
         sets = [
             frozenset(zip(levels[i].tolist(), iy[i].tolist(), ix[i].tolist()))

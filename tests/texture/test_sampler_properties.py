@@ -2,7 +2,8 @@
 
 The key layout promises (sampler.py): textures up to 8192 texels/side
 (13-bit wrapped footprint coordinates) and 16 mip levels pack into one
-int64 with no aliasing *within* those bounds. These properties drive
+int64 with no aliasing *within* those bounds. The properties run on
+``_pack_footprint_key``, the packer behind every production key. These properties drive
 the packing across that whole documented envelope — the corners
 (8192-texel base level, mip level 15, wrap-around coordinates) are
 exactly where a hand-rolled shift layout would silently collide.
@@ -12,13 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.texture.sampler import (
-    _COORD_BITS,
-    _COORD_MASK,
-    TrilinearInfo,
-    footprint_keys_from_info,
-    unpack_footprint_key,
-)
+from repro.texture.sampler import _COORD_BITS, _COORD_MASK, _pack_footprint_key
+from repro.verify.reference_sampling import unpack_footprint_key
 
 MAX_COORD = _COORD_MASK  # 8191: largest in-range texel coordinate
 MAX_LEVEL = 15
@@ -30,21 +26,17 @@ coords = st.integers(min_value=0, max_value=MAX_COORD)
 wrapping_coords = st.integers(min_value=-(MAX_COORD + 1), max_value=2 * MAX_COORD)
 
 
-def _info(l0, iu0, iv0, iu1, iv1):
-    """A TrilinearInfo carrying only the fields the key packer reads."""
-    as_arr = lambda v: np.atleast_1d(np.asarray(v, dtype=np.int64))  # noqa: E731
-    zeros = np.zeros_like(as_arr(l0), dtype=np.float64)
-    return TrilinearInfo(
-        l0=as_arr(l0), l1=as_arr(l0) + 1,
-        iu0=as_arr(iu0), iv0=as_arr(iv0), fu0=zeros, fv0=zeros,
-        iu1=as_arr(iu1), iv1=as_arr(iv1), fu1=zeros, fv1=zeros,
-        lfrac=zeros,
+def _key(l0, iu0, iv0, iu1, iv1):
+    """Packed keys of the given fields, as int64 arrays."""
+    return _pack_footprint_key(
+        *(np.atleast_1d(np.asarray(f, dtype=np.int64))
+          for f in (l0, iu0, iv0, iu1, iv1))
     )
 
 
 @given(l0=levels, iu0=coords, iv0=coords, iu1=coords, iv1=coords)
 def test_pack_unpack_round_trips(l0, iu0, iv0, iu1, iv1):
-    key = footprint_keys_from_info(_info(l0, iu0, iv0, iu1, iv1))
+    key = _key(l0, iu0, iv0, iu1, iv1)
     assert key.dtype == np.int64
     got = unpack_footprint_key(key)
     assert [int(g[0]) for g in got] == [l0, iu0, iv0, iu1, iv1]
@@ -55,11 +47,11 @@ def test_pack_unpack_round_trips(l0, iu0, iv0, iu1, iv1):
 def test_wrapped_coordinates_alias_their_canonical_texel(l0, iu0, iv0, iu1, iv1):
     # An 8192-texel level wraps coordinates mod 8192: coordinate c and
     # c +/- 8192 name the same texel, so they must produce the same key.
-    raw = footprint_keys_from_info(_info(l0, iu0, iv0, iu1, iv1))
-    canon = footprint_keys_from_info(_info(
+    raw = _key(l0, iu0, iv0, iu1, iv1)
+    canon = _key(
         l0, iu0 & _COORD_MASK, iv0 & _COORD_MASK,
         iu1 & _COORD_MASK, iv1 & _COORD_MASK,
-    ))
+    )
     assert int(raw[0]) == int(canon[0])
 
 
@@ -73,8 +65,8 @@ def test_wrapped_coordinates_alias_their_canonical_texel(l0, iu0, iv0, iu1, iv1)
 )
 def test_no_key_collisions_within_a_level(l0, rows):
     arr = np.asarray(rows, dtype=np.int64)
-    keys = footprint_keys_from_info(
-        _info(np.full(len(rows), l0), arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3])
+    keys = _key(
+        np.full(len(rows), l0), arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
     )
     assert len(np.unique(keys)) == len(rows)
 
@@ -83,9 +75,7 @@ def test_documented_boundary_corners_stay_positive_and_distinct():
     # Mip level 15 of an 8192-texel texture at the far texel corner is
     # the largest representable key; it must not overflow into the sign
     # bit, and the all-extremes corners must remain distinct.
-    top = _info(MAX_LEVEL, MAX_COORD, MAX_COORD, MAX_COORD, MAX_COORD)
-    bottom = _info(0, 0, 0, 0, 0)
-    key_top = footprint_keys_from_info(top)
+    key_top = _key(MAX_LEVEL, MAX_COORD, MAX_COORD, MAX_COORD, MAX_COORD)
     assert int(key_top[0]) == (
         (MAX_LEVEL << 4 * _COORD_BITS)
         | (MAX_COORD << 3 * _COORD_BITS)
@@ -94,16 +84,13 @@ def test_documented_boundary_corners_stay_positive_and_distinct():
         | MAX_COORD
     )
     assert int(key_top[0]) > 0
-    assert int(key_top[0]) != int(footprint_keys_from_info(bottom)[0])
+    assert int(key_top[0]) != int(_key(0, 0, 0, 0, 0)[0])
     # Adjacent texels at the extreme level differ in the key.
-    near = _info(MAX_LEVEL, MAX_COORD - 1, MAX_COORD, MAX_COORD, MAX_COORD)
-    assert int(key_top[0]) != int(footprint_keys_from_info(near)[0])
+    near = _key(MAX_LEVEL, MAX_COORD - 1, MAX_COORD, MAX_COORD, MAX_COORD)
+    assert int(key_top[0]) != int(near[0])
 
 
 def test_levels_never_collide_for_same_coordinates():
     base = (12, 34, 56, 78)
-    keys = {
-        int(footprint_keys_from_info(_info(level, *base))[0])
-        for level in range(MAX_LEVEL + 1)
-    }
+    keys = {int(_key(level, *base)[0]) for level in range(MAX_LEVEL + 1)}
     assert len(keys) == MAX_LEVEL + 1

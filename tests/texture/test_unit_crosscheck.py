@@ -6,19 +6,22 @@ import numpy as np
 import pytest
 
 from repro.texture.addressing import TextureLayout
-from repro.texture.anisotropic import aniso_sample_positions
+from repro.texture.fetch import fetch_trilinear
 from repro.texture.footprint import compute_footprints
 from repro.texture.image import Texture2D
 from repro.texture.mipmap import MipChain
-from repro.texture.sampler import (
-    texel_coords_from_info,
-    trilinear_footprint_keys,
-    trilinear_info,
-    trilinear_sample,
-)
+from repro.texture.sampler import trilinear_footprint_keys, trilinear_info
 from repro.texture.unit import TEXELS_PER_TRILINEAR, TextureUnit
+from repro.verify.reference_sampling import (
+    aniso_sample_positions,
+    texel_coords_from_info,
+)
 
 _TEX = 128
+
+
+def trilinear_sample(chain, u, v, lod):
+    return fetch_trilinear(chain, trilinear_info(chain, u, v, lod))[0]
 
 
 @pytest.fixture(scope="module")

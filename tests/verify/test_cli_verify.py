@@ -12,7 +12,7 @@ from repro.verify.report import REPORT_SCHEMA
 def test_verify_list_oracles(capsys):
     assert main(["verify", "--list"]) == 0
     out = capsys.readouterr().out
-    assert "bilinear" in out and "differential" in out
+    assert "trilinear" in out and "differential" in out
     assert "golden" in out
 
 

@@ -52,3 +52,22 @@ def test_oracles_pass_across_seeds(seed):
     for oracle in DIFFERENTIAL_ORACLES:
         result = oracle(VerifyConfig(seed=seed))
         assert result.passed, (oracle.__name__, seed, result.details)
+
+
+def test_anisotropic_oracle_checks_the_production_key_packer(monkeypatch):
+    # A packer that packs the fine footprint twice and drops the coarse
+    # one. The AF oracle must see it through the batch kernel's own
+    # key pass, the one PATU's stage-2 Txds is computed from.
+    from repro.texture import anisotropic
+    from repro.texture.sampler import _pack_footprint_key, trilinear_info
+    from repro.verify.differential import oracle_anisotropic
+
+    def fine_only_keys(chain, u, v, lod):
+        info = trilinear_info(chain, u, v, lod)
+        return _pack_footprint_key(info.l0, info.iu0, info.iv0, info.iu0, info.iv0)
+
+    assert oracle_anisotropic(VerifyConfig()).passed
+    monkeypatch.setattr(anisotropic, "trilinear_footprint_keys", fine_only_keys)
+    result = oracle_anisotropic(VerifyConfig())
+    assert not result.passed
+    assert result.details["key_mismatches"] > 0

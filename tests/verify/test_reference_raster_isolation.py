@@ -1,5 +1,6 @@
 """The reference rasterizer, cache walk, fetch stream and texel fetch are
-test oracles, not product dependencies."""
+test oracles, not product dependencies; so are the sequential hash
+table, the texel-set helpers and the output-file readers."""
 
 import ast
 import functools
@@ -8,7 +9,16 @@ import pathlib
 import subprocess
 import sys
 
-from repro.verify import reference_cache, reference_fetch, reference_texel_fetch
+import pytest
+
+from repro.verify import (
+    readers,
+    reference_cache,
+    reference_fetch,
+    reference_hash_table,
+    reference_sampling,
+    reference_texel_fetch,
+)
 from repro.verify.reference_raster import Rasterizer
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
@@ -80,3 +90,16 @@ def test_no_product_module_imports_the_reference_fetch_stream():
 def test_no_product_module_imports_the_reference_texel_fetch():
     assert reference_texel_fetch.__name__ not in _modules_loaded_by_entry_points()
     assert _product_importers(reference_texel_fetch) == []
+
+
+@pytest.mark.parametrize(
+    "module",
+    [readers, reference_hash_table, reference_sampling],
+    ids=lambda module: module.__name__.rsplit(".", 1)[-1],
+)
+def test_no_product_module_loads_the_check_only_references(module):
+    # TexelAddressHashTable, aniso_sample_positions,
+    # texel_coords_from_info, unpack_footprint_key and the read_*
+    # readers live here because only checks call them.
+    assert module.__name__ not in _modules_loaded_by_entry_points()
+    assert _product_importers(module) == []
