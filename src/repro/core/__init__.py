@@ -13,13 +13,7 @@
   including the LOD-shift elimination of Section V-C(2).
 """
 
-from .af_ssim import (
-    af_ssim_n,
-    af_ssim_txds,
-    entropy,
-    txds,
-    txds_and_sharing_from_csr,
-)
+from .af_ssim import af_ssim_n, af_ssim_txds, txds_and_sharing_from_csr
 from .hash_table import HASH_TABLE_ENTRIES
 from .predictor import PredictionResult, TwoStagePredictor
 from .scenarios import Scenario, SCENARIOS, BASELINE, AFSSIM_N, AFSSIM_N_TXDS, PATU
@@ -40,7 +34,5 @@ __all__ = [
     "TwoStagePredictor",
     "af_ssim_n",
     "af_ssim_txds",
-    "entropy",
-    "txds",
     "txds_and_sharing_from_csr",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateInputError, ReproError
+from ..errors import DegenerateInputError
 
 
 def af_ssim_n(n: np.ndarray) -> np.ndarray:
@@ -44,35 +44,6 @@ def af_ssim_n(n: np.ndarray) -> np.ndarray:
         raise DegenerateInputError("anisotropy degree N must be >= 1")
     # 2N/(N^2+1) rewritten as 2/(N + 1/N): overflow-free for huge N.
     return (2.0 / (n + 1.0 / n)) ** 2
-
-
-def entropy(p: np.ndarray) -> float:
-    """Eq. (8): Shannon entropy of a probability vector (bits).
-
-    Zero-probability events contribute nothing (the usual
-    ``0 log 0 = 0`` convention).
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.size == 0:
-        raise ReproError("probability vector must be non-empty")
-    if np.any(p < 0) or not np.isclose(p.sum(), 1.0, atol=1e-9):
-        raise ReproError(f"not a probability vector: {p}")
-    nz = p[p > 0]
-    return float(-(nz * np.log2(nz)).sum())
-
-
-def txds(p: np.ndarray, n: int) -> float:
-    """Eq. (9): texel distribution similarity ``1 - H(P)/log2(N)``.
-
-    ``n`` is the AF sample size; for ``n == 1`` there is a single
-    (trivially concentrated) sample and Txds is defined as 1.
-    """
-    if n < 1:
-        raise ReproError(f"sample size must be >= 1, got {n}")
-    if n == 1:
-        return 1.0
-    h = entropy(p)
-    return float(1.0 - h / np.log2(n))
 
 
 def af_ssim_txds(txds_value: np.ndarray) -> np.ndarray:

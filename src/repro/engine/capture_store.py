@@ -22,9 +22,12 @@ directly under the root (the unsharded layout of older stores) are not
 entries either: each misses once and its capture is re-rendered into
 its shard.
 
-Writes go through :func:`repro.ioutil.atomic_write_bytes`, so a store
-shared by concurrent processes never exposes a torn file: each process
-that misses renders and publishes independently, and the final
+Writes go through :func:`repro.ioutil.atomic_write`, which streams the
+archive straight into a temp sibling of the entry (the payload, 26–42 MB
+for a game frame at scale 0.25, is never built in memory) and renames
+it into place, so a store shared by concurrent processes never exposes
+a torn file: each process that misses renders and publishes
+independently, and the final
 ``os.replace`` makes one of the identical payloads win. Within one
 process a store may be used from several threads (``--jobs N``); its
 :class:`StoreStats` and per-shard counters update under a lock.
@@ -49,12 +52,12 @@ import threading
 from dataclasses import dataclass
 
 from ..errors import PipelineError
-from ..ioutil import atomic_write_bytes
+from ..ioutil import atomic_write
 from ..obs import TELEMETRY
 from ..renderer.serialization import (
     FORMAT_VERSION,
     capture_from_npz_bytes,
-    capture_to_npz_bytes,
+    write_capture,
 )
 from ..renderer.session import FrameCapture
 
@@ -226,10 +229,11 @@ class CaptureStore:
     def put(self, spec: "dict[str, object]", capture: FrameCapture) -> pathlib.Path:
         """Atomically publish ``capture`` under its content key.
 
-        Entries are written as uncompressed .npz: the store is a
-        same-machine cache, and on that path the deflate pass is pure
-        CPU overhead — a load must stay cheap next to a render.
-        Compressed entries from older runs still load fine. With
+        Entries are written as uncompressed .npz, streamed into the
+        temp file: the store is a same-machine cache, and on that path
+        the deflate pass is pure CPU overhead — a load must stay cheap
+        next to a render. Compressed entries from older runs still
+        load fine. The running byte total takes the size written. With
         ``max_bytes`` set, older entries are then evicted to fit: the
         running byte total decides whether the store is over budget,
         and only then (or on the first put) is the store listed.
@@ -237,15 +241,21 @@ class CaptureStore:
         with TELEMETRY.span("store.put"):
             path = self.path_for(spec)
             path.parent.mkdir(parents=True, exist_ok=True)
-            payload = capture_to_npz_bytes(capture, compress=False)
             replaced = _size(path) if self.max_bytes is not None else 0
-            atomic_write_bytes(path, payload)
+            written = 0
+
+            def write(handle) -> None:
+                nonlocal written
+                write_capture(handle, capture, compress=False)
+                written = handle.tell()
+
+            atomic_write(path, write)
             self._count("writes")
             if self.max_bytes is not None:
                 with self._lock:
                     over = self._total_bytes is None
                     if not over:
-                        self._total_bytes += len(payload) - replaced
+                        self._total_bytes += written - replaced
                         over = self._total_bytes > self.max_bytes
                 if over:
                     self.prune(self.max_bytes, keep=path)

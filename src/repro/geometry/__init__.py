@@ -6,13 +6,7 @@ triangle meshes, model/view/projection transforms, frustum clipping,
 back-face culling and the tiling engine.
 """
 
-from .linalg import (
-    identity,
-    look_at,
-    normalize,
-    perspective,
-    scale as scale_matrix,
-)
+from .linalg import identity, look_at, normalize, perspective
 from .mesh import Mesh, VertexBuffer
 from .transform import TransformedTriangles, transform_mesh
 from .camera import Camera
@@ -32,6 +26,5 @@ __all__ = [
     "look_at",
     "normalize",
     "perspective",
-    "scale_matrix",
     "transform_mesh",
 ]

@@ -20,13 +20,6 @@ def identity() -> np.ndarray:
     return np.eye(4, dtype=np.float64)
 
 
-def scale(sx: float, sy: float, sz: float) -> np.ndarray:
-    """Return a (possibly anisotropic) scaling matrix."""
-    m = identity()
-    m[0, 0], m[1, 1], m[2, 2] = sx, sy, sz
-    return m
-
-
 def normalize(v: np.ndarray) -> np.ndarray:
     """Return ``v`` scaled to unit length.
 

@@ -2,8 +2,9 @@
 
 Every artifact the toolkit produces (experiment tables, reports,
 ``trace.json``, ``metrics.jsonl``, ``bench_results/*.txt`` and
-checkpoints) goes through :func:`atomic_write_text`: the content is
-written to a temporary sibling file, flushed and fsynced, then moved
+checkpoints) goes through :func:`atomic_write_text`, and capture-store
+entries through :func:`atomic_write`, which streams them: the content
+is written to a temporary sibling file, flushed and fsynced, then moved
 over the destination with :func:`os.replace`. A crash mid-write
 therefore never truncates a previously complete artifact — readers see
 either the old file or the new one, never a partial write.
@@ -20,6 +21,7 @@ import os
 import pathlib
 import sys
 import time
+from typing import BinaryIO, Callable
 
 #: Default bounded-retry policy for transient OSErrors.
 DEFAULT_RETRIES = 3
@@ -87,10 +89,27 @@ def atomic_write_bytes(
     retries: int = DEFAULT_RETRIES,
     backoff_s: float = DEFAULT_BACKOFF_S,
 ) -> pathlib.Path:
-    """Atomically replace ``path`` with ``data``; returns the path.
+    """Atomically replace ``path`` with ``data``; returns the path."""
+    return atomic_write(
+        path, lambda handle: handle.write(data), retries=retries, backoff_s=backoff_s
+    )
 
-    The temp file lives in the destination directory so the final
-    ``os.replace`` stays on one filesystem (rename atomicity).
+
+def atomic_write(
+    path,
+    write: "Callable[[BinaryIO], object]",
+    *,
+    retries: int = DEFAULT_RETRIES,
+    backoff_s: float = DEFAULT_BACKOFF_S,
+) -> pathlib.Path:
+    """Atomically replace ``path`` with what ``write`` writes; returns the path.
+
+    ``write`` receives the temp file open for binary writing and
+    streams the content into it, so the content never has to exist in
+    memory as a whole. A failed attempt unlinks its temp file and calls
+    ``write`` again on a fresh one. The temp file lives in the
+    destination directory so the final ``os.replace`` stays on one
+    filesystem (rename atomicity).
     """
     path = pathlib.Path(path)
     last_error: "OSError | None" = None
@@ -98,7 +117,7 @@ def atomic_write_bytes(
         tmp = path.with_name(f".{path.name}.tmp{os.getpid()}.{attempt}")
         try:
             with tmp.open("wb") as handle:
-                handle.write(data)
+                write(handle)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, path)

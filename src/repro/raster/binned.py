@@ -25,14 +25,20 @@ Pathfinder):
    later), so the *final* G-buffer is unchanged either way. A tile
    whose candidates all die behind an occluder is retired outright
    (Pathfinder-style occluded-tile cull).
-3. **Fine pass** — each surviving triangle is evaluated over the
-   tile-aligned union of its surviving tiles using *exactly* the reference
-   per-pixel expressions (same pixel centers, same operation order,
-   same float32 stores), with the top-left fill rule and with the
-   heavy perspective-correct math compressed to depth-surviving
-   fragments only. Because every expression is elementwise in the
-   pixel coordinates, the resulting G-buffer is **bit-identical** to
-   the reference rasterizer's.
+3. **Fine pass** — one array pass over every surviving (triangle,
+   tile) pair, not a loop over triangles. Each triangle's pixel rows
+   (its bbox clipped to its surviving tiles) get conservative column
+   spans from its edges; the spans expand, in bounded chunks of rows,
+   into flat candidate pixels, and the watertight top-left test runs on
+   the pixels near an edge. The depth test then replays draw order (the
+   ROP's API order) in depth-complexity layers: a stable sort by pixel
+   ranks each pixel's fragments, and each rank is one conflict-free
+   gather, strict ``<`` test and scatter. The perspective-correct math
+   runs only on each pixel's last passing fragment. Every expression
+   is the reference's, elementwise in the pixel coordinates (same pixel
+   centers, same operation order, same float32 stores), so the
+   resulting G-buffer is **bit-identical** to the reference
+   rasterizer's.
 
 Exactness of the cull is protected against floating-point disagreement
 between the corner-evaluated bounds and the fine pass's per-pixel
@@ -100,6 +106,10 @@ class RasterStats:
 _EPS64 = float(np.finfo(np.float64).eps)
 #: Machine epsilon of the float32 G-buffer depth storage.
 _EPS32 = float(np.finfo(np.float32).eps)
+
+#: Candidate pixels the fine pass expands at once: chunks of whole
+#: rows bound its temporaries whatever the frame size.
+FINE_CHUNK = 1 << 14
 
 
 def _segment_min(segments: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -210,7 +220,6 @@ class BinnedRasterizer:
             [np.full(d[0].shape[0], d[5], dtype=np.int64) for d in self._draws]
         )
         self._draws.clear()
-        m = sx.shape[0]
 
         area2 = (sy[:, 1] - sy[:, 2]) * (sx[:, 0] - sx[:, 2]) + (
             sx[:, 2] - sx[:, 1]
@@ -252,21 +261,10 @@ class BinnedRasterizer:
         keep = self._coarse_cull(t, r, sx, sy, sz, area2)
 
         # ---- Pass 3: fine raster over surviving tiles ---------------
-        kr = r[keep]
-        kt = t[keep]
-        by_tri = np.argsort(kr, kind="stable")
-        kt = kt[by_tri]
-        counts = np.bincount(kr, minlength=m)
-        ptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        for i in np.nonzero(counts)[0]:
-            self._fine_one(
-                int(i),
-                kt[ptr[i] : ptr[i + 1]],
-                sx[i], sy[i], sz[i], inv_w[i], uv_over_w[i],
-                float(area2[i]), int(x0[i]), int(x1[i]), int(y0[i]), int(y1[i]),
-                int(tex[i]),
-            )
+        self._fine_pass(
+            r[keep], t[keep], sx, sy, sz, inv_w, uv_over_w, area2,
+            x0, x1, y0, y1, tex,
+        )
 
     def _coarse_cull(
         self,
@@ -398,240 +396,321 @@ class BinnedRasterizer:
             self.stats.tiles_culled_occluded += int(np.count_nonzero(retired))
         return keep
 
-    def _fine_one(
+
+    def _fine_pass(
         self,
-        i: int,
-        tiles: np.ndarray,
+        kr: np.ndarray,
+        kt: np.ndarray,
         sx: np.ndarray,
         sy: np.ndarray,
         sz: np.ndarray,
         inv_w: np.ndarray,
         uv_over_w: np.ndarray,
-        area2: float,
-        x0: int,
-        x1: int,
-        y0: int,
-        y1: int,
-        texture_id: int,
+        area2: np.ndarray,
+        x0: np.ndarray,
+        x1: np.ndarray,
+        y0: np.ndarray,
+        y1: np.ndarray,
+        tex: np.ndarray,
     ) -> None:
-        """Rasterize triangle ``i`` over the union of its surviving tiles.
+        """Rasterize every kept (triangle, tile) pair in one array pass.
 
-        Unlike the reference path, which evaluates every expression over
-        the full bounding-box rectangle, this pass first intersects each
-        pixel row with the triangle's three edge half-planes to get a
-        conservative per-row column span (a convex triangle covers one
-        contiguous interval per row), then evaluates only the span
-        pixels as flat 1-D arrays — work proportional to covered
-        fragments, not bbox area, which is what makes grazing
-        (large-bbox, low-coverage) triangles cheap.
+        Each surviving triangle is evaluated over the rectangle of its
+        surviving tiles, clipped to its bounding box. Every pixel row
+        of every triangle is intersected with the triangle's three edge
+        half-planes at once, giving a conservative column span per row
+        (a convex triangle covers one contiguous interval per row), so
+        the work is proportional to covered fragments, not bbox area.
+        The spans carry the coarse pass's error margins, so every pixel
+        the exact inside test could accept is a candidate. An *inner*
+        span, shrunk by the same margins plus the rounding of the edge
+        root itself, holds pixels whose edge functions are all strictly
+        positive; only the pixels between the two spans run the
+        watertight test.
 
-        The spans carry the same conservative error margins as the
-        coarse pass, so every pixel the exact inside test could accept
-        is a candidate; on the candidates, every per-pixel expression
-        matches the reference ``_raster_one`` bit for bit (same pixel
-        centers, same operation order), so the fragments written here
-        are bitwise what the reference path writes. The perspective-correct
-        quotient math runs compressed to depth-surviving fragments only.
+        The triangle-major rows are expanded into flat candidate pixels
+        :data:`FINE_CHUNK` at a time. A chunk may split a triangle: a
+        triangle covers a pixel at most once, so every fragment of a
+        pixel in one chunk precedes, in draw order, every fragment of
+        it in the next. On the candidates every per-pixel expression is
+        the reference ``_raster_one``'s (same pixel centers, same
+        operation order, per-triangle constants gathered per pixel),
+        and :meth:`_depth_test` replays the reference's triangle-by-
+        triangle depth test, so the G-buffer is bitwise the reference's.
+        The perspective-correct math runs only on each chunk's winners.
         """
-        ts = self.tile_size
-        tx = tiles % self.tiles_x
-        ty = tiles // self.tiles_x
-        txmin, txmax = int(tx.min()), int(tx.max())
-        tymin, tymax = int(ty.min()), int(ty.max())
-        rx0 = max(x0, txmin * ts)
-        rx1 = min(x1, (txmax + 1) * ts - 1)
-        ry0 = max(y0, tymin * ts)
-        ry1 = min(y1, (tymax + 1) * ts - 1)
-        if rx1 < rx0 or ry1 < ry0:
+        if kr.size == 0:
             return
-
-        inv_area2 = 1.0 / area2
-        ys = np.arange(ry0, ry1 + 1, dtype=np.float64) + 0.5
-        nrows = ys.size
-
-        # Conservative per-row x spans. Margin: the exact edge function
-        # changes by |A * inv_area2| per pixel of x; widening the span
-        # by the evaluation error over that slope (plus slack for the
-        # root division itself) guarantees every pixel the exact inside
-        # test could accept lies inside the span. Symmetrically, an
-        # *inner* span is shrunk by the same margin (plus the rounding
-        # of the root itself): pixels inside it have every edge
-        # function strictly positive by construction, so the exact
-        # watertight test only needs to run on the boundary pixels
-        # between the two spans.
-        lam_err = float(self._lam_err[i])
-        cscale = float(
-            max(self.width, self.height) + max(np.abs(sx).max(), np.abs(sy).max())
+        ts = self.tile_size
+        by_tri = np.argsort(kr, kind="stable")
+        kr = kr[by_tri]
+        kt = kt[by_tri]
+        # Sorted (triangle, tile) keys of the kept pairs: the membership
+        # table for triangles whose kept tiles do not fill their grid.
+        ntiles = self.tiles_x * self.tiles_y
+        pair_keys = kr * ntiles + kt
+        first = np.flatnonzero(np.concatenate([[True], kr[1:] != kr[:-1]]))
+        tri = kr[first]
+        tx = kt % self.tiles_x
+        ty = kt // self.tiles_x
+        txmin = np.minimum.reduceat(tx, first)
+        txmax = np.maximum.reduceat(tx, first)
+        tymin = np.minimum.reduceat(ty, first)
+        tymax = np.maximum.reduceat(ty, first)
+        partial = np.diff(np.append(first, kr.size)) != (txmax - txmin + 1) * (
+            tymax - tymin + 1
         )
-        xl = np.full(nrows, rx0 + 0.5)
-        xr = np.full(nrows, rx1 + 0.5)
-        xl_in = np.full(nrows, rx0 - 1.0)
-        xr_in = np.full(nrows, rx1 + 2.0)
-        row_ok = None
-        edges = (
-            (sy[1] - sy[2], sx[2] - sx[1], 1, 2),  # edge 0: v1 -> v2
-            (sy[2] - sy[0], sx[0] - sx[2], 2, 0),  # edge 1: v2 -> v0
-            (sy[0] - sy[1], sx[1] - sx[0], 0, 1),  # edge 2: v0 -> v1
+        rx0 = np.maximum(x0[tri], txmin * ts)
+        rx1 = np.minimum(x1[tri], (txmax + 1) * ts - 1)
+        ry0 = np.maximum(y0[tri], tymin * ts)
+        ry1 = np.minimum(y1[tri], (tymax + 1) * ts - 1)
+
+        # Per-triangle constants as contiguous 1-D arrays (row k of a
+        # (3, S) array is vertex k), so every gather below is a take.
+        vsx = np.ascontiguousarray(sx[tri].T)
+        vsy = np.ascontiguousarray(sy[tri].T)
+        vsz = np.ascontiguousarray(sz[tri].T)
+        inv_area2 = 1.0 / area2[tri]
+
+        # Every row of every triangle, triangle-major (draw order).
+        nrows = np.maximum(ry1 - ry0 + 1, 0)
+        row_tri = np.repeat(np.arange(tri.size), nrows)
+        row_y = np.arange(row_tri.size) + np.repeat(
+            ry0 - (np.cumsum(nrows) - nrows), nrows
         )
-        for coeff_a, coeff_b, a, b in edges:
-            anchor = a if (sx[a], sy[a]) <= (sx[b], sy[b]) else b
-            if abs(coeff_a) < 1e-30:
-                # (Near-)horizontal edge: no x constraint, but a row is
-                # only *certainly* inside it when the edge function
-                # clears its error band (including the dropped A term).
-                t_row = (coeff_b * (ys - sy[anchor])) * inv_area2
-                ok = t_row > (
-                    2.0 * lam_err
-                    + 4.0 * _EPS64 * np.abs(t_row)
-                    + 2e-30 * cscale * abs(inv_area2)
-                )
-                row_ok = ok if row_ok is None else (row_ok & ok)
+        ys = row_y + 0.5
+        coll, colr, c_lo, c_hi = self._row_spans(
+            row_tri, ys, vsx, vsy, inv_area2, self._lam_err[tri],
+            rx0[row_tri], rx1[row_tri],
+        )
+        counts = np.maximum(colr - coll + 1, 0)
+        n_left = np.clip(c_lo - coll, 0, counts)
+        n_right = np.clip(colr - c_hi, 0, counts - n_left)
+        row_partial = partial[row_tri]
+
+        # Interpolation constants: lam_k's edge coefficients and
+        # gradients, and per vertex Q = 1/w, U = u/w and V = v/w with
+        # their screen gradients.
+        a0 = vsy[1] - vsy[2]
+        b0 = vsx[2] - vsx[1]
+        a1 = vsy[2] - vsy[0]
+        b1 = vsx[0] - vsx[2]
+        d0x = a0 * inv_area2
+        d0y = b0 * inv_area2
+        d1x = a1 * inv_area2
+        d1y = b1 * inv_area2
+        d2x = -d0x - d1x
+        d2y = -d0y - d1y
+        attrs = (
+            np.ascontiguousarray(inv_w[tri].T),
+            np.ascontiguousarray(uv_over_w[tri, :, 0].T),
+            np.ascontiguousarray(uv_over_w[tri, :, 1].T),
+        )
+        grads = [
+            (d0x * w[0] + d1x * w[1] + d2x * w[2], d0y * w[0] + d1y * w[1] + d2y * w[2])
+            for w in attrs
+        ]
+        tex_tri = tex[tri]
+
+        gb = self.gbuffer
+        ends = np.cumsum(counts)
+        row = 0
+        while row < counts.size:
+            stop = max(
+                int(np.searchsorted(ends, ends[row] - counts[row] + FINE_CHUNK, "right")),
+                row + 1,
+            )
+            rows = slice(row, stop)
+            row = stop
+            cnt = counts[rows]
+            n = int(cnt.sum())
+            if n == 0:
                 continue
-            bound = sx[anchor] - (coeff_b * (ys - sy[anchor])) / coeff_a
-            slope = abs(coeff_a) * abs(inv_area2)
-            margin = 2.0 + 2.0 * lam_err / slope
+            seg = np.cumsum(cnt) - cnt
+            row_of = np.repeat(np.arange(rows.start, rows.stop), cnt)
+            col = np.arange(n) + np.repeat(coll[rows] - seg, cnt)
+
+            # Coverage: the inner span is covered; the pixels between
+            # the spans run the watertight test.
+            inside = np.ones(n, dtype=bool)
+            unc = _ragged_indices(
+                seg, n_left[rows], seg + cnt - n_right[rows], n_right[rows]
+            )
+            if unc.size:
+                k = row_tri[row_of[unc]]
+                inside[unc] = edge_inside_mask(
+                    col[unc] + 0.5, ys[row_of[unc]],
+                    vsx[:, k], vsy[:, k], inv_area2[k],
+                )
+            # A triangle whose kept tiles do not fill their grid keeps
+            # only the candidates in a kept tile.
+            grid = np.flatnonzero(np.repeat(row_partial[rows], cnt))
+            if grid.size:
+                r_g = row_of[grid]
+                key = tri[row_tri[r_g]] * ntiles + (
+                    (row_y[r_g] // ts) * self.tiles_x + col[grid] // ts
+                )
+                at = np.minimum(np.searchsorted(pair_keys, key), pair_keys.size - 1)
+                inside[grid] &= pair_keys[at] == key
+            frag = np.flatnonzero(inside)
+            if frag.size == 0:
+                continue
+            self.stats.fragments_generated += frag.size
+
+            r_f = row_of[frag]
+            k = row_tri[r_f]
+            c = col[frag]
+            flat = row_y[r_f] * self.width + c
+            dx = (c + 0.5) - vsx[2][k]
+            dy = ys[r_f] - vsy[2][k]
+            ia = inv_area2[k]
+            lam0 = (a0[k] * dx + b0[k] * dy) * ia
+            lam1 = (a1[k] * dx + b1[k] * dy) * ia
+            lam2 = 1.0 - lam0 - lam1
+            depth = lam0 * vsz[0][k] + lam1 * vsz[1][k] + lam2 * vsz[2][k]
+            npass, win = self._depth_test(flat, depth)
+            if npass == 0:
+                continue
+            self.stats.fragments_passed_depth += npass
+
+            # Perspective-correct attributes of each pixel's last passing
+            # fragment: elementwise, so the same bits as shading every
+            # passing fragment in draw order. Its depth is already
+            # stored: ``_depth_test`` writes every pass.
+            kw = k[win]
+            l0 = lam0[win]
+            l1 = lam1[win]
+            l2 = lam2[win]
+            q, uu, vv = (l0 * w[0][kw] + l1 * w[1][kw] + l2 * w[2][kw] for w in attrs)
+            (qx, qy), (ux, uy), (vx, vy) = ((gx[kw], gy[kw]) for gx, gy in grads)
+            inv_q = 1.0 / q
+            inv_q2 = inv_q * inv_q
+            fp = flat[win]
+            gb.tex_id.ravel()[fp] = tex_tri[kw]
+            gb.u.ravel()[fp] = (uu * inv_q).astype(np.float32)
+            gb.v.ravel()[fp] = (vv * inv_q).astype(np.float32)
+            gb.dudx.ravel()[fp] = ((ux * q - uu * qx) * inv_q2).astype(np.float32)
+            gb.dvdx.ravel()[fp] = ((vx * q - vv * qx) * inv_q2).astype(np.float32)
+            gb.dudy.ravel()[fp] = ((uy * q - uu * qy) * inv_q2).astype(np.float32)
+            gb.dvdy.ravel()[fp] = ((vy * q - vv * qy) * inv_q2).astype(np.float32)
+
+    def _row_spans(
+        self,
+        row_tri: np.ndarray,
+        ys: np.ndarray,
+        vsx: np.ndarray,
+        vsy: np.ndarray,
+        inv_area2: np.ndarray,
+        lam_err: np.ndarray,
+        rx0: np.ndarray,
+        rx1: np.ndarray,
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+        """Outer ``[coll, colr]`` and certain ``[c_lo, c_hi]`` column spans per row.
+
+        ``row_tri`` maps each row to its triangle's index in the
+        per-triangle arrays; ``ys`` is the row's pixel-center y and
+        ``rx0``/``rx1`` its column range.
+
+        Margin: the exact edge function changes by ``|A * inv_area2|``
+        per pixel of x; widening the span by the evaluation error over
+        that slope (plus slack for the root division itself) guarantees
+        every pixel the exact inside test could accept lies inside the
+        outer span. The certain span is shrunk by the same margin plus
+        the rounding of the root, so its pixels have every edge
+        function strictly positive.
+        """
+        ia = inv_area2[row_tri]
+        err = lam_err[row_tri]
+        cscale = (
+            max(self.width, self.height)
+            + np.maximum(np.abs(vsx).max(axis=0), np.abs(vsy).max(axis=0))
+        )[row_tri]
+        xl = rx0 + 0.5
+        xr = rx1 + 0.5
+        xl_in = rx0 - 1.0
+        xr_in = rx1 + 2.0
+        row_ok = np.ones(row_tri.size, dtype=bool)
+        for a, b in ((1, 2), (2, 0), (0, 1)):
+            at_a = (vsx[a] < vsx[b]) | ((vsx[a] == vsx[b]) & (vsy[a] <= vsy[b]))
+            cx = np.where(at_a, vsx[a], vsx[b])[row_tri]
+            cy = np.where(at_a, vsy[a], vsy[b])[row_tri]
+            coeff_a = (vsy[a] - vsy[b])[row_tri]
+            coeff_b = (vsx[b] - vsx[a])[row_tri]
+            horiz = np.abs(coeff_a) < 1e-30
+            # (Near-)horizontal edge: no x constraint, but a row is only
+            # *certainly* inside it when the edge function clears its
+            # error band (including the dropped A term).
+            t_row = (coeff_b * (ys - cy)) * ia
+            ok = t_row > (
+                2.0 * err + 4.0 * _EPS64 * np.abs(t_row) + 2e-30 * cscale * np.abs(ia)
+            )
+            row_ok &= ok | ~horiz
+            # Any other edge bounds x. Horizontal rows divide by 1
+            # instead of their tiny A; ``np.where`` discards them.
+            coeff_a_x = np.where(horiz, 1.0, coeff_a)
+            bound = cx - (coeff_b * (ys - cy)) / coeff_a_x
+            margin = 2.0 + 2.0 * err / (np.abs(coeff_a_x) * np.abs(ia))
             # The inner margin also absorbs the rounding of ``bound``
             # itself: |b - root| <= O(eps) * (coords + |B/A| * coords
             # + |b|), which simply voids certainty for near-horizontal
             # edges with far off-screen roots.
             margin_in = margin + 16.0 * _EPS64 * (
-                cscale * (1.0 + abs(coeff_b / coeff_a)) + np.abs(bound)
+                cscale * (1.0 + np.abs(coeff_b / coeff_a_x)) + np.abs(bound)
             )
-            if coeff_a * inv_area2 > 0:  # interior at larger x
-                xl = np.maximum(xl, bound - margin)
-                xl_in = np.maximum(xl_in, bound + margin_in)
-            else:
-                xr = np.minimum(xr, bound + margin)
-                xr_in = np.minimum(xr_in, bound - margin_in)
+            interior_right = coeff_a * ia > 0
+            left = interior_right & ~horiz
+            right = ~interior_right & ~horiz
+            xl = np.where(left, np.maximum(xl, bound - margin), xl)
+            xl_in = np.where(left, np.maximum(xl_in, bound + margin_in), xl_in)
+            xr = np.where(right, np.minimum(xr, bound + margin), xr)
+            xr_in = np.where(right, np.minimum(xr_in, bound - margin_in), xr_in)
         coll = np.clip(np.ceil(xl - 0.5), rx0, rx1 + 1).astype(np.int64)
         colr = np.clip(np.floor(xr - 0.5), rx0 - 1, rx1).astype(np.int64)
-        counts = np.maximum(colr - coll + 1, 0)
-        total = int(counts.sum())
-        if total == 0:
-            return
-
-        # Certain sub-span [c_lo, c_hi] per row (possibly empty).
-        coll_in = np.ceil(xl_in - 0.5)
-        colr_in = np.floor(xr_in - 0.5)
-        if row_ok is not None:
-            coll_in = np.where(row_ok, coll_in, (colr + 1).astype(np.float64))
+        coll_in = np.where(row_ok, np.ceil(xl_in - 0.5), colr + 1)
         c_lo = np.clip(coll_in, coll, colr + 1).astype(np.int64)
-        c_hi = np.clip(colr_in, c_lo - 1, colr).astype(np.int64)
+        c_hi = np.clip(np.floor(xr_in - 0.5), c_lo - 1, colr).astype(np.int64)
+        return coll, colr, c_lo, c_hi
 
-        # Expand the ragged spans into flat candidate pixel arrays.
-        # Only ``px``/``py``/``flat`` are materialized; integer row and
-        # column arrays are reconstructed only if the partial-tile-grid
-        # mask below needs them. The float sums are exact (integers
-        # plus 0.5, far below 2**52), so ``px``/``py`` carry the same
-        # bits the reference meshgrid produces.
-        seg_starts = np.cumsum(counts) - counts
-        px = np.arange(total, dtype=np.float64) + np.repeat(
-            (coll - seg_starts).astype(np.float64) + 0.5, counts
-        )
-        py = np.repeat(ys, counts)
-        rows_i = np.arange(ry0, ry1 + 1, dtype=np.int64)
-        flat = np.arange(total, dtype=np.int64) + np.repeat(
-            rows_i * self.width + coll - seg_starts, counts
-        )
+    def _depth_test(
+        self, flat: np.ndarray, depth: np.ndarray
+    ) -> "tuple[int, np.ndarray]":
+        """Depth-test one chunk's fragments in draw order.
 
-        lam0 = (
-            (sy[1] - sy[2]) * (px - sx[2]) + (sx[2] - sx[1]) * (py - sy[2])
-        ) * inv_area2
-        lam1 = (
-            (sy[2] - sy[0]) * (px - sx[2]) + (sx[0] - sx[2]) * (py - sy[2])
-        ) * inv_area2
-        lam2 = 1.0 - lam0 - lam1
-
-        dlam0 = ((sy[1] - sy[2]) * inv_area2, (sx[2] - sx[1]) * inv_area2)
-        dlam1 = ((sy[2] - sy[0]) * inv_area2, (sx[0] - sx[2]) * inv_area2)
-        dlam2 = (-dlam0[0] - dlam1[0], -dlam0[1] - dlam1[1])
-
-        # ``inside is None`` encodes "every candidate is covered" — the
-        # common case once the spans are fragment-tight — and lets the
-        # mask allocation and the boolean ANDs below be skipped.
-        n_left = np.clip(c_lo - coll, 0, counts)
-        n_right = np.clip(colr - c_hi, 0, counts - n_left)
-        n_unc = int(n_left.sum() + n_right.sum())
-        inside = None
-        if n_unc > 0:
-            if n_unc >= total:
-                inside = edge_inside_mask(px, py, sx, sy, inv_area2, lam0, lam1)
-            else:
-                inside = np.ones(total, dtype=bool)
-                unc = _ragged_indices(
-                    seg_starts, n_left, seg_starts + counts - n_right, n_right
-                )
-                inside[unc] = edge_inside_mask(
-                    px[unc], py[unc], sx, sy, inv_area2, lam0[unc], lam1[unc]
-                )
-        full_grid = tiles.size == (txmax - txmin + 1) * (tymax - tymin + 1)
-        if not full_grid:
-            grid = np.zeros((tymax - tymin + 1, txmax - txmin + 1), dtype=bool)
-            grid[ty - tymin, tx - txmin] = True
-            rr = np.repeat(rows_i, counts)
-            cc = flat - rr * self.width
-            gmask = grid[rr // ts - tymin, cc // ts - txmin]
-            inside = gmask if inside is None else (inside & gmask)
-        if inside is None:
-            n_in = total
-        else:
-            n_in = int(np.count_nonzero(inside))
-            if n_in == 0:
-                return
-        self.stats.fragments_generated += n_in
-
-        depth = lam0 * sz[0] + lam1 * sz[1] + lam2 * sz[2]
-        gb = self.gbuffer
-        # Flat G-buffer indices: one index computation shared by the
-        # depth-test gather and all eight scatter stores.
-        depth_ok = depth < gb.depth.ravel()[flat]
-        passed = depth_ok if inside is None else (inside & depth_ok)
-        npass = int(np.count_nonzero(passed))
-        if npass == 0:
-            return
-        self.stats.fragments_passed_depth += npass
-
-        # Compressed perspective-correct math: elementwise expressions
-        # evaluated on the surviving subset give the same IEEE results
-        # the reference full-region evaluation produces at those pixels.
-        # When every candidate survived (common once the spans are
-        # fragment-tight), skip the boolean gathers entirely.
-        if npass == passed.size:
-            sel: "slice | np.ndarray" = slice(None)
-            fp = flat
-        else:
-            sel = passed
-            fp = flat[passed]
-        l0 = lam0[sel]
-        l1 = lam1[sel]
-        l2 = lam2[sel]
-        q = l0 * inv_w[0] + l1 * inv_w[1] + l2 * inv_w[2]
-        uu = l0 * uv_over_w[0, 0] + l1 * uv_over_w[1, 0] + l2 * uv_over_w[2, 0]
-        vv = l0 * uv_over_w[0, 1] + l1 * uv_over_w[1, 1] + l2 * uv_over_w[2, 1]
-
-        def grad(values):
-            gx = dlam0[0] * values[0] + dlam1[0] * values[1] + dlam2[0] * values[2]
-            gy = dlam0[1] * values[0] + dlam1[1] * values[1] + dlam2[1] * values[2]
-            return gx, gy
-
-        qx, qy = grad(inv_w)
-        ux, uy = grad(uv_over_w[:, 0])
-        vx, vy = grad(uv_over_w[:, 1])
-
-        inv_q = 1.0 / q
-        u = uu * inv_q
-        v = vv * inv_q
-        inv_q2 = inv_q * inv_q
-        dudx = (ux * q - uu * qx) * inv_q2
-        dudy = (uy * q - uu * qy) * inv_q2
-        dvdx = (vx * q - vv * qx) * inv_q2
-        dvdy = (vy * q - vv * qy) * inv_q2
-
-        gb.depth.ravel()[fp] = depth[sel].astype(np.float32)
-        gb.tex_id.ravel()[fp] = texture_id
-        gb.u.ravel()[fp] = u.astype(np.float32)
-        gb.v.ravel()[fp] = v.astype(np.float32)
-        gb.dudx.ravel()[fp] = dudx.astype(np.float32)
-        gb.dvdx.ravel()[fp] = dvdx.astype(np.float32)
-        gb.dudy.ravel()[fp] = dudy.astype(np.float32)
-        gb.dvdy.ravel()[fp] = dvdy.astype(np.float32)
+        ``flat`` and ``depth`` list the fragments in draw order. The
+        test is the reference's strict ``depth < buffer`` against the
+        float32 depth buffer, which each pass lowers to its own float32
+        depth. A stable sort by pixel ranks each pixel's fragments in
+        draw order; rank ``L`` over all pixels is one layer, and layers
+        run in rank order, each a gather, a compare and a conflict-free
+        scatter. Returns the number of passes and the index of each
+        pixel's last passing fragment, whose attributes are final.
+        """
+        buf = self.gbuffer.depth.ravel()
+        order = np.argsort(flat, kind="stable")
+        by_pixel = flat[order]
+        first = np.empty(flat.size, dtype=bool)
+        first[0] = True
+        np.not_equal(by_pixel[1:], by_pixel[:-1], out=first[1:])
+        if first.all():
+            passed = np.flatnonzero(depth < buf[flat])
+            buf[flat[passed]] = depth[passed].astype(np.float32)
+            return passed.size, passed
+        starts = np.flatnonzero(first)
+        pixel = np.cumsum(first) - 1
+        rank = np.arange(flat.size) - starts[pixel]
+        by_layer = np.argsort(rank, kind="stable")
+        frags = order[by_layer]
+        pixels = pixel[by_layer]
+        winner = np.full(starts.size, -1)
+        npass = 0
+        lo = 0
+        for size in np.bincount(rank):
+            f = frags[lo : lo + size]
+            p = pixels[lo : lo + size]
+            lo += size
+            dest = flat[f]
+            ok = depth[f] < buf[dest]
+            buf[dest[ok]] = depth[f[ok]].astype(np.float32)
+            winner[p[ok]] = f[ok]
+            npass += int(np.count_nonzero(ok))
+        return npass, winner[winner >= 0]

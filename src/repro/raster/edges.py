@@ -14,13 +14,17 @@ import numpy as np
 def edge_inside_mask(
     px: np.ndarray,
     py: np.ndarray,
-    sx: np.ndarray,
-    sy: np.ndarray,
-    inv_area2: float,
-    lam0: np.ndarray,
-    lam1: np.ndarray,
+    sx,
+    sy,
+    inv_area2,
 ) -> np.ndarray:
-    """Watertight top-left inside test over a pixel-center grid.
+    """Watertight top-left inside test over pixel centers.
+
+    ``sx``/``sy`` hold the three vertex coordinates: ``sx[k]`` is
+    vertex ``k``'s screen x, either a scalar (one triangle, as the
+    reference passes it) or an array that broadcasts against ``px``
+    (one triangle per pixel, as the binned fine pass passes it);
+    ``inv_area2`` broadcasts the same way.
 
     Edge ``k`` (opposite vertex ``k``) is evaluated as
     ``t_k = (A_k * (px - cx) + B_k * (py - cy)) / area2`` where
@@ -44,32 +48,24 @@ def edge_inside_mask(
     classification is winding-independent because the gradients are
     scaled by the signed ``1 / area2``.
 
-    ``lam0``/``lam1`` are the interpolation barycentrics anchored at
-    vertex 2; when the canonical anchor of their edge *is* vertex 2 the
-    freshly computed ``t_k`` would be bit-identical, so they are reused.
+    Where the anchor is vertex 2, ``t_0`` and ``t_1`` are bit for bit
+    the interpolation barycentrics ``lam0``/``lam1``, which are
+    anchored at vertex 2 with the same expression.
     """
-
-    def smaller(a: int, b: int) -> bool:
-        return (sx[a], sy[a]) <= (sx[b], sy[b])
-
     # Edge k: traversal a -> b in the winding cycle; (A, B) is the
     # interior-positive coefficient pair shared (negated) with the
     # neighboring triangle.
-    edges = (
-        (sy[1] - sy[2], sx[2] - sx[1], 1, 2, lam0),  # edge 0: v1 -> v2
-        (sy[2] - sy[0], sx[0] - sx[2], 2, 0, lam1),  # edge 1: v2 -> v0
-        (sy[0] - sy[1], sx[1] - sx[0], 0, 1, None),  # edge 2: v0 -> v1
-    )
     inside = None
-    for coeff_a, coeff_b, a, b, interp_lam in edges:
-        anchor = a if smaller(a, b) else b
-        if interp_lam is not None and anchor == 2:
-            t = interp_lam
-        else:
-            t = (coeff_a * (px - sx[anchor]) + coeff_b * (py - sy[anchor])) * inv_area2
+    for a, b in ((1, 2), (2, 0), (0, 1)):
+        coeff_a = sy[a] - sy[b]
+        coeff_b = sx[b] - sx[a]
+        at_a = (sx[a] < sx[b]) | ((sx[a] == sx[b]) & (sy[a] <= sy[b]))
+        cx = np.where(at_a, sx[a], sx[b])
+        cy = np.where(at_a, sy[a], sy[b])
+        t = (coeff_a * (px - cx) + coeff_b * (py - cy)) * inv_area2
         gx = coeff_a * inv_area2
         gy = coeff_b * inv_area2
-        tie = gx > 0 or (gx == 0 and gy > 0)
+        tie = (gx > 0) | ((gx == 0) & (gy > 0))
         term = (t > 0) | ((t == 0) & tie)
         inside = term if inside is None else inside & term
     return inside

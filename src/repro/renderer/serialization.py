@@ -4,6 +4,11 @@ Rendering is the expensive half of every experiment; evaluations are
 cheap. Saving captures lets a user render a workload once (or on a
 bigger machine) and sweep design points later — the same split the
 paper's trace-based methodology uses.
+
+One writer, :func:`write_capture`, produces every archive: into a
+path for :func:`save_capture`, and into the open temp file of
+:func:`repro.ioutil.atomic_write` for the capture store, which thus
+streams each entry to disk instead of building it in memory first.
 """
 
 from __future__ import annotations
@@ -90,10 +95,25 @@ def _from_archive(data) -> FrameCapture:
     )
 
 
+def write_capture(file, capture: FrameCapture, *, compress: bool = True) -> None:
+    """Write the .npz archive of a capture to ``file``.
+
+    ``file`` is a path or a binary file object; ``np.savez`` streams
+    each array into it, so the archive never exists in memory as a
+    whole, and it writes the same bytes into either. ``compress=False``
+    writes a stored (deflate-free) zip — the right trade for a
+    same-machine cache, where the deflate pass costs more CPU than the
+    saved disk bytes are worth. ``np.load`` reads both forms, so
+    readers never need to know.
+    """
+    saver = np.savez_compressed if compress else np.savez
+    saver(file, **_payload(capture))
+
+
 def save_capture(path, capture: FrameCapture) -> pathlib.Path:
     """Serialize a capture to a compressed .npz file."""
     path = pathlib.Path(path)
-    np.savez_compressed(path, **_payload(capture))
+    write_capture(path, capture)
     # np.savez appends .npz when missing; report the real location.
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
@@ -107,23 +127,7 @@ def load_capture(path) -> FrameCapture:
         return _from_archive(data)
 
 
-def capture_to_npz_bytes(capture: FrameCapture, *, compress: bool = True) -> bytes:
-    """The .npz archive of a capture as an in-memory byte string.
-
-    Used by the capture store, which needs the whole payload up front
-    so it can go through :func:`repro.ioutil.atomic_write_bytes`.
-    ``compress=False`` writes a stored (deflate-free) zip — the right
-    trade for a same-machine cache, where the deflate pass costs more
-    CPU than the saved disk bytes are worth.
-    ``np.load`` reads both forms, so readers never need to know.
-    """
-    buffer = io.BytesIO()
-    saver = np.savez_compressed if compress else np.savez
-    saver(buffer, **_payload(capture))
-    return buffer.getvalue()
-
-
 def capture_from_npz_bytes(raw: bytes) -> FrameCapture:
-    """Inverse of :func:`capture_to_npz_bytes`."""
+    """Load a capture from the bytes of an archive :func:`write_capture` wrote."""
     with np.load(io.BytesIO(raw), allow_pickle=False) as data:
         return _from_archive(data)

@@ -21,7 +21,7 @@ import numpy as np
 from .fetch import fetch_trilinear
 from .footprint import FootprintInfo
 from .mipmap import MipChain
-from .sampler import TrilinearInfo, trilinear_footprint_keys, trilinear_info
+from .sampler import trilinear_footprint_keys, trilinear_info
 
 
 @dataclass(frozen=True)
@@ -34,16 +34,12 @@ class AnisoBatchResult:
     Attributes:
         color: ``(count, 4)`` filtered colors (mean of each row's N).
         sample_keys: ``(total,)`` int64 footprint keys at TF's LOD.
-        sample_info: gather data for all ``total`` samples at AF's LOD.
-        row_ptr: ``(count + 1,)`` CSR row pointer over fragments.
         lines: ``(total, 8)`` int64 cache-line addresses of every
             sample's texels, or ``None`` when filtered without a layout.
     """
 
     color: np.ndarray
     sample_keys: np.ndarray
-    sample_info: TrilinearInfo
-    row_ptr: np.ndarray
     lines: "np.ndarray | None" = None
 
 
@@ -104,7 +100,4 @@ def anisotropic_filter_batch(
         group = np.nonzero(n == n_value)[0]
         slots = row_ptr[group][:, None] + np.arange(n_value)[None, :]
         color[group] = colors[slots].mean(axis=1)
-    return AnisoBatchResult(
-        color=color, sample_keys=sample_keys, sample_info=info,
-        row_ptr=row_ptr, lines=lines,
-    )
+    return AnisoBatchResult(color=color, sample_keys=sample_keys, lines=lines)

@@ -32,11 +32,13 @@ import math
 
 import numpy as np
 
+from ..errors import ReproError
 from ..quality.ssim import _KERNEL
 from ..texture.mipmap import MipChain
 from ..texture.sampler import _COORD_BITS, _COORD_MASK
 
 __all__ = [
+    "entropy",
     "ref_af_ssim_n",
     "ref_af_ssim_txds",
     "ref_anisotropic",
@@ -50,6 +52,7 @@ __all__ = [
     "ref_trilinear_levels",
     "ref_two_stage_decision",
     "ref_txds",
+    "txds",
 ]
 
 
@@ -237,6 +240,37 @@ def ref_sharing_fraction(keys: "list[int]") -> float:
     for key in keys:
         counts[key] = counts.get(key, 0) + 1
     return counts[keys[(n - 1) // 2]] / n
+
+
+def entropy(p: np.ndarray) -> float:
+    """Eq. (8): Shannon entropy of a probability vector (bits).
+
+    Zero-probability events contribute nothing (the usual
+    ``0 log 0 = 0`` convention).
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if p.size == 0:
+        raise ReproError("probability vector must be non-empty")
+    if np.any(p < 0) or not np.isclose(p.sum(), 1.0, atol=1e-9):
+        raise ReproError(f"not a probability vector: {p}")
+    nz = p[p > 0]
+    return float(-(nz * np.log2(nz)).sum())
+
+
+def txds(p: np.ndarray, n: int) -> float:
+    """Eq. (9) on a probability vector: ``1 - H(P)/log2(N)``.
+
+    The printed form of Txds, which the tests check
+    :func:`repro.core.af_ssim.txds_and_sharing_from_csr` against. ``n``
+    is the AF sample size; for ``n == 1`` there is a single (trivially
+    concentrated) sample and Txds is defined as 1.
+    """
+    if n < 1:
+        raise ReproError(f"sample size must be >= 1, got {n}")
+    if n == 1:
+        return 1.0
+    h = entropy(p)
+    return float(1.0 - h / np.log2(n))
 
 
 def ref_af_ssim_txds(t: float) -> float:

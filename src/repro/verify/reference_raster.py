@@ -125,7 +125,7 @@ class Rasterizer:
         dlam1 = ((sy[2] - sy[0]) * inv_area2, (sx[0] - sx[2]) * inv_area2)
         dlam2 = (-dlam0[0] - dlam1[0], -dlam0[1] - dlam1[1])
 
-        inside = edge_inside_mask(px, py, sx, sy, inv_area2, lam0, lam1)
+        inside = edge_inside_mask(px, py, sx, sy, inv_area2)
         if not inside.any():
             return
         self.stats.fragments_generated += int(inside.sum())

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.af_ssim import (
-    af_ssim_n,
-    af_ssim_txds,
-    entropy,
-    txds,
-    txds_and_sharing_from_csr,
-)
+from repro.core.af_ssim import af_ssim_n, af_ssim_txds, txds_and_sharing_from_csr
 from repro.errors import ReproError
+from repro.verify.reference import entropy, txds
 
 
 def txds_from_csr(keys, row_ptr):

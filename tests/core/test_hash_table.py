@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.af_ssim import txds, txds_and_sharing_from_csr
+from repro.core.af_ssim import txds_and_sharing_from_csr
 from repro.core.hash_table import BITS_PER_ENTRY, HASH_TABLE_ENTRIES
 from repro.errors import ReproError
+from repro.verify.reference import txds
 from repro.verify.reference_hash_table import TexelAddressHashTable
 
 

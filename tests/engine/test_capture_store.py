@@ -1,5 +1,7 @@
 """Tests for the content-addressed on-disk capture store."""
 
+import errno
+import io
 import os
 import pathlib
 import subprocess
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.engine import capture_store
 from repro.engine.capture_store import (
     CORRUPT_SUBDIR,
     CaptureStore,
@@ -16,6 +19,7 @@ from repro.engine.capture_store import (
     spec_digest,
 )
 from repro.obs import TELEMETRY
+from repro.renderer.serialization import _ARRAY_FIELDS, _payload, write_capture
 
 SPEC_KWARGS = dict(scale=1.0, tile_size=16, max_anisotropy=16, compressed=False)
 
@@ -109,6 +113,60 @@ class TestRoundTrip:
         store.put(capture_spec("a", 0, **SPEC_KWARGS), capture)
         store.put(capture_spec("b", 0, **SPEC_KWARGS), capture)
         assert len(store) == 2
+
+
+class TestStreamingPut:
+    """``put`` streams the archive into its temp file, with retries."""
+
+    def _files(self, store):
+        return sorted(
+            p.relative_to(store.root).as_posix()
+            for p in store.root.rglob("*") if p.is_file()
+        )
+
+    def test_entry_is_the_archive_savez_writes_in_memory(self, store, capture):
+        buffer = io.BytesIO()
+        np.savez(buffer, **_payload(capture))
+        path = store.put(capture_spec("a", 0, **SPEC_KWARGS), capture)
+        assert path.read_bytes() == buffer.getvalue()
+
+    def test_writer_failing_once_is_retried(self, store, capture, monkeypatch):
+        calls = []
+
+        def flaky(handle, capture, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                handle.write(b"torn half of an archive")
+                raise OSError(errno.EIO, "injected write failure")
+            write_capture(handle, capture, **kwargs)
+
+        monkeypatch.setattr(capture_store, "write_capture", flaky)
+        spec = capture_spec("a", 0, **SPEC_KWARGS)
+        path = store.put(spec, capture)
+        assert len(calls) == 2
+        assert self._files(store) == [path.relative_to(store.root).as_posix()]
+        loaded = store.get(spec)
+        for name in _ARRAY_FIELDS:
+            assert np.array_equal(getattr(loaded, name), getattr(capture, name)), name
+
+    def test_writer_always_failing_leaves_nothing(self, store, capture, monkeypatch):
+        def broken(handle, capture, **kwargs):
+            handle.write(b"torn half of an archive")
+            raise OSError(errno.EIO, "injected write failure")
+
+        monkeypatch.setattr(capture_store, "write_capture", broken)
+        with pytest.raises(OSError, match="injected"):
+            store.put(capture_spec("a", 0, **SPEC_KWARGS), capture)
+        assert self._files(store) == []
+        assert store.stats.writes == 0
+
+    def test_running_total_equals_sizes_on_disk(self, tmp_path, capture):
+        store = CaptureStore(tmp_path / "captures", max_bytes=1 << 40)
+        paths = [
+            store.put(capture_spec(name, 0, **SPEC_KWARGS), capture)
+            for name in ("a", "b")
+        ]
+        assert store._total_bytes == sum(p.stat().st_size for p in paths)
 
 
 class TestTelemetryAgreement:

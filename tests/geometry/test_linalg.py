@@ -12,7 +12,6 @@ from repro.geometry.linalg import (
     look_at,
     normalize,
     perspective,
-    scale,
     transform_points,
 )
 
@@ -22,10 +21,6 @@ class TestBasicMatrices:
         out = transform_points(identity(), pts)
         assert np.allclose(out[:, :3], pts)
         assert np.allclose(out[:, 3], 1.0)
-
-    def test_scale_is_componentwise(self):
-        out = transform_points(scale(2, 3, 4), np.array([[1.0, 1.0, 1.0]]))
-        assert np.allclose(out[0, :3], [2, 3, 4])
 
 class TestNormalize:
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=3, max_size=3))

@@ -13,12 +13,18 @@ to cull).
 import numpy as np
 import pytest
 
+from repro import RenderSession, get_workload
 from repro.errors import PipelineError
 from repro.geometry.camera import Camera
 from repro.geometry.clipping import clip_triangles_near
 from repro.geometry.mesh import make_quad
 from repro.geometry.transform import TransformedTriangles, transform_mesh
-from repro.raster.binned import BinnedRasterizer, _ragged_indices, _segment_min
+from repro.raster.binned import (
+    FINE_CHUNK,
+    BinnedRasterizer,
+    _ragged_indices,
+    _segment_min,
+)
 from repro.verify.reference_raster import Rasterizer
 
 GB_ARRAYS = ("tex_id", "depth", "u", "v", "dudx", "dvdx", "dudy", "dvdy")
@@ -274,3 +280,95 @@ class TestTileSizeInvariance:
             _draw(r, _screen_quad(z=-3.0, size=1.0), width, height, 2)
         binned.finalize()
         _assert_same_gbuffer(legacy.gbuffer, binned.gbuffer)
+
+
+class TestDrawOrder:
+    """The fine pass replays the reference's triangle-by-triangle depth test."""
+
+    # Four triangles over the same pixels, drawn in this order. The
+    # test compares a float64 depth with the float32 value stored, and
+    # all four depths round to the same float32 0.5:
+    # - 0.5 + 1e-9 passes the clear depth and stores 0.5;
+    # - 0.5 + 5e-10 is nearer in float64 but not below 0.5: it fails;
+    # - 0.5 - 1e-9 is below 0.5: it passes, and 0.5 stays stored;
+    # - 0.5 - 5e-10 is farther than the previous one in float64 but
+    #   still below 0.5: it passes and wins.
+    DEPTHS = (0.5 + 1e-9, 0.5 + 5e-10, 0.5 - 1e-9, 0.5 - 5e-10)
+
+    def _stack(self, r):
+        xy = np.array([[-0.8, -0.8], [0.9, -0.7], [-0.6, 0.85]])
+        for layer, z in enumerate(self.DEPTHS):
+            pos = np.concatenate(
+                [xy, np.full((3, 1), z), np.ones((3, 1))], axis=1
+            )
+            uvs = np.array([[0.0, 0.0], [1.0, 0.25], [0.5, 1.0]]) * (layer + 1)
+            r.draw(
+                TransformedTriangles(
+                    clip_positions=pos[None], uvs=uvs[None], texture="t"
+                ),
+                layer,
+            )
+
+    @pytest.mark.parametrize("chunk", [FINE_CHUNK, 37])
+    def test_float32_ties_resolve_in_draw_order(self, chunk, monkeypatch):
+        monkeypatch.setattr("repro.raster.binned.FINE_CHUNK", chunk)
+        legacy = Rasterizer(40, 32)
+        r = BinnedRasterizer(40, 32, tile_size=4)
+        self._stack(legacy)
+        self._stack(r)
+        r.finalize()
+        _assert_same_gbuffer(legacy.gbuffer, r.gbuffer)
+        covered = r.gbuffer.num_visible
+        assert covered > 100
+        assert (r.gbuffer.tex_id[r.gbuffer.coverage_mask] == 3).all()
+        assert (r.gbuffer.depth[r.gbuffer.coverage_mask] == np.float32(0.5)).all()
+        assert r.stats.fragments_generated == 4 * covered
+        assert r.stats.fragments_passed_depth == 3 * covered
+        assert legacy.stats.fragments_passed_depth == 3 * covered
+
+
+#: ``RasterStats`` of ``RenderSession(scale=0.25).render_frame`` on two
+#: frames: doom3's has hi-Z culls, stal's has triangles that fail the
+#: depth test and occluded tiles.
+PINNED_STATS = {
+    ("doom3-1280x1024", 3): dict(
+        triangles_submitted=234, triangles_rasterized=234,
+        fragments_generated=82_476, fragments_passed_depth=82_458,
+        bins=20, tiles_culled_hiz=62, tiles_culled_occluded=45,
+        quads_shaded=20_480,
+    ),
+    ("stal-1280x1024", 0): dict(
+        triangles_submitted=229, triangles_rasterized=192,
+        fragments_generated=44_268, fragments_passed_depth=44_152,
+        bins=15, tiles_culled_hiz=0, tiles_culled_occluded=155,
+        quads_shaded=10_716,
+    ),
+}
+
+
+def _frame_id(key):
+    return f"{key[0]}-f{key[1]}"
+
+
+class TestGameFrames:
+    @pytest.fixture(scope="class")
+    def frames(self):
+        session = RenderSession(scale=0.25)
+        return {
+            key: session.render_frame(get_workload(key[0]), key[1])
+            for key in PINNED_STATS
+        }
+
+    @pytest.mark.parametrize("key", list(PINNED_STATS), ids=_frame_id)
+    def test_raster_stats_are_pinned(self, frames, key):
+        stats = frames[key].raster_stats
+        assert {name: getattr(stats, name) for name in PINNED_STATS[key]} == (
+            PINNED_STATS[key]
+        )
+
+    @pytest.mark.parametrize("key", list(PINNED_STATS), ids=_frame_id)
+    def test_small_chunks_change_nothing(self, frames, key, monkeypatch):
+        monkeypatch.setattr("repro.raster.binned.FINE_CHUNK", 37)
+        small = RenderSession(scale=0.25).render_frame(get_workload(key[0]), key[1])
+        _assert_same_gbuffer(frames[key].gbuffer, small.gbuffer)
+        assert small.raster_stats == frames[key].raster_stats

@@ -1,6 +1,7 @@
 """Tests for FrameCapture save/load."""
 
 import dataclasses
+import io
 import pickle
 
 import numpy as np
@@ -12,10 +13,16 @@ from repro.renderer.serialization import (
     _ARRAY_FIELDS,
     FORMAT_VERSION,
     capture_from_npz_bytes,
-    capture_to_npz_bytes,
     load_capture,
     save_capture,
+    write_capture,
 )
+
+
+def _archive(capture) -> bytes:
+    buffer = io.BytesIO()
+    write_capture(buffer, capture)
+    return buffer.getvalue()
 
 
 class TestRoundTrip:
@@ -48,10 +55,10 @@ class TestRoundTrip:
 
 
 class TestBytesRoundTrip:
-    """The in-memory archive path used by the engine's capture store."""
+    """Archives written into a file object, as the capture store writes them."""
 
     def test_every_array_field_survives_exactly(self, capture):
-        loaded = capture_from_npz_bytes(capture_to_npz_bytes(capture))
+        loaded = capture_from_npz_bytes(_archive(capture))
         for name in _ARRAY_FIELDS:
             original = getattr(capture, name)
             restored = getattr(loaded, name)
@@ -59,7 +66,7 @@ class TestBytesRoundTrip:
             assert np.array_equal(restored, original), name
 
     def test_csr_sample_table_is_consistent(self, capture):
-        loaded = capture_from_npz_bytes(capture_to_npz_bytes(capture))
+        loaded = capture_from_npz_bytes(_archive(capture))
         ptr = loaded.sample_row_ptr
         assert ptr[0] == 0
         assert ptr[-1] == loaded.sample_keys.shape[0]
@@ -67,7 +74,7 @@ class TestBytesRoundTrip:
         assert np.array_equal(ptr, capture.sample_row_ptr)
 
     def test_scalar_metadata_survives(self, capture):
-        loaded = capture_from_npz_bytes(capture_to_npz_bytes(capture))
+        loaded = capture_from_npz_bytes(_archive(capture))
         assert loaded.frame_index == capture.frame_index
         assert loaded.tile_size == capture.tile_size
         assert loaded.clear_luminance == capture.clear_luminance
