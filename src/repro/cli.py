@@ -62,7 +62,7 @@ import time
 
 import numpy as np
 
-from .core.patu import FilterMode, PerceptionAwareTextureUnit
+from .core.patu import PerceptionAwareTextureUnit
 from .core.scenarios import SCENARIOS, get_scenario
 from .errors import ReproError, WorkloadError
 from .experiments import REGISTRY, ExperimentContext
@@ -412,14 +412,7 @@ def _cmd_render(args) -> int:
     frame_rgb[:] = np.asarray(workload.scene.clear_color[:3])
     device = PerceptionAwareTextureUnit(scenario, args.threshold)
     decision = device.decide(capture.n, capture.txds)
-    selected = capture.af_color.copy()
-    for mode, table in (
-        (FilterMode.TF_TF_LOD, capture.tf_color),
-        (FilterMode.TF_AF_LOD, capture.tfa_color),
-    ):
-        mask = decision.mode == mode
-        selected[mask] = table[mask]
-    frame_rgb[capture.rows, capture.cols] = selected[:, :3]
+    frame_rgb[capture.rows, capture.cols] = capture.colors(decision.mode)[:, :3]
 
     write_ppm(out / "frame.ppm", frame_rgb)
     write_pgm(out / "baseline_luminance.pgm", capture.baseline_luminance)

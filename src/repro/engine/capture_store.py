@@ -22,6 +22,12 @@ directly under the root (the unsharded layout of older stores) are not
 entries either: each misses once and its capture is re-rendered into
 its shard.
 
+Hits read the entry file through
+:func:`repro.renderer.serialization.load_capture`, the one reader of
+the format. An entry it cannot read (:class:`~repro.errors.PipelineError`)
+or an ``OSError`` moves the entry into ``.corrupt/`` and makes the
+lookup a miss: the caller re-renders and ``put`` publishes a fresh copy.
+
 Writes go through :func:`repro.ioutil.atomic_write`, which streams the
 archive straight into a temp sibling of the entry (the payload, 26–42 MB
 for a game frame at scale 0.25, is never built in memory) and renames
@@ -54,11 +60,7 @@ from dataclasses import dataclass
 from ..errors import PipelineError
 from ..ioutil import atomic_write
 from ..obs import TELEMETRY
-from ..renderer.serialization import (
-    FORMAT_VERSION,
-    capture_from_npz_bytes,
-    write_capture,
-)
+from ..renderer.serialization import FORMAT_VERSION, load_capture, write_capture
 from ..renderer.session import FrameCapture
 
 #: Bump when renderer changes make previously stored captures stale.
@@ -186,8 +188,8 @@ class CaptureStore:
     def _load(self, path: pathlib.Path) -> "FrameCapture | None":
         """Load one existing entry; quarantine and return None on corruption."""
         try:
-            return capture_from_npz_bytes(path.read_bytes())
-        except (OSError, ValueError, KeyError, PipelineError) as exc:
+            return load_capture(path)
+        except (OSError, PipelineError) as exc:
             # A corrupt or truncated entry is a miss, not a failure:
             # the caller re-renders and put() publishes a fresh copy.
             # The bad file itself is *quarantined*, not overwritten in

@@ -93,11 +93,6 @@ class Engine:
 
     def __init__(self, ctx) -> None:
         self.ctx = ctx
-        self.report = ExecutionReport()
-
-    @property
-    def backend_name(self) -> str:
-        return "threads" if self.ctx.jobs > 1 else "serial"
 
     def execute(self, jobs: "list[EvalJob]") -> ExecutionReport:
         ctx = self.ctx
@@ -124,10 +119,6 @@ class Engine:
                     # Joins the workers; work an interrupted run still
                     # had queued is dropped.
                     pool.shutdown(cancel_futures=True)
-        self.report.planned += report.planned
-        self.report.executed += report.executed
-        self.report.skipped += report.skipped
-        self.report.failed += report.failed
         TELEMETRY.progress(f"engine: {report}")
         return report
 

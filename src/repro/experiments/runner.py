@@ -73,6 +73,9 @@ __all__ = [
     "run_experiment",
 ]
 
+#: New evaluations between two checkpoint writes.
+CHECKPOINT_EVERY = 16
+
 #: Workload list used by the per-game experiments, in Table II order.
 DEFAULT_WORKLOADS = (
     "HL2-1600x1200",
@@ -189,7 +192,7 @@ class ExperimentContext:
     either a :class:`~repro.engine.capture_store.CaptureStore` or a
     directory to open as one, the layout every command shares. With
     ``checkpoint_path`` set, every completed job's metrics dict is
-    persisted (atomically, every ``checkpoint_every`` new evaluations
+    persisted (atomically, every :data:`CHECKPOINT_EVERY` new evaluations
     and at each experiment end) and :meth:`load_checkpoint` seeds the
     cache so resumed sweeps skip checkpointed evaluations entirely.
 
@@ -207,7 +210,6 @@ class ExperimentContext:
         workloads: "tuple[str, ...]" = DEFAULT_WORKLOADS,
         config: GpuConfig = BASELINE_CONFIG,
         checkpoint_path: "str | pathlib.Path | None" = None,
-        checkpoint_every: int = 16,
         jobs: int = 1,
         capture_cache: "str | pathlib.Path | CaptureStore | None" = None,
     ) -> None:
@@ -235,13 +237,13 @@ class ExperimentContext:
         self.checkpoint_path = (
             pathlib.Path(checkpoint_path) if checkpoint_path else None
         )
-        self.checkpoint_every = max(1, checkpoint_every)
         self._dirty_metrics = 0
         if isinstance(capture_cache, CaptureStore):
             self._store: "CaptureStore | None" = capture_cache
         else:
             self._store = CaptureStore(capture_cache) if capture_cache else None
-        self.engine = Engine(self)
+        #: What every :meth:`execute` call so far did, summed.
+        self.report = ExecutionReport()
 
     # -- engine façade --------------------------------------------------
 
@@ -250,9 +252,15 @@ class ExperimentContext:
 
         Deduplicates, skips already-satisfied jobs (memory caches,
         resumed checkpoints, warm capture store), and parks failures
-        for replay at aggregation time.
+        for replay at aggregation time. Returns this call's report and
+        adds it to :attr:`report`.
         """
-        return self.engine.execute(jobs)
+        report = Engine(self).execute(jobs)
+        self.report.planned += report.planned
+        self.report.executed += report.executed
+        self.report.skipped += report.skipped
+        self.report.failed += report.failed
+        return report
 
     def canonical_job(self, job: EvalJob) -> EvalJob:
         """``job`` with the configuration the accessors would key it by.
@@ -290,7 +298,7 @@ class ExperimentContext:
         self._dirty_metrics += 1
         if (
             self.checkpoint_path is not None
-            and self._dirty_metrics >= self.checkpoint_every
+            and self._dirty_metrics >= CHECKPOINT_EVERY
         ):
             self.save_checkpoint()
 

@@ -1,20 +1,37 @@
-"""FrameCapture persistence (.npz).
+"""FrameCapture persistence (.npz): the one codec of a capture on disk.
 
 Rendering is the expensive half of every experiment; evaluations are
 cheap. Saving captures lets a user render a workload once (or on a
 bigger machine) and sweep design points later — the same split the
 paper's trace-based methodology uses.
 
+This module is the only code that knows how a capture is laid out on
+disk. :class:`~repro.renderer.session.FrameCapture` is the only list of
+a capture's fields: the archive holds one member per array field, in
+declaration order (:data:`ARRAY_FIELDS`), then ``meta_version``,
+``meta_dims``, ``meta_clear``, ``meta_workload_counts`` (the
+:class:`~repro.timing.gpu_timing.FrameWorkload` fields, in declaration
+order) and ``meta_name``. Reordering ``FrameCapture``'s fields
+therefore changes every archive's bytes.
+
 One writer, :func:`write_capture`, produces every archive: into a
 path for :func:`save_capture`, and into the open temp file of
 :func:`repro.ioutil.atomic_write` for the capture store, which thus
 streams each entry to disk instead of building it in memory first.
+One reader, :func:`load_capture`, reads every archive back, each
+member straight from the file, and turns any file that is not a whole
+archive of this :data:`FORMAT_VERSION` into a
+:class:`~repro.errors.PipelineError`: the capture store quarantines on
+exactly that error.
 """
 
 from __future__ import annotations
 
-import io
+import dataclasses
 import pathlib
+import typing
+import zipfile
+import zlib
 
 import numpy as np
 
@@ -25,38 +42,27 @@ from .session import FrameCapture
 #: Format version embedded in every file; bump on layout changes.
 FORMAT_VERSION = 2
 
-_ARRAY_FIELDS = (
-    "rows",
-    "cols",
-    "tile_ids",
-    "tex_ids",
-    "n",
-    "lod_tf",
-    "lod_af",
-    "txds",
-    "share_fraction",
-    "af_color",
-    "tf_color",
-    "tfa_color",
-    "sample_row_ptr",
-    "sample_keys",
-    "af_lines",
-    "tf_lines",
-    "tfa_lines",
-    "baseline_luminance",
+_HINTS = typing.get_type_hints(FrameCapture)
+
+#: The capture's array fields, in declaration order: one archive
+#: member each, in this order.
+ARRAY_FIELDS = tuple(
+    field.name
+    for field in dataclasses.fields(FrameCapture)
+    if _HINTS[field.name] is np.ndarray
 )
 
-_WORKLOAD_FIELDS = (
-    "vertices",
-    "triangles",
-    "tile_triangle_pairs",
-    "fragments_generated",
-    "fragments_shaded",
-)
+_WORKLOAD_FIELDS = tuple(field.name for field in dataclasses.fields(FrameWorkload))
+
+#: What ``np.load`` raises on a file that is not a whole archive: an
+#: empty file, a file that is not a zip or is truncated or fails a CRC,
+#: a bad deflate stream (older compressed entries), a missing member,
+#: a bad ``.npy`` header.
+_UNREADABLE = (EOFError, zipfile.BadZipFile, zlib.error, KeyError, ValueError)
 
 
 def _payload(capture: FrameCapture) -> "dict[str, np.ndarray]":
-    payload = {name: getattr(capture, name) for name in _ARRAY_FIELDS}
+    payload = {name: getattr(capture, name) for name in ARRAY_FIELDS}
     payload["meta_version"] = np.asarray([FORMAT_VERSION])
     payload["meta_dims"] = np.asarray(
         [capture.frame_index, capture.width, capture.height, capture.tile_size]
@@ -80,7 +86,7 @@ def _from_archive(data) -> FrameCapture:
         int(v) for v in data["meta_dims"]
     )
     counts = [int(v) for v in data["meta_workload_counts"]]
-    arrays = {name: data[name] for name in _ARRAY_FIELDS}
+    arrays = {name: data[name] for name in ARRAY_FIELDS}
     workload_name = str(data["meta_name"][0])
     clear = float(data["meta_clear"][0])
     return FrameCapture(
@@ -119,15 +125,19 @@ def save_capture(path, capture: FrameCapture) -> pathlib.Path:
 
 
 def load_capture(path) -> FrameCapture:
-    """Load a capture previously written by :func:`save_capture`."""
+    """Load a capture that :func:`write_capture` wrote to ``path``.
+
+    Raises :class:`PipelineError` for a missing file and for any file
+    that is not a whole archive of this :data:`FORMAT_VERSION`; an
+    ``OSError`` while reading an existing file propagates.
+    """
     path = pathlib.Path(path)
     if not path.exists():
         raise PipelineError(f"no such capture file: {path}")
-    with np.load(path, allow_pickle=False) as data:
-        return _from_archive(data)
-
-
-def capture_from_npz_bytes(raw: bytes) -> FrameCapture:
-    """Load a capture from the bytes of an archive :func:`write_capture` wrote."""
-    with np.load(io.BytesIO(raw), allow_pickle=False) as data:
-        return _from_archive(data)
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            return _from_archive(data)
+    except _UNREADABLE as exc:
+        raise PipelineError(
+            f"unreadable capture file {path}: {type(exc).__name__}: {exc}"
+        ) from exc

@@ -56,7 +56,12 @@ _LUMA = np.asarray([0.299, 0.587, 0.114], dtype=np.float64)
 
 @dataclass
 class FrameCapture:
-    """Everything captured from rendering one frame once (see module doc)."""
+    """Everything captured from rendering one frame once (see module doc).
+
+    The array fields, in declaration order, are the members of the
+    on-disk archive (:data:`repro.renderer.serialization.ARRAY_FIELDS`):
+    reordering them changes the bytes of every stored entry.
+    """
 
     workload_name: str
     frame_index: int
@@ -100,6 +105,15 @@ class FrameCapture:
     @property
     def mean_anisotropy(self) -> float:
         return float(self.n.mean()) if self.n.size else 0.0
+
+    def colors(self, mode: np.ndarray) -> np.ndarray:
+        """Each pixel's color variant under its :class:`FilterMode`."""
+        colors = self.af_color.copy()
+        tf_mask = mode == FilterMode.TF_TF_LOD
+        tfa_mask = mode == FilterMode.TF_AF_LOD
+        colors[tf_mask] = self.tf_color[tf_mask]
+        colors[tfa_mask] = self.tfa_color[tfa_mask]
+        return colors
 
     def luminance_image(self, colors: np.ndarray) -> np.ndarray:
         """Compose a full-frame luminance image from per-pixel colors."""
@@ -187,8 +201,6 @@ class RenderSession:
         scale: float = 0.25,
         scale_caches: bool = True,
         compressed_textures: bool = False,
-        timing_params: "TimingParams | None" = None,
-        energy_params: "EnergyParams | None" = None,
     ) -> None:
         if scale_caches and scale < 1.0:
             # Shrink the L2 in proportion to the rendered pixel count so
@@ -207,11 +219,10 @@ class RenderSession:
         #: Sample lossily-compressed textures through block-compressed
         #: addressing (see repro.texture.compression).
         self.compressed_textures = compressed_textures
-        self.timing_params = timing_params or TimingParams()
-        self.energy_params = energy_params or EnergyParams()
+        self.timing_params = TimingParams()
         self._texpipe = TexturePipelineModel(config, self.timing_params)
         self._gpu_timing = GpuTimingModel(config, self.timing_params)
-        self._energy_model = EnergyModel(config, self.energy_params)
+        self._energy_model = EnergyModel(config, EnergyParams())
         #: ``id(scene)`` -> (weak reference to the scene, its layout,
         #: texture name -> chain index).
         self._layouts: "dict[int, tuple[weakref.ref, TextureLayout, dict[str, int]]]" = {}
@@ -300,7 +311,11 @@ class RenderSession:
         cols: np.ndarray,
         tile_ids: np.ndarray,
     ) -> "dict[str, np.ndarray]":
-        """Texture-filter the tile-ordered visible pixels (phase 2 of a capture)."""
+        """Texture-filter the tile-ordered visible pixels (phase 2 of a capture).
+
+        Returns the capture's arrays keyed by :class:`FrameCapture`
+        field name: every array field but ``baseline_luminance``.
+        """
         gb = rendered.gbuffer
         width = gb.width
         layout, name_to_chain = self._scene_layout(workload.scene)
@@ -432,7 +447,6 @@ class RenderSession:
         """Wrap the filtered pixels into a FrameCapture (phase 3)."""
         width, height = workload.scaled_size(self.scale)
         npx = part["n"].shape[0]
-        af_color = part["af_color"]
         workload_counts = FrameWorkload(
             vertices=rendered.vertices,
             triangles=rendered.triangles_after_cull,
@@ -447,28 +461,12 @@ class RenderSession:
             width=width,
             height=height,
             tile_size=self.config.tile_size,
-            rows=part["rows"],
-            cols=part["cols"],
-            tile_ids=part["tile_ids"],
-            tex_ids=part["tex_ids"],
-            n=part["n"],
-            lod_tf=part["lod_tf"],
-            lod_af=part["lod_af"],
-            txds=part["txds"],
-            share_fraction=part["share_fraction"],
-            af_color=af_color,
-            tf_color=part["tf_color"],
-            tfa_color=part["tfa_color"],
-            sample_row_ptr=part["sample_row_ptr"],
-            sample_keys=part["sample_keys"],
-            af_lines=part["af_lines"],
-            tf_lines=part["tf_lines"],
-            tfa_lines=part["tfa_lines"],
             workload=workload_counts,
             baseline_luminance=np.empty(0),
             clear_luminance=clear_lum,
+            **part,
         )
-        capture.baseline_luminance = capture.luminance_image(af_color)
+        capture.baseline_luminance = capture.luminance_image(capture.af_color)
         return capture
 
     # ------------------------------------------------------------------
@@ -535,11 +533,7 @@ class RenderSession:
         ):
             derived = _derived(capture)
             with TELEMETRY.span("evaluate.reconstruct"):
-                colors = capture.af_color.copy()
-                tf_mask = decision.mode == FilterMode.TF_TF_LOD
-                tfa_mask = decision.mode == FilterMode.TF_AF_LOD
-                colors[tf_mask] = capture.tf_color[tf_mask]
-                colors[tfa_mask] = capture.tfa_color[tfa_mask]
+                colors = capture.colors(decision.mode)
                 # Belt-and-braces: captures are sanitized at creation,
                 # but a deserialized or hand-built capture must not be
                 # able to push NaN into the quality model either.

@@ -327,7 +327,7 @@ class RenderService:
     def stats(self) -> "dict[str, object]":
         payload: "dict[str, object]" = {
             "protocol": PROTOCOL_VERSION,
-            "backend": self.ctx.engine.backend_name,
+            "backend": "threads" if self.config.jobs > 1 else "serial",
             "jobs": self.config.jobs,
             "uptime_s": round(time.monotonic() - self.started, 3),
             "queue_depth": self.admission.depth,

@@ -202,15 +202,15 @@ def frame_digest_text(capture) -> str:
     """Per-array digest listing of one frame capture (diffable golden).
 
     Covers exactly the arrays the on-disk capture format serializes
-    (:data:`repro.renderer.serialization._ARRAY_FIELDS`), so the golden
+    (:data:`repro.renderer.serialization.ARRAY_FIELDS`), so the golden
     tracks the same state the capture store round-trips.
     """
     import numpy as np
 
-    from ..renderer.serialization import _ARRAY_FIELDS
+    from ..renderer.serialization import ARRAY_FIELDS
 
     lines = ["# frame capture array digests (sha256 of C-order bytes)"]
-    for fname in _ARRAY_FIELDS:
+    for fname in ARRAY_FIELDS:
         arr = np.ascontiguousarray(getattr(capture, fname))
         digest = hashlib.sha256(arr.tobytes()).hexdigest()
         lines.append(

@@ -4,6 +4,7 @@ import errno
 import io
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -18,8 +19,16 @@ from repro.engine.capture_store import (
     capture_spec,
     spec_digest,
 )
+from repro.engine.jobs import eval_job
+from repro.errors import PipelineError
+from repro.experiments.runner import ExperimentContext
 from repro.obs import TELEMETRY
-from repro.renderer.serialization import _ARRAY_FIELDS, _payload, write_capture
+from repro.renderer.serialization import (
+    ARRAY_FIELDS,
+    _payload,
+    load_capture,
+    write_capture,
+)
 
 SPEC_KWARGS = dict(scale=1.0, tile_size=16, max_anisotropy=16, compressed=False)
 
@@ -115,6 +124,124 @@ class TestRoundTrip:
         assert len(store) == 2
 
 
+class TestOneReader:
+    """Hits go through :func:`load_capture`, which reads the file itself."""
+
+    def test_hit_reads_the_entry_file_itself(self, store, capture, monkeypatch):
+        spec = capture_spec("a", 0, **SPEC_KWARGS)
+        store.put(spec, capture)
+
+        def read_bytes(path):
+            raise AssertionError(f"a hit read {path.name} into memory")
+
+        monkeypatch.setattr(pathlib.Path, "read_bytes", read_bytes)
+        assert store.get(spec) is not None
+        assert store.stats.hits == 1 and store.stats.corrupt == 0
+
+    def test_entry_layout_is_pinned(self, store, capture):
+        """Member names and order are part of every entry's bytes (and
+        of the benchmark's capture digests): reordering FrameCapture's
+        fields would change them."""
+        path = store.put(capture_spec("a", 0, **SPEC_KWARGS), capture)
+        with np.load(path, allow_pickle=False) as data:
+            assert data.files == [
+                "rows", "cols", "tile_ids", "tex_ids", "n", "lod_tf",
+                "lod_af", "txds", "share_fraction", "af_color", "tf_color",
+                "tfa_color", "sample_row_ptr", "sample_keys", "af_lines",
+                "tf_lines", "tfa_lines", "baseline_luminance",
+                "meta_version", "meta_dims", "meta_clear",
+                "meta_workload_counts", "meta_name",
+            ]
+
+
+def _rewrite_members(path, change) -> None:
+    """Rewrite an archive with ``change`` applied to its member dict."""
+    with np.load(path, allow_pickle=False) as data:
+        members = {name: data[name] for name in data.files}
+    change(members)
+    with open(path, "wb") as handle:
+        np.savez(handle, **members)
+
+
+def _flip_middle_byte(path) -> None:
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+#: Ways an entry stops being a whole archive of this format version,
+#: each applied to the file in place.
+CORRUPTIONS = {
+    "truncated-half": lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
+    "truncated-10-bytes": lambda p: p.write_bytes(p.read_bytes()[:-10]),
+    "first-64-bytes": lambda p: p.write_bytes(p.read_bytes()[:64]),
+    "empty": lambda p: p.write_bytes(b""),
+    "byte-flipped": _flip_middle_byte,
+    "not-a-zip": lambda p: p.write_bytes(b"definitely not an npz archive"),
+    "version-bumped": lambda p: _rewrite_members(
+        p, lambda m: m.update(meta_version=m["meta_version"] + 1)
+    ),
+    "member-missing": lambda p: _rewrite_members(p, lambda m: m.pop("txds")),
+}
+
+
+@pytest.fixture(params=list(CORRUPTIONS))
+def corrupt(request):
+    """Makes an entry unreadable in place, one way per parameter."""
+    return CORRUPTIONS[request.param]
+
+
+WOLF = "wolf-640x480"
+
+
+def _wolf_context(root) -> ExperimentContext:
+    return ExperimentContext(
+        scale=0.0625, frames=1, workloads=(WOLF,), capture_cache=root
+    )
+
+
+@pytest.fixture(scope="module")
+def wolf_store(tmp_path_factory):
+    """A store holding one real entry, and the metrics of the design
+    point evaluated on it from a fresh store."""
+    root = tmp_path_factory.mktemp("wolf") / "captures"
+    ctx = _wolf_context(root)
+    ctx.execute([eval_job(WOLF, 0, "patu", 0.4)])
+    return root, ctx.frame_metrics(WOLF, 0, "patu", 0.4)
+
+
+class TestUnreadableEntries:
+    """Every unreadable entry is a quarantined miss, then a re-render."""
+
+    def test_is_a_quarantined_miss(self, store, capture, corrupt):
+        spec = capture_spec(capture.workload_name, 0, **SPEC_KWARGS)
+        path = store.put(spec, capture)
+        corrupt(path)
+        torn = path.read_bytes()
+        with pytest.raises(PipelineError):
+            load_capture(path)
+        assert store.get(spec) is None
+        stats = store.stats
+        assert (stats.hits, stats.misses, stats.corrupt) == (0, 1, 1)
+        assert not path.exists()
+        assert (store.root / CORRUPT_SUBDIR / path.name).read_bytes() == torn
+
+    def test_a_context_re_renders_the_frame(self, tmp_path, wolf_store, corrupt):
+        source, fresh_metrics = wolf_store
+        root = tmp_path / "captures"
+        shutil.copytree(source, root)
+        (entry,) = root.glob("*/*.npz")
+        corrupt(entry)
+        ctx = _wolf_context(root)
+        report = ctx.execute([eval_job(WOLF, 0, "patu", 0.4)])
+        assert report.failed == 0
+        assert str(ctx.capture_store_stats()) == (
+            "0 hit(s), 1 miss(es), 1 write(s), 1 corrupt"
+        )
+        assert ctx.frame_metrics(WOLF, 0, "patu", 0.4) == fresh_metrics
+        assert load_capture(entry).workload_name == WOLF
+
+
 class TestStreamingPut:
     """``put`` streams the archive into its temp file, with retries."""
 
@@ -146,7 +273,7 @@ class TestStreamingPut:
         assert len(calls) == 2
         assert self._files(store) == [path.relative_to(store.root).as_posix()]
         loaded = store.get(spec)
-        for name in _ARRAY_FIELDS:
+        for name in ARRAY_FIELDS:
             assert np.array_equal(getattr(loaded, name), getattr(capture, name)), name
 
     def test_writer_always_failing_leaves_nothing(self, store, capture, monkeypatch):

@@ -1,5 +1,8 @@
 """Engine execution tests: serial backend, warm store, parallel determinism."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.engine.jobs import eval_job
@@ -67,6 +70,25 @@ class TestSerialBackend:
         assert excinfo.value.error_type == "WorkloadError"
 
 
+class TestContextLifetime:
+    def test_dropped_context_frees_its_capture_without_gc(self):
+        """Nothing an executed context holds points back at it, so with
+        the cyclic collector off ``del`` frees it and its capture."""
+        gc.collect()
+        gc.disable()
+        try:
+            ctx = make_ctx()
+            ctx.execute([eval_job(WORKLOAD, 0, "patu", 0.4)])
+            assert ctx.report.executed == 1
+            context = weakref.ref(ctx)
+            capture = weakref.ref(ctx.capture(WORKLOAD, 0))
+            del ctx
+            assert context() is None
+            assert capture() is None
+        finally:
+            gc.enable()
+
+
 class TestWarmCaptureStore:
     def test_warm_run_renders_nothing(self, tmp_path, telemetry):
         cache = tmp_path / "captures"
@@ -100,7 +122,7 @@ class TestParallelDeterminism:
         table_serial = format_table(fig17_threshold.run(serial))
         table_parallel = format_table(fig17_threshold.run(parallel))
         assert table_parallel == table_serial
-        assert parallel.engine.report.executed > 0
+        assert parallel.report.executed > 0
 
     def test_result_after_parallel_execute_is_a_cache_read(self, telemetry):
         """Worker threads hand their ``FrameResult`` back to the context,

@@ -28,7 +28,7 @@ class TestExecutedEqualsPlanned:
         merged as executed, inflating ``executed`` past ``planned``."""
         ctx = make_ctx(jobs=jobs, capture_cache=tmp_path / "captures")
         fig17_threshold.run(ctx)
-        report = ctx.engine.report
+        report = ctx.report
         assert report.failed == 0
         assert report.executed == report.planned - report.skipped
         assert report.executed <= report.planned
@@ -42,7 +42,7 @@ class TestExecutedEqualsPlanned:
         warm = make_ctx(jobs=2, capture_cache=store)
         warm_table = format_table(fig17_threshold.run(warm))
         assert warm_table == cold_table
-        report = warm.engine.report
+        report = warm.report
         assert report.failed == 0
         assert report.executed == report.planned - report.skipped
 

@@ -1,8 +1,10 @@
 """Tests for FrameCapture save/load."""
 
 import dataclasses
-import io
 import pickle
+import struct
+import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -10,19 +12,19 @@ import pytest
 from repro.core.scenarios import SCENARIOS
 from repro.errors import PipelineError
 from repro.renderer.serialization import (
-    _ARRAY_FIELDS,
+    ARRAY_FIELDS,
     FORMAT_VERSION,
-    capture_from_npz_bytes,
     load_capture,
     save_capture,
     write_capture,
 )
 
 
-def _archive(capture) -> bytes:
-    buffer = io.BytesIO()
-    write_capture(buffer, capture)
-    return buffer.getvalue()
+def _stored(path, capture):
+    """Write ``capture`` the way the capture store does; returns ``path``."""
+    with open(path, "wb") as handle:
+        write_capture(handle, capture, compress=False)
+    return path
 
 
 class TestRoundTrip:
@@ -55,34 +57,37 @@ class TestRoundTrip:
 
 
 class TestBytesRoundTrip:
-    """Archives written into a file object, as the capture store writes them."""
+    """Uncompressed archives written into an open file, as the capture
+    store writes them, read back by :func:`load_capture`."""
 
-    def test_every_array_field_survives_exactly(self, capture):
-        loaded = capture_from_npz_bytes(_archive(capture))
-        for name in _ARRAY_FIELDS:
+    def test_every_array_field_survives_exactly(self, tmp_path, capture):
+        loaded = load_capture(_stored(tmp_path / "cap.npz", capture))
+        for name in ARRAY_FIELDS:
             original = getattr(capture, name)
             restored = getattr(loaded, name)
             assert restored.dtype == original.dtype, name
             assert np.array_equal(restored, original), name
 
-    def test_csr_sample_table_is_consistent(self, capture):
-        loaded = capture_from_npz_bytes(_archive(capture))
+    def test_csr_sample_table_is_consistent(self, tmp_path, capture):
+        loaded = load_capture(_stored(tmp_path / "cap.npz", capture))
         ptr = loaded.sample_row_ptr
         assert ptr[0] == 0
         assert ptr[-1] == loaded.sample_keys.shape[0]
         assert np.all(np.diff(ptr) >= 0)
         assert np.array_equal(ptr, capture.sample_row_ptr)
 
-    def test_scalar_metadata_survives(self, capture):
-        loaded = capture_from_npz_bytes(_archive(capture))
+    def test_scalar_metadata_survives(self, tmp_path, capture):
+        loaded = load_capture(_stored(tmp_path / "cap.npz", capture))
         assert loaded.frame_index == capture.frame_index
         assert loaded.tile_size == capture.tile_size
         assert loaded.clear_luminance == capture.clear_luminance
         assert loaded.workload == capture.workload
 
-    def test_bad_bytes_raise(self):
-        with pytest.raises((PipelineError, ValueError, OSError)):
-            capture_from_npz_bytes(b"definitely not an npz archive")
+    def test_bad_bytes_raise(self, tmp_path):
+        path = tmp_path / "cap.npz"
+        path.write_bytes(b"definitely not an npz archive")
+        with pytest.raises(PipelineError):
+            load_capture(path)
 
 
 class TestFrameResultPickle:
@@ -121,3 +126,21 @@ class TestValidation:
         np.savez_compressed(path, **data)
         with pytest.raises(PipelineError, match="version"):
             load_capture(path)
+
+    def test_bad_deflate_stream_raises_pipeline_error(self, tmp_path, capture):
+        """A compressed archive whose first member starts with a
+        reserved deflate block type (``0b11``). The other ways a file
+        stops being a whole archive are the corruption matrix of
+        ``tests/engine/test_capture_store.py``."""
+        path = save_capture(tmp_path / "cap.npz", capture)
+        with zipfile.ZipFile(path) as archive:
+            first = archive.infolist()[0]
+        raw = bytearray(path.read_bytes())
+        name_len, extra_len = struct.unpack_from(
+            "<HH", raw, first.header_offset + 26
+        )
+        raw[first.header_offset + 30 + name_len + extra_len] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(PipelineError) as excinfo:
+            load_capture(path)
+        assert isinstance(excinfo.value.__cause__, zlib.error)

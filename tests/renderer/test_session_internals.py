@@ -157,6 +157,21 @@ def _hand_built_capture() -> FrameCapture:
     )
 
 
+class TestColors:
+    @pytest.mark.parametrize("modes", [[0, 1, 2], [2, 0, 1], [1, 1, 1]])
+    def test_each_mode_picks_its_own_variant(self, modes):
+        capture = _hand_built_capture()
+        capture.af_color[:] = 1.0
+        capture.tf_color[:] = 2.0
+        capture.tfa_color[:] = 3.0
+        value = {FilterMode.AF: 1.0, FilterMode.TF_TF_LOD: 2.0,
+                 FilterMode.TF_AF_LOD: 3.0}
+        colors = capture.colors(np.asarray(modes, dtype=np.uint8))
+        assert colors.dtype == np.float32
+        assert colors.tolist() == [[value[m]] * 4 for m in modes]
+        assert np.all(capture.af_color == 1.0)  # a copy, not a view
+
+
 def _decision(modes) -> SimpleNamespace:
     return SimpleNamespace(mode=np.asarray(modes, dtype=np.uint8))
 

@@ -110,7 +110,7 @@ class TestConcurrentDedup:
             await service.start()
             try:
                 await asyncio.gather(*futures)
-                report = service.ctx.engine.report
+                report = service.ctx.report
                 return service.counters.snapshot(), report
             finally:
                 await service.aclose()
