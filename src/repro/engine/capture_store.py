@@ -22,7 +22,9 @@ directly under the root (the unsharded layout of older stores) are not
 entries either: each misses once and its capture is re-rendered into
 its shard.
 
-Hits read the entry file through
+:meth:`CaptureStore.get` is the one answer to "is this capture
+stored?": no caller counts an entry as present because its path
+exists. Hits read the entry file through
 :func:`repro.renderer.serialization.load_capture`, the one reader of
 the format. An entry it cannot read (:class:`~repro.errors.PipelineError`)
 or an ``OSError`` moves the entry into ``.corrupt/`` and makes the
@@ -36,7 +38,8 @@ a torn file: each process that misses renders and publishes
 independently, and the final
 ``os.replace`` makes one of the identical payloads win. Within one
 process a store may be used from several threads (``--jobs N``); its
-:class:`StoreStats` and per-shard counters update under a lock.
+:class:`StoreStats`, the store's one hit/miss count, update under a
+lock.
 
 Hits bump the entry's mtime, making file mtime an LRU clock; with
 ``max_bytes`` set, ``put`` evicts oldest-first until the store fits
@@ -145,22 +148,15 @@ class CaptureStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self.max_bytes = int(max_bytes) if max_bytes else None
         self.stats = StoreStats()
-        #: per-shard ``{"hits": n, "misses": n}`` for observability.
-        self.shard_traffic: "dict[str, dict[str, int]]" = {}
         self._lock = threading.Lock()
         #: Bytes the store held at the last listing plus what ``put``
         #: wrote since; ``None`` until the first listing.
         self._total_bytes: "int | None" = None
 
-    def _count(self, field: str, shard: "str | None" = None) -> None:
-        """Add one to a :class:`StoreStats` field (and its shard's)."""
+    def _count(self, field: str) -> None:
+        """Add one to a :class:`StoreStats` field."""
         with self._lock:
             setattr(self.stats, field, getattr(self.stats, field) + 1)
-            if shard is not None:
-                traffic = self.shard_traffic.setdefault(
-                    shard, {"hits": 0, "misses": 0}
-                )
-                traffic[field] += 1
         TELEMETRY.count(f"store.{field}")
 
     def path_for(self, spec: "dict[str, object]") -> pathlib.Path:
@@ -171,8 +167,7 @@ class CaptureStore:
     def get(self, spec: "dict[str, object]") -> "FrameCapture | None":
         """Load the capture for ``spec``, or None on a miss.
 
-        A corrupt entry is quarantined and counts as a miss, in the
-        store's and its shard's counters alike.
+        A corrupt entry is quarantined and counts as a miss.
         """
         with TELEMETRY.span("store.get"):
             path = self.path_for(spec)
@@ -180,9 +175,7 @@ class CaptureStore:
             if path.exists():
                 self._touch(path)
                 capture = self._load(path)
-            self._count(
-                "hits" if capture is not None else "misses", path.parent.name
-            )
+            self._count("hits" if capture is not None else "misses")
         return capture
 
     def _load(self, path: pathlib.Path) -> "FrameCapture | None":
@@ -319,19 +312,12 @@ class CaptureStore:
         return len(self.entries())
 
     def shard_stats(self) -> "dict[str, dict[str, int]]":
-        """Per-shard ``{"entries": n, "bytes": n, "hits": n, "misses": n}``."""
+        """Per-shard ``{"entries": n, "bytes": n}`` of the listing."""
         out: "dict[str, dict[str, int]]" = {}
         for path, size, _ in self.entries():
             bucket = out.setdefault(path.parent.name, {"entries": 0, "bytes": 0})
             bucket["entries"] += 1
             bucket["bytes"] += size
-        with self._lock:
-            traffic = {
-                shard: dict(counts)
-                for shard, counts in self.shard_traffic.items()
-            }
-        for shard, counts in traffic.items():
-            out.setdefault(shard, {"entries": 0, "bytes": 0}).update(counts)
         return out
 
     def corrupt_bytes(self) -> "tuple[int, int]":

@@ -165,22 +165,7 @@ def run_experiment(exp_id: str, module, ctx: "ExperimentContext") -> ExperimentR
         f"experiment {exp_id}: {len(result.rows)} rows, "
         f"{len(result.failures)} isolated failure(s)"
     )
-    _probe_golden(exp_id, ctx, result)
     return result
-
-
-def _probe_golden(exp_id: str, ctx: "ExperimentContext", result) -> None:
-    """Warn (via telemetry) when a run diverges from its pinned golden.
-
-    Best-effort by design: staleness detection must never fail or slow
-    an experiment, so any error in the probe is swallowed.
-    """
-    try:
-        from ..verify.goldens import check_experiment_golden
-
-        check_experiment_golden(exp_id, ctx, format_table(result))
-    except Exception:  # noqa: BLE001 — advisory path only
-        pass
 
 
 class ExperimentContext:
@@ -251,9 +236,10 @@ class ExperimentContext:
         """Run a planned job list on ``jobs`` threads.
 
         Deduplicates, skips already-satisfied jobs (memory caches,
-        resumed checkpoints, warm capture store), and parks failures
-        for replay at aggregation time. Returns this call's report and
-        adds it to :attr:`report`.
+        resumed checkpoints), and parks failures for replay at
+        aggregation time. A warm capture store skips no job: the
+        capture wave reads each stored entry it needs. Returns this
+        call's report and adds it to :attr:`report`.
         """
         report = Engine(self).execute(jobs)
         self.report.planned += report.planned
@@ -274,17 +260,13 @@ class ExperimentContext:
         return dataclasses_replace(job, config_key=config)
 
     def job_satisfied(self, job: EvalJob) -> bool:
-        """Would executing ``job`` do any new work?"""
+        """Would executing ``job`` do any new work?
+
+        A capture job is satisfied only by a capture in memory: a
+        stored entry counts once the capture wave has read it.
+        """
         if job.kind == KIND_CAPTURE:
-            workload, frame, variant = job.capture_key()
-            if self.has_capture(workload, frame, variant):
-                return True
-            return (
-                self._store is not None
-                and self._store.path_for(
-                    self.capture_spec(workload, frame, variant)
-                ).exists()
-            )
+            return self.has_capture(*job.capture_key())
         key = job.metrics_key()
         return key in self._metrics or key in self._failed
 

@@ -12,9 +12,9 @@ on any machine:
 * machine — platform block plus the ``calibration_ms`` speed token
   ``repro trends`` scales wall-clock history by;
 * telemetry rollups — per-stage self-times, counter totals, histogram
-  summaries, capture-store traffic;
-* quality — MSSIM / approximation-rate / LOD-shift distributions, the
-  perceptual half of the paper's trade curve;
+  summaries (MSSIM / approximation-rate / LOD-shift distributions, the
+  perceptual half of the paper's trade curve, among them),
+  capture-store traffic;
 * ``metrics`` — one *flat* numeric map, the substrate ``repro trends``
   runs its median±MAD regression analysis over.
 
@@ -104,8 +104,8 @@ def quality_rollup(telemetry) -> "dict[str, object]":
 
     Collects ``session.mssim`` plus every ``quality.*`` histogram —
     per-frame anisotropy distribution, LOD-shift magnitude,
-    approximation rate — so the ledger records perceptual cost beside
-    the perf numbers.
+    approximation rate — whose means :func:`trend_metrics` records
+    beside the perf numbers.
     """
     out: "dict[str, object]" = {}
     for name, hist in telemetry.metrics.histograms.items():
@@ -114,48 +114,6 @@ def quality_rollup(telemetry) -> "dict[str, object]":
         elif name.startswith("quality."):
             out[name.split(".", 1)[1]] = hist.summary()
     return out
-
-
-def raster_rollup(telemetry) -> "dict[str, float]":
-    """Raster-pipeline counters of one run, zero-suppressed.
-
-    Collects every ``raster.*`` counter — binning pairs, tiles culled
-    by hierarchical-Z, fully occluded tiles retired, quads shaded,
-    fragments generated/passed — so a ledger reader can see the
-    sort-middle pipeline's work profile (and how much of it the coarse
-    pass culled) next to the timing numbers. All of these also land in
-    the flat ``metrics`` map (as ``counter.raster.*``), where ``repro
-    trends`` treats ``tiles_culled_*`` as high-good (see
-    :func:`repro.obs.trends.metric_direction`).
-    """
-    if telemetry is None:
-        return {}
-    totals = telemetry.metrics.counter_totals()
-    return {
-        name: float(value)
-        for name, value in sorted(totals.items())
-        if value and name.startswith("raster.")
-    }
-
-
-def resilience_rollup(telemetry) -> "dict[str, float]":
-    """Fault-handling counters of one run, zero-suppressed.
-
-    Collects every ``resilience.*`` counter — degraded pixel
-    predictions, exact-AF fallbacks, sanitized texels, MSSIM fallbacks,
-    admission rejections — plus ``store.corrupt``, so a ledger reader
-    can see at a glance whether a run needed its degradation paths.
-    All of these also land in the flat ``metrics`` map (as
-    ``counter.<name>``) for trend analysis.
-    """
-    if telemetry is None:
-        return {}
-    totals = telemetry.metrics.counter_totals()
-    return {
-        name: float(value)
-        for name, value in sorted(totals.items())
-        if value and (name.startswith("resilience.") or name == "store.corrupt")
-    }
 
 
 def trend_metrics(
@@ -234,11 +192,6 @@ def build_record(
             telemetry_rollup(telemetry) if telemetry is not None else None
         ),
         "store": dict(store) if store else None,
-        "quality": (
-            quality_rollup(telemetry) if telemetry is not None else {}
-        ),
-        "raster": raster_rollup(telemetry),
-        "resilience": resilience_rollup(telemetry),
         "metrics": trend_metrics(
             telemetry, store=store,
             extra={"duration_s": duration_s, **(metrics or {})},

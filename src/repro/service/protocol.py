@@ -12,8 +12,9 @@ Ops:
 * ``eval`` — evaluate one design point; responds with the scalar
   metrics dict of
   :func:`~repro.engine.worker.extract_frame_metrics`.
-* ``render`` — render one frame into the capture store; responds with
-  the store entry name and digest.
+* ``render`` — a :func:`~repro.engine.jobs.capture_job`: load one
+  frame's capture from the store (or render and store it); responds
+  with the frame and its store digest.
 * ``ping`` — liveness probe; responds immediately, bypassing the
   batcher.
 * ``stats`` — service counters, store shard stats, queue depth.
@@ -36,12 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 
-from ..engine.jobs import (
-    KIND_CAPTURE,
-    KIND_EVAL,
-    ConfigKey,
-    EvalJob,
-)
+from ..engine.jobs import KIND_EVAL, ConfigKey, EvalJob, capture_job
 from ..errors import AdmissionError, JobError, ProtocolError, ReproError
 
 PROTOCOL_VERSION = 1
@@ -108,10 +104,7 @@ def _parse_job(payload: dict, op: str) -> EvalJob:
         raise ProtocolError(f"'frame' must be a non-negative int, got {frame!r}")
     config = _parse_config(payload.get("config"))
     if op == "render":
-        return EvalJob(
-            workload, frame, scenario="baseline", threshold=1.0,
-            config_key=config, kind=KIND_CAPTURE,
-        )
+        return capture_job(workload, frame, config)
     scenario = payload.get("scenario", "patu")
     if not isinstance(scenario, str) or not scenario:
         raise ProtocolError(f"'scenario' must be a string, got {scenario!r}")

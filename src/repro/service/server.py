@@ -299,14 +299,12 @@ class RenderService:
         job = request.job
         try:
             if job.kind == KIND_CAPTURE:
+                # A memory read after execute(); a capture the wave
+                # failed to load or render is retried here and raises
+                # if it fails again.
                 workload, frame, variant = job.capture_key()
+                self.ctx.capture(workload, frame, variant=variant)
                 spec = self.ctx.capture_spec(workload, frame, variant)
-                if self.store is None and not self.ctx.has_capture(
-                    workload, frame, variant
-                ):
-                    # Without a store, a capture exists once it is in
-                    # the context's memory cache.
-                    self.ctx.capture(workload, frame, variant=variant)
                 return ok_response(request.id, capture={
                     "digest": spec_digest(spec),
                     "workload": workload,

@@ -21,7 +21,6 @@ Entry point: ``python -m repro verify`` (see :func:`run_verify`).
 from .goldens import (
     GoldenCheck,
     GoldenStore,
-    check_experiment_golden,
     default_goldens_root,
     frame_digest_text,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "OracleResult",
     "VerifyConfig",
     "VerifyReport",
-    "check_experiment_golden",
     "check_fuzz_spec",
     "default_goldens_root",
     "shrink_spec",

@@ -18,11 +18,7 @@ Two golden kinds:
   Hashing each array separately keeps the artifact diffable: a
   regression names the arrays that moved instead of one opaque hash.
 
-The experiment runner calls :func:`check_experiment_golden` after each
-run — when the run's parameters match a golden's recorded parameters
-but the bytes differ, it counts ``verify.stale_goldens`` and warns.
-Staleness detection never fails an experiment; ``repro verify`` is the
-enforcing entry point.
+``repro verify`` is the one entry point that checks them.
 """
 
 from __future__ import annotations
@@ -34,13 +30,11 @@ import pathlib
 from dataclasses import dataclass, field
 
 from ..ioutil import atomic_write_text
-from ..obs import TELEMETRY
 
 __all__ = [
     "GOLDEN_EXPERIMENTS",
     "GoldenCheck",
     "GoldenStore",
-    "check_experiment_golden",
     "default_goldens_root",
     "frame_digest_text",
 ]
@@ -54,8 +48,8 @@ STATUS_STALE = "stale"
 STATUS_MISSING = "missing"
 STATUS_PARAMS_MISMATCH = "params-mismatch"
 
-#: Experiments with a pinned-parameter table golden. The params must
-#: match an ExperimentContext exactly for staleness detection to apply.
+#: Experiments with a pinned-parameter table golden: the verify runner
+#: builds each table with exactly these context parameters.
 GOLDEN_EXPERIMENTS: "dict[str, dict[str, object]]" = {
     "fig17": {
         "scale": 0.125,
@@ -218,39 +212,3 @@ def frame_digest_text(capture) -> str:
             f"{'x'.join(str(d) for d in arr.shape) or 'scalar':<14} {digest}"
         )
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Experiment-runner staleness hook
-# ---------------------------------------------------------------------------
-
-
-def check_experiment_golden(exp_id: str, ctx, table_text: str) -> "GoldenCheck | None":
-    """Staleness probe called by the experiment runner after each run.
-
-    Only fires when ``exp_id`` has a pinned golden *and* the context's
-    parameters equal the golden's recorded parameters; otherwise the
-    run simply is not comparable and ``None`` is returned. A stale
-    result warns and bumps ``verify.stale_goldens`` — it never fails
-    the experiment.
-    """
-    spec = GOLDEN_EXPERIMENTS.get(exp_id)
-    if spec is None:
-        return None
-    params = {
-        "scale": ctx.scale,
-        "frames": ctx.frames,
-        "workloads": list(ctx.workload_list),
-    }
-    if params != spec:
-        return None
-    store = GoldenStore(default_goldens_root())
-    check = store.check(f"table_{exp_id}", table_text, params)
-    if check.status == STATUS_STALE:
-        TELEMETRY.count("verify.stale_goldens")
-        TELEMETRY.progress(
-            f"golden table_{exp_id} is stale — run "
-            "`python -m repro verify` to see the diff, or "
-            "`... verify --update-goldens` if the change is intended"
-        )
-    return check

@@ -2,8 +2,10 @@
 
 import errno
 import io
+import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from repro.engine.capture_store import (
     capture_spec,
     spec_digest,
 )
-from repro.engine.jobs import eval_job
+from repro.engine.jobs import capture_job, eval_job
 from repro.errors import PipelineError
 from repro.experiments.runner import ExperimentContext
 from repro.obs import TELEMETRY
@@ -29,6 +31,8 @@ from repro.renderer.serialization import (
     load_capture,
     write_capture,
 )
+from repro.service.protocol import parse_request
+from repro.service.server import RenderService, ServeConfig
 
 SPEC_KWARGS = dict(scale=1.0, tile_size=16, max_anisotropy=16, compressed=False)
 
@@ -192,11 +196,15 @@ def corrupt(request):
 
 
 WOLF = "wolf-640x480"
+SCALE = 0.0625
+
+#: The store line of a run that read one unreadable entry.
+RE_RENDERED = "0 hit(s), 1 miss(es), 1 write(s), 1 corrupt"
 
 
 def _wolf_context(root) -> ExperimentContext:
     return ExperimentContext(
-        scale=0.0625, frames=1, workloads=(WOLF,), capture_cache=root
+        scale=SCALE, frames=1, workloads=(WOLF,), capture_cache=root
     )
 
 
@@ -208,6 +216,16 @@ def wolf_store(tmp_path_factory):
     ctx = _wolf_context(root)
     ctx.execute([eval_job(WOLF, 0, "patu", 0.4)])
     return root, ctx.frame_metrics(WOLF, 0, "patu", 0.4)
+
+
+def _torn_copy(tmp_path, wolf_store, corrupt):
+    """A copy of the wolf store whose one entry ``corrupt`` has torn:
+    ``(root, entry, torn bytes)``."""
+    root = tmp_path / "captures"
+    shutil.copytree(wolf_store[0], root)
+    (entry,) = root.glob("*/*.npz")
+    corrupt(entry)
+    return root, entry, entry.read_bytes()
 
 
 class TestUnreadableEntries:
@@ -227,19 +245,59 @@ class TestUnreadableEntries:
         assert (store.root / CORRUPT_SUBDIR / path.name).read_bytes() == torn
 
     def test_a_context_re_renders_the_frame(self, tmp_path, wolf_store, corrupt):
-        source, fresh_metrics = wolf_store
-        root = tmp_path / "captures"
-        shutil.copytree(source, root)
-        (entry,) = root.glob("*/*.npz")
-        corrupt(entry)
+        root, entry, _ = _torn_copy(tmp_path, wolf_store, corrupt)
         ctx = _wolf_context(root)
         report = ctx.execute([eval_job(WOLF, 0, "patu", 0.4)])
         assert report.failed == 0
-        assert str(ctx.capture_store_stats()) == (
-            "0 hit(s), 1 miss(es), 1 write(s), 1 corrupt"
-        )
-        assert ctx.frame_metrics(WOLF, 0, "patu", 0.4) == fresh_metrics
+        assert str(ctx.capture_store_stats()) == RE_RENDERED
+        assert ctx.frame_metrics(WOLF, 0, "patu", 0.4) == wolf_store[1]
         assert load_capture(entry).workload_name == WOLF
+
+    def test_a_capture_job_re_renders_the_frame(
+        self, tmp_path, wolf_store, corrupt
+    ):
+        """A capture-only job counts a stored entry only once it is read."""
+        root, entry, torn = _torn_copy(tmp_path, wolf_store, corrupt)
+        ctx = _wolf_context(root)
+        report = ctx.execute([capture_job(WOLF, 0)])
+        assert (report.executed, report.skipped, report.failed) == (1, 0, 0)
+        assert str(ctx.capture_store_stats()) == RE_RENDERED
+        assert (root / CORRUPT_SUBDIR / entry.name).read_bytes() == torn
+        assert load_capture(entry).workload_name == WOLF
+
+    def test_a_render_request_re_renders_the_frame(
+        self, tmp_path, wolf_store, corrupt
+    ):
+        root, entry, torn = _torn_copy(tmp_path, wolf_store, corrupt)
+        service = RenderService(ServeConfig(scale=SCALE, store_root=str(root)))
+        request = parse_request(json.dumps(
+            {"id": "r", "op": "render", "workload": WOLF}
+        ))
+        [payload] = service._execute_batch([request])
+        assert payload["ok"], payload
+        assert re.fullmatch(r"[0-9a-f]{16}", payload["capture"]["digest"])
+        assert str(service.store.stats) == RE_RENDERED
+        assert (root / CORRUPT_SUBDIR / entry.name).read_bytes() == torn
+        assert load_capture(entry).workload_name == WOLF
+
+
+class TestStoredEntries:
+    """A readable entry is a hit; the capture wave renders nothing."""
+
+    def test_a_capture_job_reads_a_good_entry(self, tmp_path, wolf_store):
+        root = tmp_path / "captures"
+        shutil.copytree(wolf_store[0], root)
+        ctx = _wolf_context(root)
+        TELEMETRY.enabled = True
+        try:
+            report = ctx.execute([capture_job(WOLF, 0)])
+            rendered = TELEMETRY.counter_value("session.capture_frames")
+        finally:
+            TELEMETRY.enabled = False
+        assert (report.executed, report.skipped, report.failed) == (1, 0, 0)
+        assert str(ctx.capture_store_stats()) == "1 hit(s), 0 miss(es), 0 write(s)"
+        assert rendered == 0
+        assert ctx.has_capture(WOLF, 0)
 
 
 class TestStreamingPut:

@@ -70,8 +70,9 @@ class TestBuildRecord:
         )
         assert record["telemetry"]["counters"]["texture.fragments"] == 7
         assert "stage.alpha" in record["telemetry"]["stages"]
-        assert record["quality"]["mssim"]["count"] == 1
-        assert record["quality"]["approximation_rate"]["mean"] == 0.5
+        histograms = record["telemetry"]["histograms"]
+        assert histograms["session.mssim"]["count"] == 1
+        assert histograms["quality.approximation_rate"]["mean"] == 0.5
         metrics = record["metrics"]
         assert metrics["counter.texture.fragments"] == 7.0
         assert metrics["store.hits"] == 3.0
@@ -163,7 +164,7 @@ class TestCliEmitters:
         assert record["exit_status"] == 0
         assert record["command"].startswith("repro profile")
         assert record["metrics"]["counter.session.capture_frames"] == 1.0
-        assert record["quality"]["mssim"]["count"] == 1
+        assert record["telemetry"]["histograms"]["session.mssim"]["count"] == 1
         assert "stage_ms.session.evaluate" in record["metrics"]
 
     def test_experiment_emits_record_with_store_stats(self, tmp_path):

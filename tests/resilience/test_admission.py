@@ -26,7 +26,7 @@ class TestAdmission:
         assert gate.rejected == 1
         assert gate.depth == 1  # the rejected request holds no slot
 
-    def test_rejections_count_into_resilience_rollup(self):
+    def test_rejections_count_into_resilience_counters(self):
         TELEMETRY.reset()
         TELEMETRY.enabled = True
         try:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.engine.jobs import KIND_CAPTURE, KIND_EVAL, ConfigKey
+from repro.engine.jobs import KIND_CAPTURE, KIND_EVAL, ConfigKey, capture_job
 from repro.errors import (
     AdmissionError,
     JobError,
@@ -47,6 +47,7 @@ class TestParseRequest:
             id="r1", op="render", workload="wolf-640x480",
         )).job
         assert job.kind == KIND_CAPTURE
+        assert job == capture_job("wolf-640x480", 0)
 
     def test_config_fields_flow_into_key(self):
         job = parse_request(_line(

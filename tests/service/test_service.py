@@ -7,8 +7,11 @@ two-thread (``jobs=2``) run.
 """
 
 import asyncio
+import errno
 import json
 import threading
+
+import pytest
 
 from repro.service.protocol import encode_response, parse_request
 from repro.service.server import RenderService, ServeConfig
@@ -380,3 +383,56 @@ class TestFrontEnd:
                 await service.aclose()
 
         asyncio.run(scenario())
+
+
+def _answer(service: RenderService, payload: dict) -> dict:
+    """One request answered as a batch of its own, on this thread."""
+    [response] = service._execute_batch([parse_request(json.dumps(payload))])
+    return response
+
+
+class TestRenderIsACaptureJob:
+    """``render`` answers from the capture the engine read or rendered."""
+
+    @pytest.mark.parametrize("with_store", [True, False],
+                             ids=["store", "no-store"])
+    def test_unknown_workload_is_404(self, tmp_path, with_store):
+        service = RenderService(ServeConfig(
+            scale=SCALE,
+            store_root=str(tmp_path / "store") if with_store else None,
+        ))
+        missing = _answer(service, {
+            "id": "r", "op": "render", "workload": "no-such-game",
+        })
+        assert missing["ok"] is False
+        assert missing["status"] == 404
+        assert missing["error"]["type"] == "WorkloadError"
+
+    def test_a_failed_put_is_not_replayed_by_the_baseline_eval(
+        self, tmp_path, monkeypatch
+    ):
+        """A render whose store write fails once parks nothing where
+        the frame's ``eval baseline@1.0`` looks: all three requests
+        answer ``ok``."""
+        service = RenderService(ServeConfig(
+            scale=SCALE, store_root=str(tmp_path / "store"),
+        ))
+        put, puts = service.store.put, []
+
+        def put_failing_once(spec, capture):
+            puts.append(spec)
+            if len(puts) == 1:
+                raise OSError(errno.EIO, "injected put failure")
+            return put(spec, capture)
+
+        monkeypatch.setattr(service.store, "put", put_failing_once)
+        answers = [
+            _answer(service, {"id": "r", "op": "render", "workload": WORKLOAD}),
+            _answer(service, {
+                "id": "b", "op": "eval", "workload": WORKLOAD,
+                "scenario": "baseline", "threshold": 1.0,
+            }),
+            _answer(service, json.loads(_eval_line("p", 0.4))),
+        ]
+        assert [a["ok"] for a in answers] == [True, True, True], answers
+        assert len(puts) == 2

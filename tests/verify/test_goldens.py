@@ -10,7 +10,6 @@ from repro.verify.goldens import (
     STATUS_MISSING,
     STATUS_PARAMS_MISMATCH,
     STATUS_STALE,
-    check_experiment_golden,
     default_goldens_root,
     frame_digest_text,
 )
@@ -85,46 +84,6 @@ def test_frame_digest_text_is_deterministic_and_sensitive(capture):
         if a != b
     ]
     assert len(changed) == 1 and changed[0][0].startswith("af_color")
-
-
-def test_check_experiment_golden_ignores_unpinned_runs(capture):
-    class Ctx:
-        scale = 0.25
-        frames = 2
-        workload_list = ("HL2-640x480",)
-
-    # Unknown experiment id -> not comparable.
-    assert check_experiment_golden("nope", Ctx(), "text\n") is None
-    # Known id but params differ from the pinned golden -> not comparable.
-    assert check_experiment_golden("fig17", Ctx(), "text\n") is None
-
-
-def test_check_experiment_golden_detects_staleness(tmp_path, monkeypatch):
-    from repro.obs import TELEMETRY
-    from repro.verify import goldens as goldens_mod
-
-    params = GOLDEN_EXPERIMENTS["fig17"]
-
-    class Ctx:
-        scale = params["scale"]
-        frames = params["frames"]
-        workload_list = tuple(params["workloads"])
-
-    store = GoldenStore(tmp_path)
-    store.update("table_fig17", "old table\n", "table", dict(params))
-    monkeypatch.setattr(goldens_mod, "default_goldens_root", lambda: tmp_path)
-
-    TELEMETRY.enabled = True
-    try:
-        check = check_experiment_golden("fig17", Ctx(), "new table\n")
-        assert check is not None and check.status == STATUS_STALE
-        assert TELEMETRY.counter_value("verify.stale_goldens") == 1
-        # Matching bytes -> clean probe, no further counting.
-        check = check_experiment_golden("fig17", Ctx(), "old table\n")
-        assert check.status == STATUS_MATCH
-        assert TELEMETRY.counter_value("verify.stale_goldens") == 1
-    finally:
-        TELEMETRY.enabled = False
 
 
 def test_default_root_points_into_repo_tests():
