@@ -4,7 +4,12 @@ from __future__ import annotations
 
 from ..errors import ExperimentError
 from ..experiments import REGISTRY
-from ..experiments.runner import ExperimentContext, ExperimentResult, format_table
+from ..experiments.runner import (
+    ExperimentContext,
+    ExperimentResult,
+    format_table,
+    run_experiment,
+)
 from .claims import evaluate_claims
 
 
@@ -12,7 +17,11 @@ def run_all(
     ctx: ExperimentContext,
     experiment_ids: "tuple[str, ...] | None" = None,
 ) -> "dict[str, ExperimentResult]":
-    """Run a set of experiments (default: every paper artifact)."""
+    """Run a set of experiments (default: every paper artifact).
+
+    Each experiment runs through :func:`run_experiment`, so its result
+    carries the failures it isolated, as ``repro experiment`` prints.
+    """
     if experiment_ids is None:
         experiment_ids = tuple(
             exp_id for exp_id in REGISTRY
@@ -33,7 +42,10 @@ def run_all(
             jobs.extend(planner(ctx))
     if jobs:
         ctx.execute(jobs)
-    return {exp_id: REGISTRY[exp_id].run(ctx) for exp_id in experiment_ids}
+    return {
+        exp_id: run_experiment(exp_id, REGISTRY[exp_id], ctx)
+        for exp_id in experiment_ids
+    }
 
 
 def build_report(results: "dict[str, ExperimentResult]") -> str:

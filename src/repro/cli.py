@@ -47,10 +47,9 @@ name, so ``profile`` and ``serve`` hit what ``experiment`` wrote and
 vice versa — a warm store skips every render. Store traffic is
 reported on stderr.
 
-Resilience (see ``docs/resilience.md``): ``experiment``/``report``
-accept ``--checkpoint PATH`` to persist evaluated design points and
-``--resume`` to continue an interrupted sweep (SIGINT flushes the
-checkpoint before exiting with status 130).
+Ctrl-C ends any command with status 130 and one ``interrupted`` line
+on stderr; the run's ledger record is still appended (see
+``docs/resilience.md``).
 """
 
 from __future__ import annotations
@@ -136,7 +135,7 @@ _LEDGER_KINDS = {
 #: re-runs into different output paths stay trend-comparable.
 _NON_SHAPING_ARGS = frozenset({
     "command", "out", "plot", "trace", "metrics", "verbose", "ledger",
-    "no_ledger", "capture_cache", "checkpoint", "resume", "report",
+    "no_ledger", "capture_cache", "report",
     "quality_maps", "fuzz_save",
 })
 
@@ -204,33 +203,6 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
                         help="write per-frame metrics JSONL here")
     parser.add_argument("--verbose", action="store_true",
                         help="per-stage progress lines on stderr")
-
-
-def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--checkpoint", metavar="PATH", default=None,
-                        help="persist evaluated design points here "
-                             "(atomic, versioned JSON)")
-    parser.add_argument("--resume", action="store_true",
-                        help="load the checkpoint before running; "
-                             "already-evaluated points are skipped")
-
-
-DEFAULT_CHECKPOINT = "repro-checkpoint.json"
-
-
-def _checkpoint_path(args) -> "str | None":
-    """Resolve the checkpoint path: --resume implies the default path."""
-    path = getattr(args, "checkpoint", None)
-    if path is None and getattr(args, "resume", False):
-        path = DEFAULT_CHECKPOINT
-    return path
-
-
-def _resume_begin(args, ctx: ExperimentContext) -> None:
-    """Seed the context's metrics cache from the checkpoint, if asked."""
-    if getattr(args, "resume", False):
-        loaded = ctx.load_checkpoint()
-        _info(f"resumed {loaded} design point(s) from {ctx.checkpoint_path}")
 
 
 def _obs_begin(args) -> None:
@@ -335,20 +307,9 @@ def _cmd_experiment(args) -> int:
     workloads = tuple(args.workloads) if args.workloads else DEFAULT_WORKLOADS
     ctx = ExperimentContext(
         scale=args.scale, frames=args.frames, workloads=workloads,
-        checkpoint_path=_checkpoint_path(args),
         jobs=args.jobs, capture_cache=args.capture_cache,
     )
-    _resume_begin(args, ctx)
-    try:
-        result = run_experiment(args.id, REGISTRY[args.id], ctx)
-    except KeyboardInterrupt:
-        saved = ctx.save_checkpoint()
-        if saved is not None:
-            _info(f"interrupted; checkpoint flushed to {saved} "
-                  "(rerun with --resume to continue)")
-        else:
-            _info("interrupted (no --checkpoint path; nothing persisted)")
-        return 130
+    result = run_experiment(args.id, REGISTRY[args.id], ctx)
     print(format_table(result))
     _engine_end(ctx)
     if result.failures:
@@ -432,19 +393,10 @@ def _cmd_report(args) -> int:
     workloads = tuple(args.workloads) if args.workloads else DEFAULT_WORKLOADS
     ctx = ExperimentContext(
         scale=args.scale, frames=args.frames, workloads=workloads,
-        checkpoint_path=_checkpoint_path(args),
         jobs=args.jobs, capture_cache=args.capture_cache,
     )
-    _resume_begin(args, ctx)
     ids = tuple(args.experiments) if args.experiments else None
-    try:
-        results = run_all(ctx, experiment_ids=ids)
-    except KeyboardInterrupt:
-        saved = ctx.save_checkpoint()
-        if saved is not None:
-            _info(f"interrupted; checkpoint flushed to {saved} "
-                  "(rerun with --resume to continue)")
-        return 130
+    results = run_all(ctx, experiment_ids=ids)
     _engine_end(ctx)
     text = build_report(results)
     out = pathlib.Path(args.out)
@@ -643,9 +595,9 @@ def _cmd_store(args) -> int:
         evicted, freed = store.prune(args.max_bytes)
         print(f"evicted {evicted} entry(ies), freed {_format_bytes(freed)}")
     shard_stats = store.shard_stats()
-    entries = store.entries()
-    total = sum(size for _, size, _ in entries)
-    print(f"== capture store: {root} ({len(entries)} entry(ies), "
+    count = sum(bucket["entries"] for bucket in shard_stats.values())
+    total = sum(bucket["bytes"] for bucket in shard_stats.values())
+    print(f"== capture store: {root} ({count} entry(ies), "
           f"{_format_bytes(total)}) ==")
     if shard_stats:
         print(f"{'shard':<5}  {'entries':>8}  {'bytes':>12}")
@@ -694,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_args(p_exp)
     _add_obs_args(p_exp)
     _add_ledger_args(p_exp)
-    _add_checkpoint_args(p_exp)
 
     p_render = sub.add_parser("render", help="render a frame to image files")
     p_render.add_argument("workload")
@@ -723,7 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_args(p_rep)
     _add_obs_args(p_rep)
     _add_ledger_args(p_rep)
-    _add_checkpoint_args(p_rep)
 
     p_ver = sub.add_parser(
         "verify",
@@ -895,6 +845,9 @@ def main(argv=None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         rc = 1
+    except KeyboardInterrupt:
+        _info("interrupted")
+        rc = 130
     except BrokenPipeError:
         # stdout's consumer went away (e.g. `repro list | head`);
         # standard Unix behavior is a quiet exit. Point stdout at

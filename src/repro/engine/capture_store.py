@@ -5,8 +5,8 @@ evaluation half replays design points over the captured per-pixel
 state. The store makes the expensive half *per machine* instead of per
 process: every capture is written once under a key derived from
 everything that can change its contents, and any later process — a
-resumed sweep, ``repro serve``, ``repro profile`` — loads it back
-instead of re-rendering.
+rerun sweep, ``repro serve``, ``repro profile`` — loads it back
+instead of re-rendering. It is the toolkit's one persistent cache.
 
 Layout: one ``.npz`` file per capture, in one of 16 shard directories
 named by the first hex char of its digest,

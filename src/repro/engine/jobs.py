@@ -13,7 +13,7 @@ Two job kinds exist:
 * ``eval`` — evaluate one (workload, frame, scenario, threshold,
   config) design point and produce the scalar metrics dict of
   :func:`~repro.engine.worker.extract_frame_metrics`. This is the
-  checkpointable unit of work.
+  unit of completed work the context caches.
 * ``capture`` — render one frame into the capture store without
   evaluating anything. Planned by figure modules that aggregate
   directly over capture state (sharpness, SSIM maps, sharing
@@ -52,9 +52,7 @@ DEFAULT_VARIANT = CaptureVariant()
 class ConfigKey:
     """Every evaluation knob beyond (scenario, threshold).
 
-    The defaults describe the paper's baseline design point; any field
-    left at its default keeps checkpoint keys stable for the common
-    sweeps.
+    The defaults describe the paper's baseline design point.
     """
 
     llc_scale: int = 1
@@ -94,10 +92,10 @@ class EvalJob:
             raise ExperimentError(f"frame must be >= 0, got {self.frame}")
 
     def metrics_key(self) -> tuple:
-        """The metrics-cache / checkpoint key of this design point.
+        """The context's cache key of this design point.
 
-        Layout must match
-        :data:`repro.resilience.checkpoint.KEY_FIELDS`.
+        One field per design knob: workload, frame, scenario,
+        threshold, then every :class:`ConfigKey` field.
         """
         ck = self.config_key
         return (

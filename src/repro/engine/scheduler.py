@@ -2,7 +2,7 @@
 
 The :class:`Engine` is the execution strategy of an
 :class:`~repro.experiments.runner.ExperimentContext`; the context owns
-the state (caches, failure records, checkpoint), the engine decides
+the state (caches, failure records), the engine decides
 *how* pending jobs turn into completed design points. One path serves
 every ``jobs`` value, in two waves:
 
@@ -15,7 +15,7 @@ every ``jobs`` value, in two waves:
 A wave's work items run on the calling thread when ``jobs == 1`` and on
 ``jobs`` worker threads otherwise; numpy releases the GIL in the array
 passes that dominate both waves. Work items only compute. Every cache,
-checkpoint, failure and report update is applied on the calling thread,
+failure and report update is applied on the calling thread,
 in planned order, as the results arrive. ``--jobs N`` output therefore
 equals serial output by construction, and after ``execute()`` the
 context's accessors are cache reads on every backend.
@@ -25,7 +25,8 @@ in the context's negative cache as a :class:`~repro.errors.JobError`
 and replayed when aggregation touches that design point, inside the
 module's normal isolation scope, so failure reports are identical
 between backends. A capture that fails parks every job that needed it
-with the capture's error.
+with the capture's error. The context clears its negative cache when
+its next ``execute()`` starts, so a later call runs the job again.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class ExecutionReport:
 
     planned: int = 0
     executed: int = 0
-    skipped: int = 0  # already satisfied by a cache or checkpoint
+    skipped: int = 0  # already satisfied by the context's memory caches
     failed: int = 0
 
     def __str__(self) -> str:

@@ -84,10 +84,6 @@ class DegenerateInputError(ResilienceError):
     """
 
 
-class CheckpointError(ResilienceError):
-    """A checkpoint file is unreadable, corrupt, or incompatible."""
-
-
 class AdmissionError(ResilienceError):
     """The service declined a request because its queue is full.
 

@@ -22,10 +22,9 @@ frame) failures inside :meth:`ExperimentContext.isolate` /
 structured :class:`~repro.resilience.FailureRecord`\\ s, and the sweep
 continues with the remaining work. A job that fails during *engine*
 execution is parked as a :class:`~repro.errors.JobError` and replayed
-when aggregation touches it, so failure reports are identical across
-backends. When a ``checkpoint_path`` is set, completed job metrics
-persist to a versioned, atomically written checkpoint so an
-interrupted sweep resumes instead of re-rendering.
+when aggregation touches it, until the next
+:meth:`ExperimentContext.execute` call, so failure reports are
+identical across backends.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ from ..engine.worker import (
 from ..errors import ExperimentError, JobError
 from ..obs import TELEMETRY
 from ..renderer.session import FrameCapture, FrameResult, RenderSession
-from ..resilience import FailureRecord, load_checkpoint, save_checkpoint
+from ..resilience import FailureRecord
 from ..workloads.scene import Workload
 
 __all__ = [
@@ -72,9 +71,6 @@ __all__ = [
     "reset_default_context",
     "run_experiment",
 ]
-
-#: New evaluations between two checkpoint writes.
-CHECKPOINT_EVERY = 16
 
 #: Workload list used by the per-game experiments, in Table II order.
 DEFAULT_WORKLOADS = (
@@ -160,7 +156,6 @@ def run_experiment(exp_id: str, module, ctx: "ExperimentContext") -> ExperimentR
     ):
         result = module.run(ctx)
     result.failures.extend(ctx.drain_failures())
-    ctx.save_checkpoint()
     TELEMETRY.progress(
         f"experiment {exp_id}: {len(result.rows)} rows, "
         f"{len(result.failures)} isolated failure(s)"
@@ -175,11 +170,7 @@ class ExperimentContext:
     jobs on (1 = all on the calling thread; the output is the same);
     ``capture_cache`` attaches a persistent on-disk capture store,
     either a :class:`~repro.engine.capture_store.CaptureStore` or a
-    directory to open as one, the layout every command shares. With
-    ``checkpoint_path`` set, every completed job's metrics dict is
-    persisted (atomically, every :data:`CHECKPOINT_EVERY` new evaluations
-    and at each experiment end) and :meth:`load_checkpoint` seeds the
-    cache so resumed sweeps skip checkpointed evaluations entirely.
+    directory to open as one, the layout every command shares.
 
     Thread safety: the work items of :meth:`execute` call only
     :meth:`load_capture` and :meth:`evaluate`, which write no context
@@ -194,7 +185,6 @@ class ExperimentContext:
         frames: int = 2,
         workloads: "tuple[str, ...]" = DEFAULT_WORKLOADS,
         config: GpuConfig = BASELINE_CONFIG,
-        checkpoint_path: "str | pathlib.Path | None" = None,
         jobs: int = 1,
         capture_cache: "str | pathlib.Path | CaptureStore | None" = None,
     ) -> None:
@@ -209,20 +199,14 @@ class ExperimentContext:
         self.jobs = jobs
         self.session = RenderSession(config, scale=scale)
         self._captures: "dict[tuple[str, int, CaptureVariant], FrameCapture]" = {}
+        #: Completed design points, keyed by EvalJob.metrics_key().
         self._results: "dict[tuple, FrameResult]" = {}
         self._alt_sessions: "dict[tuple, RenderSession]" = {}
         self._sessions_lock = threading.Lock()
-        #: Completed job metrics, keyed by EvalJob.metrics_key()
-        #: (checkpointable — see docs/resilience.md).
-        self._metrics: "dict[tuple, dict[str, float]]" = {}
-        #: Jobs that failed during engine execution, replayed as
-        #: JobError when aggregation touches the design point.
+        #: Jobs that failed during the last engine execution, replayed
+        #: as JobError when aggregation touches the design point.
         self._failed: "dict[tuple, JobError]" = {}
         self.failures: "list[FailureRecord]" = []
-        self.checkpoint_path = (
-            pathlib.Path(checkpoint_path) if checkpoint_path else None
-        )
-        self._dirty_metrics = 0
         if isinstance(capture_cache, CaptureStore):
             self._store: "CaptureStore | None" = capture_cache
         else:
@@ -235,12 +219,14 @@ class ExperimentContext:
     def execute(self, jobs: "list[EvalJob]") -> ExecutionReport:
         """Run a planned job list on ``jobs`` threads.
 
-        Deduplicates, skips already-satisfied jobs (memory caches,
-        resumed checkpoints), and parks failures for replay at
-        aggregation time. A warm capture store skips no job: the
-        capture wave reads each stored entry it needs. Returns this
-        call's report and adds it to :attr:`report`.
+        Deduplicates, skips jobs the memory caches already satisfy,
+        and parks failures for replay at aggregation time. A parked
+        failure lasts until the next call, which retries its job. A
+        warm capture store skips no job: the capture wave reads each
+        stored entry it needs. Returns this call's report and adds it
+        to :attr:`report`.
         """
+        self._failed.clear()
         report = Engine(self).execute(jobs)
         self.report.planned += report.planned
         self.report.executed += report.executed
@@ -267,29 +253,20 @@ class ExperimentContext:
         """
         if job.kind == KIND_CAPTURE:
             return self.has_capture(*job.capture_key())
-        key = job.metrics_key()
-        return key in self._metrics or key in self._failed
+        return job.metrics_key() in self._results
 
     def park_failure(self, job: EvalJob, error: JobError) -> None:
-        """Negative-cache one failed job for aggregation-time replay."""
+        """Negative-cache one failed job until the next :meth:`execute`."""
         self._failed[job.metrics_key()] = error
-
-    def store_metrics(self, key: tuple, metrics: "dict[str, float]") -> None:
-        """Record one completed job's metrics (checkpoint cadence here)."""
-        self._metrics[key] = metrics
-        self._dirty_metrics += 1
-        if (
-            self.checkpoint_path is not None
-            and self._dirty_metrics >= CHECKPOINT_EVERY
-        ):
-            self.save_checkpoint()
 
     def close(self) -> None:
         """Release execution resources (idempotent).
 
         There is nothing left to release: :meth:`execute` joins its
-        worker threads before it returns. A closed context can still
-        aggregate from its in-memory caches and execute more jobs.
+        worker threads before it returns. ``RenderService.aclose`` still
+        runs this on its engine thread, as a barrier behind any batch
+        that is running. A closed context can still aggregate from its
+        in-memory caches and execute more jobs.
         """
 
     def __enter__(self) -> "ExperimentContext":
@@ -360,9 +337,9 @@ class ExperimentContext:
                 stage: str = "experiment"):
         """Run one sweep step; failures are recorded, not propagated.
 
-        ``KeyboardInterrupt``/``SystemExit`` still propagate (so SIGINT
-        reaches the checkpoint-flush path), every other exception is
-        converted into a :class:`FailureRecord`.
+        Every ``Exception`` is converted into a :class:`FailureRecord`.
+        ``KeyboardInterrupt`` and ``SystemExit`` derive from
+        ``BaseException`` only, so they propagate and Ctrl-C ends the run.
         """
         try:
             yield
@@ -373,46 +350,6 @@ class ExperimentContext:
         """Return and clear the accumulated failure records."""
         drained, self.failures = self.failures, []
         return drained
-
-    # -- checkpointing --------------------------------------------------
-
-    def checkpoint_fingerprint(self) -> "dict[str, object]":
-        """Identity of this context for checkpoint compatibility."""
-        return {
-            "scale": self.scale,
-            "frames": self.frames,
-            "config": repr(self.base_config),
-        }
-
-    def load_checkpoint(self) -> int:
-        """Seed the metrics cache from ``checkpoint_path``, if present.
-
-        Returns the number of design points loaded. A missing file is
-        a clean start (returns 0); a corrupt or incompatible file
-        raises :class:`~repro.errors.CheckpointError`.
-        """
-        if self.checkpoint_path is None or not self.checkpoint_path.exists():
-            return 0
-        loaded = load_checkpoint(
-            self.checkpoint_path, fingerprint=self.checkpoint_fingerprint()
-        )
-        for key, values in loaded.items():
-            self._metrics.setdefault(key, values)
-        TELEMETRY.count("experiment.checkpoint_loaded_points", len(loaded))
-        return len(loaded)
-
-    def save_checkpoint(self) -> "pathlib.Path | None":
-        """Atomically flush the metrics cache to ``checkpoint_path``."""
-        if self.checkpoint_path is None:
-            return None
-        path = save_checkpoint(
-            self.checkpoint_path,
-            fingerprint=self.checkpoint_fingerprint(),
-            metrics=self._metrics,
-        )
-        self._dirty_metrics = 0
-        TELEMETRY.count("experiment.checkpoint_saves")
-        return path
 
     # -- capture / evaluate with memoization ---------------------------
 
@@ -505,10 +442,8 @@ class ExperimentContext:
         return evaluate_job(self._session_for(job.config_key), capture, job)
 
     def adopt_result(self, job: EvalJob, result: FrameResult) -> None:
-        """Memoize an :meth:`evaluate` result and record its metrics."""
-        key = job.metrics_key()
-        self._results[key] = result
-        self.store_metrics(key, extract_frame_metrics(result))
+        """Memoize an :meth:`evaluate` result."""
+        self._results[job.metrics_key()] = result
 
     def _config_for(
         self,
@@ -553,30 +488,23 @@ class ExperimentContext:
         tc_scale: int = 1,
         config: "ConfigKey | None" = None,
     ) -> "dict[str, float]":
-        """Scalar metrics of one design point on one frame, cached.
+        """Scalar metrics of one design point on one frame.
 
-        This is the engine's unit of completed work: on a cache hit
-        (executed job, in-memory, or resumed from a checkpoint) no
+        Read from the cached :meth:`result`: on a cache hit no
         rendering, evaluation or ``experiment.evaluations`` counting
-        happens at all. A design point whose job failed during engine
-        execution replays its :class:`~repro.errors.JobError` here.
+        happens at all. A design point whose job failed during the last
+        :meth:`execute` replays its :class:`~repro.errors.JobError` here.
         """
         config = self._config_for(scenario, llc_scale, tc_scale, config)
         key = EvalJob(
             workload_name, frame, scenario, threshold, config_key=config
         ).metrics_key()
-        cached = self._metrics.get(key)
-        if cached is not None:
-            return cached
         parked = self._failed.get(key)
         if parked is not None:
             raise parked
-        r = self.result(
+        return extract_frame_metrics(self.result(
             workload_name, frame, scenario, threshold, config=config
-        )
-        metrics = extract_frame_metrics(r)
-        self.store_metrics(key, metrics)
-        return metrics
+        ))
 
     def mean_over_frames(
         self,
@@ -604,8 +532,6 @@ class ExperimentContext:
                     workload_name, frame, scenario, threshold,
                     llc_scale=llc_scale, tc_scale=tc_scale, config=config,
                 )
-            except (KeyboardInterrupt, SystemExit):
-                raise
             except Exception as exc:  # noqa: BLE001 — per-frame isolation
                 self.record_failure(workload_name, frame, "evaluate", exc)
                 continue

@@ -1,12 +1,12 @@
 """Crash-safe artifact writes: temp file + atomic rename, with retry.
 
 Every artifact the toolkit produces (experiment tables, reports,
-``trace.json``, ``metrics.jsonl``, ``bench_results/*.txt`` and
-checkpoints) goes through :func:`atomic_write_text`, and capture-store
-entries through :func:`atomic_write`, which streams them: the content
-is written to a temporary sibling file, flushed and fsynced, then moved
-over the destination with :func:`os.replace`. A crash mid-write
-therefore never truncates a previously complete artifact — readers see
+``trace.json``, ``metrics.jsonl`` and ``bench_results/*.txt``) goes
+through :func:`atomic_write_text`, and capture-store entries through
+:func:`atomic_write`, which streams them: the content is written to a
+temporary sibling file, flushed and fsynced, then moved over the
+destination with :func:`os.replace`. A crash mid-write therefore
+never truncates a previously complete artifact — readers see
 either the old file or the new one, never a partial write.
 
 Transient ``OSError``s (e.g. NFS hiccups, antivirus scanners holding

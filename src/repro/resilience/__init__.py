@@ -1,13 +1,11 @@
-"""Resilient experiment execution: degradation, checkpoints, admission.
+"""Resilient experiment execution: degradation and admission.
 
-Three pillars (see ``docs/resilience.md``):
+Two pillars (see ``docs/resilience.md``):
 
 * :mod:`repro.resilience.guards` — graceful degradation: sanitize
   corrupted state (captures loaded from disk, arrays handed in by
   direct API callers), fall back to exact filtering, count every
   fallback in telemetry;
-* :mod:`repro.resilience.checkpoint` — versioned, atomically-written
-  experiment checkpoints powering ``--resume``;
 * :mod:`repro.resilience.admission` — the service's bounded admission
   queue.
 
@@ -20,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .admission import DEFAULT_MAX_PENDING, AdmissionController
-from .checkpoint import SCHEMA_VERSION, load_checkpoint, save_checkpoint
 from .guards import safe_anisotropy, safe_txds, sanitize_colors
 
 
@@ -53,10 +50,7 @@ __all__ = [
     "AdmissionController",
     "DEFAULT_MAX_PENDING",
     "FailureRecord",
-    "SCHEMA_VERSION",
-    "load_checkpoint",
     "safe_anisotropy",
     "safe_txds",
     "sanitize_colors",
-    "save_checkpoint",
 ]

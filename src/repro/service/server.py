@@ -315,8 +315,6 @@ class RenderService:
                 config=job.config_key,
             )
             return ok_response(request.id, metrics=metrics)
-        except (KeyboardInterrupt, SystemExit):
-            raise
         except Exception as exc:  # noqa: BLE001 — per-request isolation
             return error_response(request.id, exc)
 

@@ -7,8 +7,8 @@ texture rates, tile-straddling slivers — as first-class
 :class:`~repro.workloads.scene.Workload` objects. A fuzz workload is
 addressed by the request name ``fuzz@<seed>[:profile]`` and resolves
 through :func:`repro.engine.worker.resolve_workload` like any Table II
-game, so every CLI entry point, experiment module, capture store and
-checkpoint fingerprint accepts fuzz scenarios with zero special-casing.
+game, so every CLI entry point, experiment module and capture store
+accepts fuzz scenarios with zero special-casing.
 
 Everything is derived deterministically from a typed :class:`FuzzSpec`:
 same spec, byte-identical scene and camera path, on any machine. The

@@ -69,6 +69,19 @@ class TestSerialBackend:
             ctx.frame_metrics("no-such-game-1x1", 0, "patu", 0.4)
         assert excinfo.value.error_type == "WorkloadError"
 
+    def test_next_execute_retries_a_parked_failure(self):
+        """A parked failure lasts until the next ``execute()``, which
+        runs the job again instead of counting it as cached."""
+        ctx = make_ctx()
+        bad = eval_job("no-such-game-1x1", 0, "patu", 0.4)
+        ctx.execute([bad])
+        report = ctx.execute([bad])
+        assert (report.failed, report.skipped) == (1, 0)
+        with pytest.raises(JobError):
+            ctx.frame_metrics("no-such-game-1x1", 0, "patu", 0.4)
+        ctx.execute([])
+        assert ctx._failed == {}
+
 
 class TestContextLifetime:
     def test_dropped_context_frees_its_capture_without_gc(self):

@@ -1,5 +1,7 @@
 """Tests for the typed experiment work units."""
 
+import dataclasses
+
 import pytest
 
 from repro.engine.jobs import (
@@ -14,7 +16,6 @@ from repro.engine.jobs import (
     eval_job,
 )
 from repro.errors import ExperimentError
-from repro.resilience.checkpoint import KEY_FIELDS
 
 
 class TestEvalJob:
@@ -64,7 +65,15 @@ class TestEvalJob:
 
 
 class TestMetricsKey:
-    def test_layout_matches_checkpoint_schema(self):
+    def test_layout_names_every_design_knob(self):
+        """One key field per knob: the job's four, then every
+        :class:`ConfigKey` field in declaration order."""
+        fields = ("workload", "frame", "scenario", "threshold",
+                  "llc_scale", "tc_scale", "stage2_threshold",
+                  "hash_entries", "max_anisotropy", "compressed", "software")
+        assert fields[4:] == tuple(
+            field.name for field in dataclasses.fields(ConfigKey)
+        )
         job = eval_job(
             "wolf-640x480", 3, "patu", 0.4,
             config=ConfigKey(
@@ -74,8 +83,8 @@ class TestMetricsKey:
             ),
         )
         key = job.metrics_key()
-        assert len(key) == len(KEY_FIELDS)
-        named = dict(zip(KEY_FIELDS, key))
+        assert len(key) == len(fields)
+        named = dict(zip(fields, key))
         assert named == {
             "workload": "wolf-640x480",
             "frame": 3,

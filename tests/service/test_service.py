@@ -436,3 +436,44 @@ class TestRenderIsACaptureJob:
         ]
         assert [a["ok"] for a in answers] == [True, True, True], answers
         assert len(puts) == 2
+
+
+class TestParkedFailures:
+    """A failed job stays parked only until the next batch runs."""
+
+    def test_a_failed_put_is_retried_by_the_next_request(
+        self, tmp_path, monkeypatch
+    ):
+        """The first ``eval`` fails on its store write; the same request
+        sent again renders and writes once more and answers ``ok``."""
+        service = RenderService(ServeConfig(
+            scale=SCALE, store_root=str(tmp_path / "store"),
+        ))
+        put, puts = service.store.put, []
+
+        def put_failing_once(spec, capture):
+            puts.append(spec)
+            if len(puts) == 1:
+                raise OSError(errno.EIO, "injected put failure")
+            return put(spec, capture)
+
+        monkeypatch.setattr(service.store, "put", put_failing_once)
+        answers = [
+            _answer(service, json.loads(_eval_line(f"p{i}", 0.4)))
+            for i in range(3)
+        ]
+        assert [a["ok"] for a in answers] == [False, True, True], answers
+        assert answers[0]["status"] == 500
+        assert "injected put failure" in answers[0]["error"]["message"]
+        assert answers[1]["metrics"] == answers[2]["metrics"]
+        assert len(puts) == 2
+
+    def test_failing_requests_leave_one_batch_parked(self):
+        service = RenderService(ServeConfig(scale=SCALE))
+        for i in range(100):
+            op = "render" if i % 2 else "eval"
+            payload = {"id": str(i), "op": op, "workload": f"no-such-{i}"}
+            if op == "eval":
+                payload.update(scenario="patu", threshold=0.4)
+            assert _answer(service, payload)["status"] == 404
+            assert len(service.ctx._failed) <= 1

@@ -93,6 +93,9 @@ class TestServeWorkerParser:
         ["store", "stats", "DIR", "--prefix", "1"],
         ["store", "prune", "DIR", "--max-bytes", "1", "--prefix", "1"],
         ["experiment", "fig17", "--emit-metrics", "m.jsonl"],
+        *(command + flag
+          for command in (["experiment", "fig17"], ["report"])
+          for flag in (["--checkpoint", "cp.json"], ["--resume"])),
     ])
     def test_removed_options_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -188,11 +191,24 @@ class TestStoreCommand:
         (corrupt / "bad.npz").write_bytes(b"z" * 512)
         return root, store
 
-    def test_stats_reports_shards_and_quarantine(self, tmp_path, capsys):
+    def test_stats_reports_shards_and_quarantine(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The header sums the per-shard buckets: one listing in all."""
+        from repro.engine.capture_store import CaptureStore
+
         root, _store = self._populated_store(tmp_path)
+        entries, listings = CaptureStore.entries, []
+
+        def counted_entries(store):
+            listings.append(store.root)
+            return entries(store)
+
+        monkeypatch.setattr(CaptureStore, "entries", counted_entries)
         assert main(["store", "stats", str(root)]) == 0
+        assert len(listings) == 1
         out = capsys.readouterr().out
-        assert "2 entry(ies)" in out
+        assert "2 entry(ies), 4.0 KiB" in out
         assert any(line.split()[:2] == ["a", "2"] for line in out.splitlines())
         assert ".corrupt/ quarantine: 1 file(s)" in out
 

@@ -2,9 +2,9 @@
 
 The generator's contract is what makes ``fuzz@<seed>`` usable as an
 engine identity: the same request name must rebuild a byte-identical
-scene and camera path in any process (job hashes, capture-store keys
-and checkpoint fingerprints all assume it), and every generated scene
-must be renderable without special cases.
+scene and camera path in any process (job hashes and capture-store
+keys assume it), and every generated scene must be renderable without
+special cases.
 """
 
 from __future__ import annotations
