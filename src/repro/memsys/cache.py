@@ -10,9 +10,11 @@ Python:
    contiguous and in stream order. Drop each repeat of a sub-stream's
    previous line: it hits that set's MRU line.
 2. Sort the survivors by (key, line) to give each its previous and
-   next touch of the same line. An access with no previous touch is a
-   miss; one with fewer than ``ways`` survivors since its previous
-   touch is a hit.
+   next touch of the same line: one ``np.sort`` of packed int64
+   ``(key, line, index)`` values, whose index bits order ties as a
+   stable sort would. An access with no previous touch is a miss; one
+   with fewer than ``ways`` survivors since its previous touch is a
+   hit.
 3. Decide the rest by walking back from each access in widening
    windows, counting the survivors whose next touch lies after it
    (each is a distinct line). Reaching ``ways`` of them means a miss;
@@ -29,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..errors import PipelineError
 
 #: Line size shared by the whole hierarchy (matches texture addressing).
 CACHE_LINE_BYTES_DEFAULT = 64
@@ -79,14 +83,17 @@ def key_dtype(count: int) -> np.dtype:
     return np.dtype(np.uint64)
 
 
-def run_starts(lines: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Index of the first access of each run of one line in a segment.
+def run_starts(lines: np.ndarray, bounds: np.ndarray, sets: int = 1) -> np.ndarray:
+    """Index of each access that can miss or change its LRU set.
 
     ``bounds`` are the segment boundaries in ``lines`` (a CSR row
-    pointer); every segment's first access starts a run. Within a
-    segment, an access that repeats its predecessor hits the MRU line
-    of its set and leaves the LRU state unchanged, so only run starts
-    can miss or change a cache.
+    pointer) and ``sets`` the (power-of-two) set count of the cache the
+    segments feed, each segment into one cache. Within a segment, an
+    access whose previous access to the same set (``line & (sets - 1)``)
+    was the same line hits that set's MRU line and leaves the LRU state
+    unchanged; every other access is kept. With ``sets=1`` that drops
+    each repeat of its predecessor. Every segment's first access to a
+    set is kept, because the cache may have seen other lines since.
     """
     keep = np.ones(lines.size, dtype=bool)
     np.not_equal(lines[1:], lines[:-1], out=keep[1:])
@@ -94,7 +101,28 @@ def run_starts(lines: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     keep[firsts[firsts < lines.size]] = True
     # Integer gathers: numpy's boolean-mask indexing is several times
     # slower on streams this long.
-    return np.flatnonzero(keep)
+    keep = np.flatnonzero(keep)
+    if sets == 1:
+        return keep
+    # A repeat of its predecessor repeats the previous line of its set,
+    # so only the runs' first accesses remain to decide, and dropping
+    # the others leaves each of them the same previous line in its set.
+    runs = lines[keep]
+    segment = np.repeat(
+        np.arange(bounds.size - 1, dtype=np.int32),
+        np.diff(np.searchsorted(keep, bounds)),
+    )
+    # Each set's sub-stream in stream order (a radix sort of the set
+    # numbers). Equal lines share a set, so an access repeats the
+    # previous line of its set iff its predecessor there has the same
+    # (segment, line).
+    order = np.argsort((runs & (sets - 1)).astype(key_dtype(sets)), kind="stable")
+    runs = runs[order]
+    segment = segment[order]
+    repeat = (runs[1:] == runs[:-1]) & (segment[1:] == segment[:-1])
+    kept = np.ones(keep.size, dtype=bool)
+    kept[order[np.flatnonzero(repeat) + 1]] = False
+    return keep[np.flatnonzero(kept)]
 
 
 def lru_misses(keys: np.ndarray, lines: np.ndarray, ways: int) -> np.ndarray:
@@ -102,11 +130,16 @@ def lru_misses(keys: np.ndarray, lines: np.ndarray, ways: int) -> np.ndarray:
 
     Args:
         keys: set key of each access (unsigned; see :func:`key_dtype`).
-        lines: line address of each access.
+        lines: line address of each access (non-negative).
         ways: associativity of every set.
 
     Returns:
         A boolean array, ``True`` where the access misses.
+
+    Raises:
+        PipelineError: a line is negative, or the bits of the largest
+            key, the largest line and the survivor index of step 2 sum
+            to more than 63.
     """
     n = lines.size
     miss = np.zeros(n, dtype=bool)
@@ -131,11 +164,27 @@ def lru_misses(keys: np.ndarray, lines: np.ndarray, ways: int) -> np.ndarray:
     lines = lines[first]
     m = position.size
 
-    # 2. Previous and next touch of the same line in the same set.
-    by_line = np.lexsort((lines, keys)).astype(index)
-    a, b = by_line[:-1], by_line[1:]
-    same = (keys[a] == keys[b]) & (lines[a] == lines[b])
-    a, b = a[same], b[same]
+    # 2. Previous and next touch of the same line in the same set: one
+    #    sort of packed (key, line, index) values. The index bits break
+    #    ties in index order, as a stable sort by (key, line) would.
+    low, high = int(lines.min()), int(lines.max())
+    key_bits = int(keys[-1]).bit_length()
+    line_bits = high.bit_length()
+    index_bits = (m - 1).bit_length()
+    if low < 0 or key_bits + line_bits + index_bits > 63:
+        raise PipelineError(
+            f"cannot pack {key_bits} key, {line_bits} line and {index_bits} "
+            f"index bits into 63 (lines {low}..{high})"
+        )
+    packed = keys.astype(np.int64) << (line_bits + index_bits)
+    packed |= lines.astype(np.int64) << index_bits
+    packed |= np.arange(m, dtype=np.int64)
+    packed.sort()
+    by_line = (packed & ((1 << index_bits) - 1)).astype(index)
+    packed >>= index_bits
+    same = np.flatnonzero(packed[1:] == packed[:-1])
+    del packed
+    a, b = by_line[same], by_line[same + 1]
     prev = np.full(m, -1, dtype=index)
     prev[b] = a
     after = np.full(m, m, dtype=index)

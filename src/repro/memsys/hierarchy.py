@@ -17,7 +17,7 @@ import numpy as np
 from ..config import CacheConfig, GpuConfig
 from ..errors import ConfigError, PipelineError
 from ..obs import TELEMETRY
-from .cache import CacheStats, key_dtype, lru_misses, run_starts
+from .cache import CacheStats, key_dtype, lru_misses
 from .dram import DramModel, DramStats
 
 
@@ -74,11 +74,12 @@ class TextureMemoryHierarchy:
                 scheduling order, each tile in intra-tile raster order.
             tile_units: the texture unit of each tile.
             tile_lengths: the number of ``lines`` of each tile.
-            repeats: accesses already removed from ``lines`` because
-                each repeated its predecessor within one pixel's fetch
-                segment. Each hit its unit's MRU L1 line and left the
-                LRU state unchanged, so they count as L1 accesses and
-                hits and change nothing else.
+            repeats: accesses already removed from ``lines`` because,
+                within one pixel's fetch segment, each repeated the
+                previous line of its L1 set
+                (:func:`~repro.memsys.cache.run_starts`). Each hit that
+                set's MRU line and left the LRU state unchanged, so they
+                count as L1 accesses and hits and change nothing else.
         """
         if repeats < 0:
             raise PipelineError(f"repeat count must be >= 0, got {repeats}")
@@ -131,14 +132,8 @@ class TextureMemoryHierarchy:
         l1 = self.config.texture_l1
         l2 = self.config.texture_l2
 
-        # Within a tile, a repeat of the previous line hits the MRU line
-        # of its L1 set. Across a tile boundary the L1 may be another
-        # unit's, so every tile's first line goes to the LRU.
-        keep = run_starts(lines, np.concatenate([[0], np.cumsum(lengths)]))
         dtype = key_dtype(num_units * l1.num_sets)
-        keys = np.repeat((units * l1.num_sets).astype(dtype), lengths)[keep]
-        lines = lines[keep]
-        del keep
+        keys = np.repeat((units * l1.num_sets).astype(dtype), lengths)
         keys += (lines & (l1.num_sets - 1)).astype(dtype)
         l2_stream = lines[lru_misses(keys, lines, l1.ways)]
         del keys, lines

@@ -10,14 +10,14 @@ texture units then consume the G-buffer in tile order.
 from .binned import BinnedRasterizer, RasterStats
 from .edges import edge_inside_mask
 from .gbuffer import GBuffer
-from .quads import count_shaded_quads, quad_ids, quad_divergence_fraction
+from .quads import QuadGroups, count_shaded_quads, quad_ids
 
 __all__ = [
     "BinnedRasterizer",
     "GBuffer",
+    "QuadGroups",
     "RasterStats",
     "count_shaded_quads",
     "edge_inside_mask",
-    "quad_divergence_fraction",
     "quad_ids",
 ]

@@ -46,29 +46,35 @@ def count_shaded_quads(mask: np.ndarray) -> int:
     return int(quad_any.sum())
 
 
-def quad_divergence_fraction(
-    rows: np.ndarray, cols: np.ndarray, width: int, decision: np.ndarray
-) -> float:
-    """Fraction of quads whose pixels disagree on a boolean decision.
+class QuadGroups:
+    """A frame's visible pixels grouped by 2x2 quad, built once per frame.
 
-    Only quads containing at least two visible pixels can diverge;
-    single-pixel quads count as convergent, matching the hardware
-    definition (a lone pixel trivially agrees with itself).
+    :meth:`divergence` then scores any per-pixel decision with one
+    gather and one segmented sum.
     """
-    decision = np.asarray(decision, dtype=bool)
-    if decision.shape != np.asarray(rows).shape:
-        raise PipelineError("decision mask must align with pixel coordinates")
-    if decision.size == 0:
-        return 0.0
-    qids = quad_ids(rows, cols, width)
-    order = np.argsort(qids, kind="stable")
-    sorted_q = qids[order]
-    sorted_d = decision[order]
-    # Segment boundaries between distinct quads.
-    boundaries = np.nonzero(np.diff(sorted_q))[0] + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [len(sorted_q)]])
-    sums = np.add.reduceat(sorted_d.astype(np.int64), starts)
-    counts = ends - starts
-    diverged = (sums > 0) & (sums < counts)
-    return float(diverged.sum() / len(starts))
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, width: int) -> None:
+        qids = quad_ids(rows, cols, width)
+        self.order = np.argsort(qids, kind="stable")
+        sorted_q = qids[self.order]
+        first = np.ones(qids.size, dtype=bool)
+        np.not_equal(sorted_q[1:], sorted_q[:-1], out=first[1:])
+        #: Each quad's first pixel in ``order``, and its pixel count.
+        self.starts = np.flatnonzero(first)
+        self.counts = np.diff(self.starts, append=qids.size)
+
+    def divergence(self, decision: np.ndarray) -> float:
+        """Fraction of quads whose pixels disagree on a boolean decision.
+
+        Only quads containing at least two visible pixels can diverge;
+        single-pixel quads count as convergent, matching the hardware
+        definition (a lone pixel trivially agrees with itself).
+        """
+        decision = np.asarray(decision, dtype=bool)
+        if decision.shape != self.order.shape:
+            raise PipelineError("decision mask must align with pixel coordinates")
+        if decision.size == 0:
+            return 0.0
+        sums = np.add.reduceat(decision[self.order], self.starts, dtype=np.int64)
+        diverged = (sums > 0) & (sums < self.counts)
+        return float(diverged.sum() / len(self.starts))

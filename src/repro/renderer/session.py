@@ -39,7 +39,7 @@ from ..power.components import EnergyParams
 from ..power.energy import EnergyBreakdown, EnergyModel, FrameEvents
 from ..quality.ssim import SsimReference
 from ..quality.ssim import mssim as mssim_fn
-from ..raster.quads import quad_divergence_fraction, quad_ids
+from ..raster.quads import QuadGroups, quad_ids
 from ..resilience.guards import sanitize_colors
 from ..texture.addressing import TextureLayout
 from ..texture.mipmap import MipChain
@@ -553,7 +553,7 @@ class RenderSession:
                     quality = 0.0
 
             with TELEMETRY.span("evaluate.fetch_stream"):
-                lines, lengths, repeats = derived.segments.stream(decision.mode)
+                lines, lengths, repeats = self._fetch_stream(capture, decision.mode)
             hier = self._simulate_hierarchy(capture, lines, lengths, repeats)
 
             events = self._frame_events(capture, decision, scenario, hier)
@@ -573,9 +573,8 @@ class RenderSession:
                     events, frame_timing.total_cycles
                 )
 
-            divergence = quad_divergence_fraction(
-                capture.rows, capture.cols, capture.width,
-                decision.prediction.approximated,
+            divergence = derived.quads.divergence(
+                decision.prediction.approximated
             )
             result = FrameResult(
                 workload_name=capture.workload_name,
@@ -624,6 +623,17 @@ class RenderSession:
     # Internals
     # ------------------------------------------------------------------
 
+    def _fetch_stream(
+        self, capture: FrameCapture, mode: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray, int]":
+        """A design point's fetch stream, given each pixel's filter mode.
+
+        Returns :meth:`FetchSegments.stream` of the capture's segments
+        for this session's L1 set count.
+        """
+        l1_sets = self.config.texture_l1.num_sets
+        return _derived(capture).segments(capture, l1_sets).stream(mode)
+
     def _simulate_hierarchy(
         self,
         capture: FrameCapture,
@@ -634,8 +644,8 @@ class RenderSession:
         """Run the design point's fetch stream through the caches.
 
         ``lengths`` are the per-pixel lengths of ``lines``; ``repeats``
-        counts the accesses removed from it as repeats of their
-        predecessor in the same pixel segment.
+        counts the accesses removed from it as repeats of the previous
+        line of their L1 set in the same pixel segment.
         """
         with TELEMETRY.span("session.simulate_hierarchy", lines=int(lines.size)):
             tile_units, tile_lengths = self._tile_schedule(capture, lengths)
@@ -713,29 +723,35 @@ class RenderSession:
 
 
 class FetchSegments:
-    """Each pixel's fetch segment in every filter mode, repeats removed.
+    """Each pixel's fetch segment in every filter mode, MRU repeats removed.
 
     A pixel's segment is its AF samples' lines (``n`` x 8) or its 8 TF
-    or TFA lines. Within a segment, a line equal to its predecessor
-    hits the MRU line of the unit's L1 set and leaves the LRU state
-    unchanged (:func:`~repro.memsys.cache.run_starts`), so it is removed
-    here once per capture and counted back as an L1 hit. Cell ``[i, m]`` of ``starts``, ``lengths`` and
+    or TFA lines, all fetched through its tile's unit's L1. Within an
+    AF segment, a line whose previous access to the same L1 set was the
+    same line hits that set's MRU line and leaves the LRU state
+    unchanged (:func:`~repro.memsys.cache.run_starts` with the L1's
+    ``l1_sets``); within a TF or TFA segment only repeats of the
+    previous line are dropped (the set rule would drop just 2-6% more
+    of their lines). Each is removed here once per capture and counted
+    back as an L1 hit. Cell ``[i, m]`` of ``starts``, ``lengths`` and
     ``removed`` locates pixel ``i``'s kept segment for
     :class:`FilterMode` ``m`` in ``lines`` and counts the lines removed
     from it.
     """
 
-    def __init__(self, capture: FrameCapture) -> None:
+    def __init__(self, capture: FrameCapture, l1_sets: int) -> None:
         trilinear = np.arange(capture.num_pixels + 1) * TEXELS_PER_TRILINEAR
-        # Per FilterMode value: the full lines and their segment bounds.
+        # Per FilterMode value: the full lines, their segment bounds and
+        # the set count that decides a repeat.
         full = (
-            (capture.af_lines, capture.sample_row_ptr * TEXELS_PER_TRILINEAR),
-            (capture.tf_lines.ravel(), trilinear),
-            (capture.tfa_lines.ravel(), trilinear),
+            (capture.af_lines, capture.sample_row_ptr * TEXELS_PER_TRILINEAR,
+             l1_sets),
+            (capture.tf_lines.ravel(), trilinear, 1),
+            (capture.tfa_lines.ravel(), trilinear, 1),
         )
         kept, bounds = [], []
-        for lines, segment_bounds in full:
-            keep = run_starts(lines, segment_bounds)
+        for lines, segment_bounds, sets in full:
+            keep = run_starts(lines, segment_bounds, sets)
             offset = sum(part.size for part in kept)
             bounds.append(np.searchsorted(keep, segment_bounds) + offset)
             kept.append(lines[keep])
@@ -746,7 +762,9 @@ class FetchSegments:
         self.lines = lines.astype(np.int32) if fits else lines
         self.starts = np.stack([b[:-1] for b in bounds], axis=1)
         self.lengths = np.stack([np.diff(b) for b in bounds], axis=1)
-        self.removed = np.stack([np.diff(b) for _, b in full], axis=1) - self.lengths
+        self.removed = (
+            np.stack([np.diff(b) for _, b, _ in full], axis=1) - self.lengths
+        )
 
     def stream(self, mode: np.ndarray) -> "tuple[np.ndarray, np.ndarray, int]":
         """One design point's fetch stream, given each pixel's mode.
@@ -763,27 +781,42 @@ class FetchSegments:
 
 
 class _Derived:
-    """Per-capture state that every evaluation of the capture reuses."""
+    """Per-capture state that every evaluation of the capture reuses.
+
+    It holds no reference to its capture, which holds it: the cycle
+    would keep a dropped capture alive until the cyclic collector ran.
+    """
 
     def __init__(self, capture: FrameCapture) -> None:
-        with TELEMETRY.span("evaluate.derive_segments"):
-            self.segments = FetchSegments(capture)
         #: Filters its window statistics inside the first MSSIM call.
         self.reference = SsimReference(capture.baseline_luminance)
+        self.quads = QuadGroups(capture.rows, capture.cols, capture.width)
+        # Serializes this capture's builds only: threads deriving two
+        # captures at once (``--jobs N``) do not wait on each other.
+        self._lock = threading.Lock()
+        self._segments: "dict[int, FetchSegments]" = {}
 
-
-#: Serializes building :class:`_Derived`, so threads evaluating one
-#: capture at once (``--jobs N``) build it once.
-_DERIVED_LOCK = threading.Lock()
+    def segments(self, capture: FrameCapture, l1_sets: int) -> FetchSegments:
+        """The capture's fetch segments for an L1 of ``l1_sets`` sets."""
+        segments = self._segments.get(l1_sets)
+        if segments is None:
+            with self._lock:
+                segments = self._segments.get(l1_sets)
+                if segments is None:
+                    with TELEMETRY.span(
+                        "evaluate.derive_segments", l1_sets=l1_sets
+                    ):
+                        segments = FetchSegments(capture, l1_sets)
+                    self._segments[l1_sets] = segments
+        return segments
 
 
 def _derived(capture: FrameCapture) -> _Derived:
+    """The capture's :class:`_Derived`; racing first calls share one."""
     derived = capture._derived
     if derived is None:
-        with _DERIVED_LOCK:
-            derived = capture._derived
-            if derived is None:
-                derived = capture._derived = _Derived(capture)
+        # One atomic dict operation: the first thread's object wins.
+        derived = vars(capture).setdefault("_derived", _Derived(capture))
     return derived
 
 
@@ -806,6 +839,7 @@ def _expand_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
     The standard vectorized "ragged ranges" construction: a global
     arange, shifted per segment so each segment restarts at its start.
+    The indices are int32 when they fit, else int64.
     """
     starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -813,5 +847,9 @@ def _expand_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     total = int(seg_ends[-1]) if seg_ends.size else 0
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    shift = np.repeat(starts - (seg_ends - lengths), lengths)
-    return np.add(shift, np.arange(total, dtype=np.int64), out=shift)
+    # int32 indices when every index and offset fits: half the memory
+    # of the stream-sized temporaries, and gathers as fast.
+    largest = max(total, int((starts + lengths).max()))
+    index = np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+    shift = np.repeat((starts - (seg_ends - lengths)).astype(index), lengths)
+    return np.add(shift, np.arange(total, dtype=index), out=shift)

@@ -390,22 +390,40 @@ def oracle_cache_lru(cfg: VerifyConfig) -> OracleResult:
     each of Fig. 21's scaled ones, over a line universe four times the
     L2's capacity, so both levels see hits, conflicts and capacity
     misses. The L1 miss stream (the L2's input) and the L2 miss stream
-    (DRAM's input) must be identical, in order.
+    (DRAM's input) must be identical, in order. At each geometry, the
+    small verify capture's baseline and PATU@0.4 points also run
+    through evaluation's fetch segments, which drop each segment's
+    repeats of the previous line of an L1 set, and must match the full
+    stream.
     """
     from ..config import BASELINE_CONFIG
+    from ..core.patu import PerceptionAwareTextureUnit
     from ..experiments.fig21_cache import CACHE_POINTS
     from ..renderer.session import RenderSession
+    from .metamorphic import _session_capture
     from .reference_cache import hierarchy_mismatches
+    from .reference_fetch import evaluation_mismatches
 
     rng = np.random.default_rng(cfg.seed + 7)
     tiles = 64 if cfg.quick else 256
+    # The quick mode's scale-0.125 capture in either mode: the reference
+    # walks a scale-0.25 frame's streams four times as long.
+    _, capture = _session_capture(0.125)
+    decisions = {
+        f"{scenario}@{threshold:g}": PerceptionAwareTextureUnit(
+            SCENARIOS[scenario], threshold
+        ).decide(capture.n, capture.txds)
+        for scenario, threshold in (("baseline", 1.0), ("patu", 0.4))
+    }
     checked = 0
+    segment_points = 0
     mismatched: "list[str]" = []
     geometries: "dict[str, dict[str, int]]" = {}
     for label, tc, llc in CACHE_POINTS:
-        config = RenderSession(
+        session = RenderSession(
             BASELINE_CONFIG.scaled(texture_l1=tc, texture_l2=llc), scale=0.25
-        ).config
+        )
+        config = session.config
         lines, units, lengths = _tile_streams(
             rng, config.num_texture_units, tiles,
             4 * config.texture_l2.num_lines,
@@ -418,13 +436,22 @@ def oracle_cache_lru(cfg: VerifyConfig) -> OracleResult:
             "l1_misses": stats.l1.misses,
             "l2_misses": stats.l2.misses,
         }
+        for point, decision in decisions.items():
+            names, stats = evaluation_mismatches(session, capture, decision)
+            mismatched.extend(f"{label}:{point}:{name}" for name in names)
+            checked += stats.l1.accesses
+            segment_points += 1
     return OracleResult(
         name="diff_cache_lru",
         layer=LAYER_DIFFERENTIAL,
         passed=not mismatched,
         max_error=0.0,
         fragments=checked,
-        details={"geometries": geometries, "mismatched": mismatched},
+        details={
+            "geometries": geometries,
+            "segment_points": segment_points,
+            "mismatched": mismatched,
+        },
     )
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core.patu import FilterMode, PatuDecision
 from ..memsys.hierarchy import HierarchyStats, TextureMemoryHierarchy
-from ..renderer.session import FrameCapture, RenderSession, _derived, _expand_ranges
+from ..renderer.session import FrameCapture, RenderSession, _expand_ranges
 from ..texture.unit import TEXELS_PER_TRILINEAR
 from .reference_cache import reference_hierarchy
 
@@ -65,9 +65,10 @@ def evaluation_mismatches(
     """Where evaluation's texture hierarchy disagrees with the reference.
 
     Evaluation gathers the collapsed stream from the capture's fetch
-    segments and passes the repeat count to the hierarchy; the
-    reference walks the full stream access by access. Compares L1 and
-    L2 accesses and hits, DRAM lines and row hits, and, in order, the
+    segments for the session's L1 set count and passes the repeat
+    count to the hierarchy; the reference walks the full stream access
+    by access. Compares L1 and L2 accesses and hits, DRAM lines and row
+    hits, and, in order, the
     L2's input stream (the L1 misses) and DRAM's (the L2 misses).
     Returns the names of the quantities that differ and the reference
     statistics.
@@ -78,7 +79,7 @@ def evaluation_mismatches(
         session.config, lines, units, tile_lengths
     )
 
-    lines, lengths, repeats = _derived(capture).segments.stream(decision.mode)
+    lines, lengths, repeats = session._fetch_stream(capture, decision.mode)
     got = session._simulate_hierarchy(capture, lines, lengths, repeats)
     units, tile_lengths = session._tile_schedule(capture, lengths)
     got_streams = TextureMemoryHierarchy(session.config).miss_streams(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig, GpuConfig
-from repro.errors import ConfigError
+from repro.errors import ConfigError, PipelineError
 from repro.memsys.cache import key_dtype, lru_misses, run_starts
 from repro.memsys.hierarchy import TextureMemoryHierarchy
 from repro.verify.reference_cache import collapse_consecutive
@@ -54,7 +54,39 @@ class TestRunStarts:
         assert kept.tolist() == collapse_consecutive(lines)[0].tolist()
 
     def test_empty_stream(self):
-        assert run_starts(np.array([], dtype=np.int64), np.array([0, 0])).size == 0
+        for sets in (1, 64):
+            empty = np.array([], dtype=np.int64)
+            assert run_starts(empty, np.array([0, 0]), sets).size == 0
+
+    def test_set_repeats_drop_only_inside_a_segment(self):
+        # Two segments in a 2-set cache: 1 after 2 (the other set) is
+        # dropped, 1 after 3 (its own set) is kept, and the second
+        # segment's first 1 starts afresh.
+        lines = np.array([1, 2, 1, 3, 1, 1, 2, 1])
+        assert run_starts(lines, np.array([0, 5, 8]), 2).tolist() == [
+            0, 1, 3, 4, 5, 6
+        ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=300), max_size=80),
+        st.lists(st.integers(min_value=0, max_value=80), max_size=6),
+        st.sampled_from([1, 2, 64, 128]),
+    )
+    def test_matches_a_per_segment_scan(self, stream, cuts, sets):
+        lines = np.asarray(stream, dtype=np.int64)
+        bounds = np.array(
+            [0] + sorted(min(c, lines.size) for c in cuts) + [lines.size]
+        )
+        want = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            last = {}  # set -> the segment's previous line in it
+            for i in range(lo, hi):
+                line = stream[i]
+                if last.get(line & (sets - 1)) != line:
+                    want.append(i)
+                last[line & (sets - 1)] = line
+        assert run_starts(lines, bounds, sets).tolist() == want
 
 
 class TestLruBehaviour:
@@ -102,6 +134,15 @@ class TestLruBehaviour:
     def test_miss_stream_preserves_order(self):
         misses = _misses([0, 4, 8, 4], sets=1, ways=1)
         assert misses.tolist() == [0, 4, 8, 4]
+
+    def test_unpackable_streams_are_rejected(self):
+        # 16 key, 31 line and 17 index bits make 64.
+        lines = (1 << 31) - 1 - np.arange(1 << 16 | 1)
+        keys = (lines & 0xFFFF).astype(np.uint16)
+        with pytest.raises(PipelineError, match="16 key, 31 line and 17 index"):
+            lru_misses(keys, lines, 4)
+        with pytest.raises(PipelineError, match="lines -1"):
+            lru_misses(np.zeros(2, dtype=np.uint8), np.array([3, -1]), 4)
 
     def test_long_reuse_distance_walks_to_a_hit(self):
         # 300 alternations of two lines between touches of A: the

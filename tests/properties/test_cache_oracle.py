@@ -81,6 +81,37 @@ class TestOracleAgreement:
         assert miss.tolist() == [not oracle.access(a) for a in stream]
 
     @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), max_size=120),
+        st.sampled_from([1, 2, 4]),
+    )
+    def test_wide_lines_and_uint16_keys_match(self, picks, ways):
+        """Lines up to 2**31 - 1 over 2**16 sets: the widest packing.
+
+        The lines fall in 4 sets, which a 4-set oracle splits the same
+        way (by ``s``).
+        """
+        sets = 1 << 16
+        stream = [(1 << 31) - 1 - (j << 16) - s for j, s in picks]
+        oracle = OracleLru(4, ways)
+        arr = np.asarray(stream, dtype=np.int64)
+        keys = (arr & (sets - 1)).astype(key_dtype(sets))
+        assert keys.dtype == np.uint16
+
+        miss = lru_misses(keys, arr, ways)
+
+        assert miss.tolist() == [not oracle.access(a) for a in stream]
+
+    def test_a_stream_of_exactly_63_bits_matches(self):
+        # 16 key, 31 line and 16 index bits: 65,535 distinct lines, one
+        # per set, then the first again, which hits.
+        lines = (1 << 31) - 1 - np.arange((1 << 16) - 1)
+        lines = np.append(lines, lines[0])
+        keys = (lines & 0xFFFF).astype(np.uint16)
+        miss = lru_misses(keys, lines, 1)
+        assert miss[:-1].all() and not miss[-1]
+
+    @settings(max_examples=30, deadline=None)
     @given(_stream())
     def test_chunked_access_equals_single_call(self, stream):
         """The reference keeps its state across calls, as the reference

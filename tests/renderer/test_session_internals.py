@@ -13,12 +13,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.config import CacheConfig
 from repro.core.patu import FilterMode, PerceptionAwareTextureUnit
 from repro.core.scenarios import SCENARIOS
+from repro.experiments.fig21_cache import CACHE_POINTS
 from repro.renderer import session as session_module
 from repro.renderer.session import (
     FetchSegments,
     FrameCapture,
+    RenderSession,
     _group_index,
     _group_mean,
 )
@@ -116,17 +119,19 @@ class TestTileStreams:
 def _hand_built_capture() -> FrameCapture:
     """Three pixels: two in tile 0 (unit 0), one in tile 1 (unit 1).
 
-    Every segment repeats lines inside itself. Pixel 1's AF segment
-    starts with pixel 0's last AF line, inside one tile; pixel 2's
-    starts with pixel 1's last, across the tile boundary onto unit 1.
+    Every segment repeats lines inside itself. In pixel 0's AF segment,
+    line 1 repeats after line 2 of another set, and line 3 after line
+    67, which shares its set in a 64-set L1. Pixel 1's AF segment starts
+    with pixel 0's last AF line, inside one tile; pixel 2's starts with
+    pixel 1's last, across the tile boundary onto unit 1.
     """
     af_lines = np.array(
-        [1, 1, 2, 2, 3, 3, 3, 4, 4, 4, 5, 5, 6, 6, 6, 7]  # pixel 0, n=2
+        [1, 1, 2, 1, 3, 67, 3, 4, 4, 4, 5, 5, 6, 6, 6, 7]  # pixel 0, n=2
         + [7, 7, 8, 8, 9, 9, 9, 9]  # pixel 1, n=1
         + [9, 9, 30, 30, 31, 31, 32, 32, 32, 33, 33, 33, 34, 34, 34, 34]
     )
     tf_lines = np.array([
-        [10, 10, 10, 11, 11, 12, 12, 13],
+        [10, 11, 10, 11, 11, 12, 12, 13],
         [13, 14, 14, 14, 14, 14, 14, 14],
         [14, 15, 16, 17, 18, 19, 20, 21],
     ])
@@ -180,26 +185,48 @@ class TestFetchSegments:
     """Evaluation's collapsed streams against the full reference stream."""
 
     def test_repeats_inside_a_segment_are_removed_once(self):
-        segments = FetchSegments(_hand_built_capture())
+        segments = FetchSegments(_hand_built_capture(), 64)
         lines, lengths, repeats = segments.stream(np.zeros(3, dtype=np.uint8))
-        # Pixel 1 keeps its first line 7 and pixel 2 its first line 9:
-        # only repeats inside one pixel's segment are removed.
-        assert lines.tolist() == [1, 2, 3, 4, 5, 6, 7, 7, 8, 9,
+        # Pixel 0 drops the 1 that follows line 2 of another set and
+        # keeps the 3 that follows 67 of its own. Pixel 1 keeps its
+        # first line 7 and pixel 2 its first line 9: only repeats inside
+        # one pixel's segment are removed.
+        assert lines.tolist() == [1, 2, 3, 67, 3, 4, 5, 6, 7, 7, 8, 9,
                                   9, 30, 31, 32, 33, 34]
-        assert lengths.tolist() == [7, 3, 6]
-        assert repeats == 40 - 16
+        assert lengths.tolist() == [9, 3, 6]
+        assert repeats == 40 - 18
+
+    @pytest.mark.parametrize("l1_sets, kept", [
+        (1, [1, 2, 1, 3, 67, 3, 4, 5, 6, 7]),  # only repeats of the predecessor
+        (2, [1, 2, 3, 67, 3, 4, 5, 6, 7]),  # 1 and 2 have different parities
+    ])
+    def test_the_l1_set_count_decides_which_repeats_go(self, l1_sets, kept):
+        segments = FetchSegments(_hand_built_capture(), l1_sets)
+        lines, lengths, repeats = segments.stream(np.zeros(3, dtype=np.uint8))
+        assert lines[:lengths[0]].tolist() == kept
+        assert lengths.tolist() == [len(kept), 3, 6]
+        assert repeats == 40 - len(kept) - 9
+
+    def test_trilinear_segments_remove_only_repeats_of_the_predecessor(self):
+        segments = FetchSegments(_hand_built_capture(), 64)
+        lines, lengths, repeats = segments.stream(np.ones(3, dtype=np.uint8))
+        assert lines[:6].tolist() == [10, 11, 10, 11, 12, 13]
+        assert lengths.tolist() == [6, 2, 8]
+        assert repeats == 24 - 16
 
     def test_hand_built_capture_matches_the_reference(self, session):
         capture = _hand_built_capture()
         names, stats = evaluation_mismatches(session, capture, _decision([0, 0, 0]))
         assert names == []
         assert stats.l1.accesses == 40
-        # Unit 0 misses on 1..9 once each: the repeat of 7 inside tile 0
-        # hits. Unit 1's first line 9 stays and misses in its cold L1;
-        # the L2 already holds it.
-        assert stats.l1.misses == 9 + 6
+        # Unit 0 misses on 1..9 and 67 once each: the 3 after 67 hits
+        # its 4-way set, and the repeat of 7 across pixels 0 and 1,
+        # kept in the segments, hits in the hierarchy. Unit 1's first
+        # line 9 stays and misses in its cold L1; the L2 already holds
+        # it.
+        assert stats.l1.misses == 10 + 6
         assert stats.l2.hits == 1
-        assert stats.dram.lines_fetched == 14
+        assert stats.dram.lines_fetched == 15
 
     @pytest.mark.parametrize(
         "modes", [[0, 0, 0], [1, 1, 1], [2, 2, 2], [0, 1, 2], [2, 0, 1]]
@@ -218,6 +245,38 @@ class TestFetchSegments:
         decision = device.decide(capture.n, capture.txds)
         assert evaluation_mismatches(session, capture, decision)[0] == []
 
+    @pytest.mark.parametrize("tc, llc", [(tc, llc) for _, tc, llc in CACHE_POINTS])
+    @pytest.mark.parametrize(
+        "scenario,threshold", [("baseline", 1.0), ("patu", 0.4)]
+    )
+    def test_rendered_capture_matches_at_every_cache_geometry(
+        self, session, capture, tc, llc, scenario, threshold
+    ):
+        scaled = RenderSession(
+            session.config.scaled(texture_l1=tc, texture_l2=llc),
+            scale=1.0, scale_caches=False,
+        )
+        assert scaled.config.texture_l1.num_sets == 64 * tc
+        device = PerceptionAwareTextureUnit(SCENARIOS[scenario], threshold)
+        decision = device.decide(capture.n, capture.txds)
+        assert evaluation_mismatches(scaled, capture, decision)[0] == []
+
+    def test_each_l1_set_count_gets_its_own_segments(self, session, capture):
+        fresh = dataclasses.replace(capture)
+        two_sets = RenderSession(
+            dataclasses.replace(
+                session.config,
+                texture_l1=CacheConfig(size_bytes=2 * 4 * 64, ways=4),
+            ),
+            scale=1.0, scale_caches=False,
+        )
+        assert two_sets.config.texture_l1.num_sets == 2
+        decision = PerceptionAwareTextureUnit(SCENARIOS["baseline"], 1.0).decide(
+            fresh.n, fresh.txds
+        )
+        for evaluator in (session, two_sets):
+            assert evaluation_mismatches(evaluator, fresh, decision)[0] == []
+
     def test_derived_state_is_no_part_of_the_capture(self, session):
         capture = _hand_built_capture()
         session.evaluate(capture, SCENARIOS["baseline"], 1.0)
@@ -233,24 +292,28 @@ class TestFetchSegments:
         built = []
         real = session_module.FetchSegments
 
-        def counted(capture):
-            built.append(capture)
-            return real(capture)
+        def counted(capture, l1_sets):
+            built.append(l1_sets)
+            return real(capture, l1_sets)
 
         monkeypatch.setattr(session_module, "FetchSegments", counted)
-        thresholds = [0.1 * i for i in range(8)]
+        # Fig. 21's 2xTC point doubles the L1 sets to 128.
+        sessions = (session, RenderSession(
+            session.config.scaled(texture_l1=2), scale=1.0, scale_caches=False
+        ))
+        points = [(s, 0.1 * i) for s in range(2) for i in range(8)]
         results = {}
 
-        def evaluate(threshold):
-            results[threshold] = session.evaluate(
-                fresh, SCENARIOS["patu"], threshold
+        def evaluate(point):
+            results[point] = sessions[point[0]].evaluate(
+                fresh, SCENARIOS["patu"], point[1]
             )
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=evaluate, args=(t,))
-                       for t in thresholds]
+            threads = [threading.Thread(target=evaluate, args=(p,))
+                       for p in points]
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -258,7 +321,42 @@ class TestFetchSegments:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert len(built) == 1
-        for threshold in thresholds:
-            serial = session.evaluate(capture, SCENARIOS["patu"], threshold)
-            assert results[threshold].to_dict() == serial.to_dict()
+        assert sorted(built) == [64, 128]
+        for point in points:
+            serial = sessions[point[0]].evaluate(
+                capture, SCENARIOS["patu"], point[1]
+            )
+            assert results[point].to_dict() == serial.to_dict()
+
+    def test_two_captures_derive_at_once(self, session, capture, monkeypatch):
+        """Capture A's build waits until capture B's has started: under
+        one lock for every capture, B could not start and A would time
+        out."""
+        first, second = dataclasses.replace(capture), dataclasses.replace(capture)
+        first_started, second_started = threading.Event(), threading.Event()
+        saw_second = []
+        real = session_module.FetchSegments
+
+        def gated(capture, l1_sets):
+            if capture is first:
+                first_started.set()
+                saw_second.append(second_started.wait(timeout=10))
+            else:
+                second_started.set()
+            return real(capture, l1_sets)
+
+        monkeypatch.setattr(session_module, "FetchSegments", gated)
+        threads = [
+            threading.Thread(
+                target=session.evaluate, args=(c, SCENARIOS["patu"], 0.4),
+                daemon=True,
+            )
+            for c in (first, second)
+        ]
+        threads[0].start()
+        assert first_started.wait(timeout=30)
+        threads[1].start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert saw_second == [True]
