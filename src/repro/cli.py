@@ -63,7 +63,7 @@ import numpy as np
 
 from .core.patu import PerceptionAwareTextureUnit
 from .core.scenarios import SCENARIOS, get_scenario
-from .errors import ReproError, WorkloadError
+from .errors import ConfigError, ReproError, WorkloadError
 from .experiments import REGISTRY, ExperimentContext
 from .experiments.runner import DEFAULT_WORKLOADS, format_table, run_experiment
 from .ioutil import atomic_write_text
@@ -431,22 +431,28 @@ def _cmd_verify(args) -> int:
 
     if args.list_oracles:
         for name, layer in list_oracles():
-            print(f"{name:<28} {layer}")
+            print(f"{name:<30} {layer}")
         return 0
     goldens_root = (
         pathlib.Path(args.goldens) if args.goldens else default_goldens_root()
     )
-    report = run_verify(
-        seed=args.seed,
-        quick=args.quick,
-        only=args.only,
-        goldens_root=goldens_root,
-        update_goldens=args.update_goldens,
-        fuzz=args.fuzz,
-        fuzz_save=(
-            pathlib.Path(args.fuzz_save) if args.fuzz_save else None
-        ),
-    )
+    try:
+        report = run_verify(
+            seed=args.seed,
+            quick=args.quick,
+            only=args.only,
+            goldens_root=goldens_root,
+            update_goldens=args.update_goldens,
+            fuzz=args.fuzz,
+            fuzz_save=(
+                pathlib.Path(args.fuzz_save) if args.fuzz_save else None
+            ),
+        )
+    except ConfigError as exc:
+        # A filter that selects nothing would check nothing and pass.
+        names = ", ".join(name for name, _ in list_oracles())
+        print(f"error: {exc}; oracles: {names}", file=sys.stderr)
+        return 2
     print(report.format_summary())
     write_failed = False
     if args.report:
@@ -684,8 +690,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=0,
                        help="base seed for the random fragment batches")
     p_ver.add_argument("--only", metavar="FILTER", default=None,
-                       help="run only oracles whose name or layer "
-                            "contains FILTER")
+                       help="run only oracles whose name (as --list "
+                            "prints it) or layer contains FILTER; "
+                            "exits 2 if none does")
     p_ver.add_argument("--report", metavar="PATH",
                        default="verify_report.json",
                        help="machine-readable JSON report path "

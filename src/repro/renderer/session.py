@@ -234,7 +234,17 @@ class RenderSession:
     # Capture
     # ------------------------------------------------------------------
 
-    def _scene_layout(self, scene) -> "tuple[TextureLayout, dict[str, int]]":
+    def _scene_layout(
+        self, workload: Workload
+    ) -> "tuple[TextureLayout, dict[str, int]]":
+        """The mip chains of ``workload``'s scene, built once per session.
+
+        The chains live as long as the session, so an experiment
+        context builds each scene's chains once, and the next context
+        builds them again. The build is traced as a
+        ``capture.texture_layout`` span.
+        """
+        scene = workload.scene
         key = id(scene)
         with self._layouts_lock:
             cached = self._layouts.get(key)
@@ -244,17 +254,22 @@ class RenderSession:
             # scene object it was built from.
             if cached is None or cached[0]() is not scene:
                 names = sorted(scene.textures)
-                chains = [MipChain(scene.textures[name]) for name in names]
-                if self.compressed_textures:
-                    from ..texture.compression import (
-                        CompressedTextureLayout,
-                        compress_chain,
-                    )
+                with TELEMETRY.span(
+                    "capture.texture_layout",
+                    game=workload.scene_builder.game,
+                    textures=len(names),
+                ):
+                    chains = [MipChain(scene.textures[name]) for name in names]
+                    if self.compressed_textures:
+                        from ..texture.compression import (
+                            CompressedTextureLayout,
+                            compress_chain,
+                        )
 
-                    chains = [compress_chain(c) for c in chains]
-                    layout = CompressedTextureLayout(chains)
-                else:
-                    layout = TextureLayout(chains)
+                        chains = [compress_chain(c) for c in chains]
+                        layout = CompressedTextureLayout(chains)
+                    else:
+                        layout = TextureLayout(chains)
                 cached = (
                     weakref.ref(scene),
                     layout,
@@ -318,7 +333,7 @@ class RenderSession:
         """
         gb = rendered.gbuffer
         width = gb.width
-        layout, name_to_chain = self._scene_layout(workload.scene)
+        layout, name_to_chain = self._scene_layout(workload)
         unit = TextureUnit(layout, max_aniso=self.config.texture_unit.max_anisotropy)
 
         npx = rows.shape[0]
@@ -377,11 +392,11 @@ class RenderSession:
                 n[pixel_idx] = batch.n
                 lod_tf[pixel_idx] = batch.lod_tf
                 lod_af[pixel_idx] = batch.lod_af
-                af_color[pixel_idx] = batch.af_color
-                tf_color[pixel_idx] = batch.tf_color
-                tfa_color[pixel_idx] = batch.tf_af_lod_color
-                tf_lines[pixel_idx] = batch.tf_lines
-                tfa_lines[pixel_idx] = batch.tf_af_lod_lines
+                _scatter_rows(af_color, pixel_idx, batch.af_color)
+                _scatter_rows(tf_color, pixel_idx, batch.tf_color)
+                _scatter_rows(tfa_color, pixel_idx, batch.tf_af_lod_color)
+                _scatter_rows(tf_lines, pixel_idx, batch.tf_lines)
+                _scatter_rows(tfa_lines, pixel_idx, batch.tf_af_lod_lines)
                 samples.append((batch.sample_keys, batch.af_lines))
 
         # Degradation guard: corrupted texels are clamped to a safe
@@ -407,7 +422,9 @@ class RenderSession:
             for keys, lines in samples:
                 part = dst[offset:offset + keys.size]
                 sample_keys[part] = keys
-                af_lines[part] = lines.reshape(-1, TEXELS_PER_TRILINEAR)
+                _scatter_rows(
+                    af_lines, part, lines.reshape(-1, TEXELS_PER_TRILINEAR)
+                )
                 offset += keys.size
             af_lines = af_lines.reshape(-1)
 
@@ -832,6 +849,31 @@ def _group_mean(values: np.ndarray, group: np.ndarray) -> np.ndarray:
     sums = np.bincount(group, weights=values)
     counts = np.bincount(group)
     return (sums / counts)[group]
+
+
+def _scatter_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+    """``out[index] = rows`` for 2-D arrays, each row moved as one item.
+
+    Both arrays are viewed as 1-D arrays of row-sized void items, so the
+    fancy index makes one copy per row instead of one per element, with
+    the same bytes. The views share the arrays' memory. An array that is
+    not C-contiguous 2-D would need a copy, in which writes are lost, so
+    it raises; so do rows of another dtype or width, which raw items
+    would move unconverted.
+    """
+    for array in (out, rows):
+        if array.ndim != 2 or not array.flags.c_contiguous:
+            raise PipelineError(
+                f"row scatter needs C-contiguous 2-D arrays, got shape "
+                f"{array.shape} with strides {array.strides}"
+            )
+    if rows.dtype != out.dtype or rows.shape[1] != out.shape[1]:
+        raise PipelineError(
+            f"row scatter of {rows.dtype} rows of {rows.shape[1]} into "
+            f"{out.dtype} rows of {out.shape[1]}"
+        )
+    item = np.dtype((np.void, out.shape[1] * out.itemsize))
+    out.view(item)[:, 0][index] = rows.view(item)[:, 0]
 
 
 def _expand_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -61,7 +61,8 @@ def anisotropic_filter_batch(
     per-sample stage — position generation, LOD resolution, texel
     fetch, footprint keys — runs as one dense kernel over the flat CSR
     sample axis; only the per-row mean iterates, once per distinct N,
-    so each row reduces in ``mean(axis=1)``'s float32 order.
+    so each row reduces in ``mean(axis=1)``'s float32 order
+    (:func:`row_means`).
 
     Filtering and the texel addresses use AF's LOD (``lod_af``). The
     ``sample_keys`` identify each sample's footprint in *TF's* sampling
@@ -99,5 +100,20 @@ def anisotropic_filter_batch(
             continue
         group = np.nonzero(n == n_value)[0]
         slots = row_ptr[group][:, None] + np.arange(n_value)[None, :]
-        color[group] = colors[slots].mean(axis=1)
+        color[group] = row_means(colors[slots])
     return AnisoBatchResult(color=color, sample_keys=sample_keys, lines=lines)
+
+
+def row_means(block: np.ndarray) -> np.ndarray:
+    """Mean over axis 1 of a ``(rows, N, 4)`` block, as N - 1 in-place adds.
+
+    The adds run in sample order and end in one divide, the order in
+    which ``block.mean(axis=1)`` reduces a middle axis, so the result
+    has its bytes (:func:`repro.verify.reference.ref_row_means`) without
+    its strided reduction loop.
+    """
+    acc = block[:, 0].copy()
+    for s in range(1, block.shape[1]):
+        acc += block[:, s]
+    acc /= block.shape[1]
+    return acc

@@ -15,16 +15,31 @@ from .image import Texture2D
 
 
 def _box_downsample(level: np.ndarray) -> np.ndarray:
-    """Average 2x2 texel blocks; a dimension of 1 is kept (non-square mips)."""
+    """Average 2x2 texel blocks; a dimension of 1 is kept (non-square mips).
+
+    The sums run as in-place float32 adds in ``mean(axis=(1, 3))``'s
+    order (top-left, top-right, bottom-left, bottom-right, then one
+    divide), so each level has the bytes of that reduction
+    (:func:`repro.verify.reference.ref_box_downsample`) without its
+    strided reduction loop. Adding the column pair first would not.
+    """
     h, w = level.shape[:2]
     nh, nw = max(h // 2, 1), max(w // 2, 1)
     if h == 1 and w == 1:
         raise TextureError("cannot downsample a 1x1 level")
-    if h == 1:
-        return level.reshape(1, nw, 2, 4).mean(axis=2)
-    if w == 1:
-        return level.reshape(nh, 2, 1, 4).mean(axis=1)
-    return level.reshape(nh, 2, nw, 2, 4).mean(axis=(1, 3))
+    if h == 1 or w == 1:
+        pairs = level.reshape(nh * nw, 2, 4)
+        acc = pairs[:, 0].copy()
+        acc += pairs[:, 1]
+        acc /= 2
+        return acc.reshape(nh, nw, 4)
+    blocks = level.reshape(nh, 2, nw, 2, 4)
+    acc = blocks[:, 0, :, 0].copy()
+    acc += blocks[:, 0, :, 1]
+    acc += blocks[:, 1, :, 0]
+    acc += blocks[:, 1, :, 1]
+    acc /= 4
+    return acc
 
 
 class MipChain:

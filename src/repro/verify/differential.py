@@ -44,7 +44,7 @@ from .reference import (
     ref_two_stage_decision,
     ref_txds,
 )
-from .report import LAYER_DIFFERENTIAL, OracleResult, VerifyConfig
+from .report import LAYER_DIFFERENTIAL, OracleResult, VerifyConfig, oracle
 
 #: Max absolute per-channel color deviation between the float32
 #: production kernels and the float64 reference (empirically ~2e-7;
@@ -85,6 +85,7 @@ def _derivatives(rng: np.random.Generator, count: int) -> np.ndarray:
     return d
 
 
+@oracle("diff_trilinear")
 def oracle_trilinear(cfg: VerifyConfig) -> OracleResult:
     """Trilinear colors within tolerance; enclosing mip levels exact.
 
@@ -117,6 +118,7 @@ def oracle_trilinear(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+@oracle("diff_footprint")
 def oracle_footprint(cfg: VerifyConfig) -> OracleResult:
     """Texel generation: N exact, LODs bit-identical, major axis exact."""
     rng = np.random.default_rng(cfg.seed + 2)
@@ -152,6 +154,7 @@ def oracle_footprint(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+@oracle("diff_anisotropic")
 def oracle_anisotropic(cfg: VerifyConfig) -> OracleResult:
     """AF colors vs the Eq. (3) loop; per-sample footprint keys exact.
 
@@ -214,6 +217,7 @@ def oracle_anisotropic(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+@oracle("diff_af_ssim_n")
 def oracle_af_ssim_n(cfg: VerifyConfig) -> OracleResult:
     """Eq. (6) as printed vs the overflow-free production rewriting."""
     rng = np.random.default_rng(cfg.seed + 4)
@@ -235,6 +239,7 @@ def oracle_af_ssim_n(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+@oracle("diff_txds")
 def oracle_txds(cfg: VerifyConfig) -> OracleResult:
     """CSR Txds, Eq. (10) and the sharing fraction vs dict counting.
 
@@ -272,6 +277,7 @@ def oracle_txds(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+@oracle("diff_two_stage")
 def oracle_two_stage(cfg: VerifyConfig) -> OracleResult:
     """Fig. 13 decisions: vectorized predictor vs the per-pixel flow.
 
@@ -309,6 +315,7 @@ def oracle_two_stage(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+@oracle("diff_raster_backends")
 def oracle_raster_backends(cfg: VerifyConfig) -> OracleResult:
     """Sort-middle binned rasterizer vs the per-triangle reference, per byte.
 
@@ -383,6 +390,7 @@ def _tile_streams(
     return lines, np.arange(tiles) % units, lengths
 
 
+@oracle("diff_cache_lru")
 def oracle_cache_lru(cfg: VerifyConfig) -> OracleResult:
     """Vectorized LRU hierarchy vs the per-access dict walk, miss for miss.
 
@@ -455,6 +463,7 @@ def oracle_cache_lru(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+@oracle("diff_mssim")
 def oracle_mssim(cfg: VerifyConfig) -> OracleResult:
     """Production MSSIM vs the ``np.convolve`` reference, compared with ``==``.
 
@@ -510,6 +519,7 @@ def oracle_mssim(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+@oracle("diff_texture_fetch")
 def oracle_texture_fetch(cfg: VerifyConfig) -> OracleResult:
     """Fused texel fetch vs the per-corner composition, compared with ``==``.
 

@@ -52,7 +52,7 @@ from .metamorphic import (
     check_threshold_monotone,
 )
 from .reference import ref_compute_footprint
-from .report import LAYER_FUZZ, OracleResult, VerifyConfig
+from .report import LAYER_FUZZ, OracleResult, VerifyConfig, oracle
 
 #: Resolution scale the fuzz lane renders specs at (specs are already
 #: small; 0.5 keeps a 25-scenario run in seconds).
@@ -306,6 +306,7 @@ def save_regression(
     return path
 
 
+@oracle("fuzz_scenarios")
 def oracle_fuzz_scenarios(cfg: VerifyConfig) -> OracleResult:
     """``cfg.fuzz`` generated scenarios through the full oracle stack.
 

@@ -41,7 +41,7 @@ from ..resilience.guards import safe_anisotropy
 from ..texture.footprint import compute_footprints
 from ..texture.unit import TEXELS_PER_TRILINEAR
 from ..workloads.games import get_workload
-from .report import LAYER_METAMORPHIC, OracleResult, VerifyConfig
+from .report import LAYER_METAMORPHIC, OracleResult, VerifyConfig, oracle
 
 #: Float tolerance for invariances that hold analytically but travel
 #: through transcendentals (log2/hypot) in permuted argument order.
@@ -261,6 +261,7 @@ def check_conservation(
 # ---------------------------------------------------------------------------
 
 
+@oracle("meta_af_self_ssim")
 def oracle_af_self_ssim(cfg: VerifyConfig) -> OracleResult:
     session, capture = _session_capture(_verify_scale(cfg))
     outcome = check_af_self_similarity(session, capture)
@@ -274,6 +275,7 @@ def oracle_af_self_ssim(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+@oracle("meta_rotation_n")
 def oracle_rotation_invariance(cfg: VerifyConfig) -> OracleResult:
     rng = np.random.default_rng(cfg.seed + 10)
     count = 1500
@@ -290,6 +292,7 @@ def oracle_rotation_invariance(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+@oracle("meta_threshold_monotone")
 def oracle_threshold_monotone(cfg: VerifyConfig) -> OracleResult:
     _, capture = _session_capture(_verify_scale(cfg))
     thresholds = tuple(round(t, 2) for t in np.arange(0.0, 1.01, 0.05))
@@ -304,6 +307,7 @@ def oracle_threshold_monotone(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+@oracle("meta_lod_shift_local")
 def oracle_lod_shift_localized(cfg: VerifyConfig) -> OracleResult:
     _, capture = _session_capture(_verify_scale(cfg))
     outcome = check_lod_shift_localized(capture, 0.4)
@@ -317,6 +321,7 @@ def oracle_lod_shift_localized(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+@oracle("meta_conservation")
 def oracle_conservation(cfg: VerifyConfig) -> OracleResult:
     """Conservation laws at the baseline and every Fig. 17 threshold."""
     from ..experiments.fig17_threshold import THRESHOLDS
@@ -333,6 +338,7 @@ def oracle_conservation(cfg: VerifyConfig) -> OracleResult:
     )
 
 
+@oracle("meta_engine_parallel")
 def oracle_engine_parallel(cfg: VerifyConfig) -> OracleResult:
     """Serial vs thread-pool execution of a real experiment, byte-equal.
 

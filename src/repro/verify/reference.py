@@ -24,6 +24,11 @@ Tolerance policy (see ``docs/testing.md``): colors within ``1e-6``
 absolute (the production kernels blend in float32, the reference in
 float64); integer state (mip levels, anisotropy degree, footprint
 keys) must agree exactly, and so must MSSIM, bit for bit.
+
+Two references are numpy reductions rather than loops:
+:func:`ref_box_downsample` and :func:`ref_row_means` are the ``mean``
+forms that the in-place adds of the mip build and of the AF row means
+replaced. Those kernels must reproduce them byte for byte.
 """
 
 from __future__ import annotations
@@ -43,10 +48,12 @@ __all__ = [
     "ref_af_ssim_txds",
     "ref_anisotropic",
     "ref_bilinear",
+    "ref_box_downsample",
     "ref_compute_footprint",
     "ref_filter2d",
     "ref_footprint_key",
     "ref_mssim",
+    "ref_row_means",
     "ref_sharing_fraction",
     "ref_trilinear",
     "ref_trilinear_levels",
@@ -165,6 +172,32 @@ def ref_anisotropic(
         t = (i + 0.5) / n - 0.5
         acc += ref_trilinear(chain, u + t * major_du, v + t * major_dv, lod_af)
     return acc / n
+
+
+def ref_box_downsample(level: np.ndarray) -> np.ndarray:
+    """The next mip level as numpy's ``mean`` of each 2x2 texel block.
+
+    A level 1 texel high or wide averages texel pairs along its other
+    dimension. :func:`repro.texture.mipmap._box_downsample` must give
+    these bytes.
+    """
+    h, w = level.shape[:2]
+    nh, nw = max(h // 2, 1), max(w // 2, 1)
+    if h == 1:
+        return level.reshape(1, nw, 2, 4).mean(axis=2)
+    if w == 1:
+        return level.reshape(nh, 2, 1, 4).mean(axis=1)
+    return level.reshape(nh, 2, nw, 2, 4).mean(axis=(1, 3))
+
+
+def ref_row_means(colors: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Eq. (3)'s mean of each row's samples: ``colors[slots].mean(axis=1)``.
+
+    ``slots`` is a ``(rows, N)`` index into the flat ``(samples, 4)``
+    colours. :func:`repro.texture.anisotropic.row_means` of
+    ``colors[slots]`` must give these bytes.
+    """
+    return colors[slots].mean(axis=1)
 
 
 def ref_footprint_key(

@@ -43,6 +43,20 @@ class VerifyConfig:
     fuzz_save: "pathlib.Path | None" = None
 
 
+def oracle(name: str):
+    """Give an oracle function its one name: the name of its report row.
+
+    ``repro verify --list`` prints it and ``--only`` matches it; the
+    runner fails a result that comes back under another name.
+    """
+
+    def named(fn):
+        fn.oracle_name = name
+        return fn
+
+    return named
+
+
 @dataclass
 class OracleResult:
     """Outcome of one oracle.

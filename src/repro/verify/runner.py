@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 
+from ..errors import ConfigError
 from ..obs import TELEMETRY
 from .differential import DIFFERENTIAL_ORACLES
 from .fuzz import FUZZ_ORACLES
@@ -29,6 +30,7 @@ from .report import (
     OracleResult,
     VerifyConfig,
     VerifyReport,
+    oracle,
 )
 
 __all__ = ["list_oracles", "run_verify"]
@@ -89,6 +91,7 @@ def _golden_result(
     )
 
 
+@oracle("golden_tables")
 def oracle_golden_tables(cfg: VerifyConfig) -> OracleResult:
     """Experiment tables at pinned quick parameters, byte-exact."""
     from ..experiments import REGISTRY
@@ -120,6 +123,12 @@ def oracle_golden_tables(cfg: VerifyConfig) -> OracleResult:
     return merged
 
 
+#: The frame golden's name in the store; its oracle reports as
+#: ``golden_`` plus it.
+GOLDEN_FRAME = f"frame_{VERIFY_WORKLOAD}_f0"
+
+
+@oracle(f"golden_{GOLDEN_FRAME}")
 def oracle_golden_frame(cfg: VerifyConfig) -> OracleResult:
     """Per-array digests of one rendered frame, byte-exact."""
     _, capture = _session_capture(GOLDEN_FRAME_SCALE)
@@ -129,9 +138,7 @@ def oracle_golden_frame(cfg: VerifyConfig) -> OracleResult:
         "frame": 0,
         "scale": GOLDEN_FRAME_SCALE,
     }
-    return _golden_result(
-        cfg, f"frame_{VERIFY_WORKLOAD}_f0", "frame", text, params
-    )
+    return _golden_result(cfg, GOLDEN_FRAME, "frame", text, params)
 
 
 GOLDEN_ORACLES = (oracle_golden_tables, oracle_golden_frame)
@@ -145,16 +152,16 @@ ALL_ORACLES = (
 
 
 def list_oracles() -> "list[tuple[str, str]]":
-    """(name, layer) of every registered oracle, in execution order."""
+    """(name, layer) of every registered oracle, in execution order.
+
+    The name is the one the oracle's report row carries.
+    """
     out = []
     for fn in ALL_ORACLES:
-        probe = fn.__name__
-        if probe.startswith("oracle_"):
-            probe = probe[len("oracle_"):]
         layer = fn.__module__.rsplit(".", 1)[-1]
         if layer == "runner":
             layer = LAYER_GOLDEN
-        out.append((probe, layer))
+        out.append((fn.oracle_name, layer))
     return out
 
 
@@ -170,13 +177,23 @@ def run_verify(
 ) -> VerifyReport:
     """Run the oracle suite and return the aggregated report.
 
-    ``only`` filters oracles by substring match against the oracle
-    function name or its layer (``--only differential`` runs one
-    layer; ``--only trilinear`` one oracle). ``fuzz`` > 0 arms the fuzz
-    lane with that many generated scenarios (``fuzz_save`` persists
-    shrunk failing specs as corpus files). An oracle that *raises* is
-    recorded as a failure, never aborts the run.
+    ``only`` filters oracles by substring match against the oracle's
+    name (as ``--list`` prints it and the report carries it) or its
+    layer (``--only differential`` runs one layer; ``--only
+    diff_cache_lru`` one oracle); a filter that matches none raises
+    :class:`~repro.errors.ConfigError` rather than pass with nothing
+    checked. ``fuzz`` > 0 arms the fuzz lane with that many generated
+    scenarios (``fuzz_save`` persists shrunk failing specs as corpus
+    files). An oracle that *raises*, or reports under a name other
+    than its own, is recorded as a failure, never aborts the run.
     """
+    selected = [
+        (fn, name, layer)
+        for fn, (name, layer) in zip(ALL_ORACLES, list_oracles())
+        if only is None or only in name or only in layer
+    ]
+    if not selected:
+        raise ConfigError(f"--only {only!r} matches no oracle name or layer")
     cfg = VerifyConfig(
         seed=seed,
         quick=quick,
@@ -186,11 +203,9 @@ def run_verify(
         fuzz_save=fuzz_save,
     )
     report = VerifyReport(seed=seed, quick=quick)
-    for fn, (name, layer) in zip(ALL_ORACLES, list_oracles()):
-        if only and only not in fn.__name__ and only not in layer:
-            continue
+    for fn, name, layer in selected:
         start = time.perf_counter()
-        with TELEMETRY.span("verify.oracle", oracle=fn.__name__):
+        with TELEMETRY.span("verify.oracle", oracle=name):
             try:
                 result = fn(cfg)
             except Exception as exc:  # noqa: BLE001 — report, don't abort
@@ -200,6 +215,13 @@ def run_verify(
                     passed=False,
                     details={"error": f"{type(exc).__name__}: {exc}"},
                 )
+        if result.name != name:
+            result = OracleResult(
+                name=name,
+                layer=layer,
+                passed=False,
+                details={"error": f"reported as {result.name!r}"},
+            )
         result.duration_s = time.perf_counter() - start
         report.results.append(result)
         if not result.skipped:

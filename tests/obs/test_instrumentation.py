@@ -6,9 +6,11 @@ import json
 
 import pytest
 
+from repro.config import GpuConfig
 from repro.core.patu import PerceptionAwareTextureUnit
 from repro.core.scenarios import SCENARIOS
 from repro.obs import TELEMETRY, jsonable
+from repro.renderer.session import RenderSession
 
 
 @pytest.fixture()
@@ -51,6 +53,27 @@ class TestSessionTelemetry:
         assert spans["geometry.transform"].depth == 2
         assert TELEMETRY.counter_value("capture.visible_pixels") > 0
         assert TELEMETRY.counter_value("texture.trilinear_samples") > 0
+
+    def test_chain_build_is_one_span_per_session_and_scene(
+        self, enabled, mini_workload
+    ):
+        def layout_spans():
+            return [s for s in TELEMETRY.spans
+                    if s.name == "capture.texture_layout"]
+
+        first = RenderSession(GpuConfig(), scale=1.0, scale_caches=False)
+        first.capture_frame(mini_workload, 0)
+        (span,) = layout_spans()
+        assert span.depth == 1
+        assert span.args == {"game": "mini", "textures": 2}
+        # The session keeps its chains: its next capture builds none...
+        first.capture_frame(mini_workload, 1)
+        assert len(layout_spans()) == 1
+        # ...and they live no longer than it: a new session builds again.
+        RenderSession(GpuConfig(), scale=1.0, scale_caches=False).capture_frame(
+            mini_workload, 0
+        )
+        assert len(layout_spans()) == 2
 
     def test_counters_aggregate_over_multiple_evaluations(
         self, enabled, session, capture

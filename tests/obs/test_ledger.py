@@ -183,7 +183,7 @@ class TestCliEmitters:
 
     def test_verify_emits_record(self, tmp_path):
         records = self.run_cli(
-            ["verify", "--quick", "--only", "patu_decisions",
+            ["verify", "--quick", "--only", "diff_two_stage",
              "--report", str(tmp_path / "r.json")],
             tmp_path,
         )

@@ -148,7 +148,7 @@ class TestSceneLayouts:
         # without any error.
         first, second = fuzz_workload(0), fuzz_workload(1)
         session = RenderSession(GpuConfig(), scale=0.25)
-        session._scene_layout(first.scene)
+        session._scene_layout(first)
         # What a freed scene leaves behind when the next one is
         # allocated at its address: its entry, under the new id.
         session._layouts[id(second.scene)] = session._layouts[id(first.scene)]

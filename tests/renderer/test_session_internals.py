@@ -18,12 +18,14 @@ from repro.core.patu import FilterMode, PerceptionAwareTextureUnit
 from repro.core.scenarios import SCENARIOS
 from repro.experiments.fig21_cache import CACHE_POINTS
 from repro.renderer import session as session_module
+from repro.errors import PipelineError
 from repro.renderer.session import (
     FetchSegments,
     FrameCapture,
     RenderSession,
     _group_index,
     _group_mean,
+    _scatter_rows,
 )
 from repro.texture.unit import TEXELS_PER_TRILINEAR
 from repro.timing.gpu_timing import FrameWorkload
@@ -54,6 +56,50 @@ class TestGroupHelpers:
         values = np.array([5.0, 7.0, 9.0])
         out = _group_mean(values, np.arange(3))
         assert np.allclose(out, values)
+
+
+class TestScatterRows:
+    @pytest.mark.parametrize("dtype, width", [(np.float32, 4), (np.int64, 8)])
+    def test_rows_land_as_fancy_assignment_puts_them(self, dtype, width, rng):
+        rows = (rng.random((50, width)) * 1e6).astype(dtype)
+        index = rng.permutation(80)[:50]
+        expected = np.zeros((80, width), dtype=dtype)
+        expected[index] = rows
+        out = np.zeros((80, width), dtype=dtype)
+        _scatter_rows(out, index, rows)
+        assert np.array_equal(out.view(np.uint8), expected.view(np.uint8))
+
+    @pytest.mark.parametrize("which", ["out", "rows"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda a: a[::2],  # every other row
+            lambda a: np.asfortranarray(a),
+            lambda a: a.reshape(-1),  # not 2-D
+        ],
+    )
+    def test_an_array_that_cannot_be_viewed_raises(self, which, bad):
+        arrays = {
+            "out": np.zeros((8, 8), dtype=np.int64),
+            "rows": np.ones((4, 8), dtype=np.int64),
+        }
+        arrays[which] = bad(arrays[which])
+        index = np.arange(arrays["rows"].shape[0])
+        with pytest.raises(PipelineError):
+            _scatter_rows(arrays["out"], index, arrays["rows"])
+
+    def test_a_column_slice_raises(self):
+        out = np.zeros((8, 8), dtype=np.int64)
+        with pytest.raises(PipelineError):
+            _scatter_rows(out[:, :4], np.arange(4), np.ones((4, 4), np.int64))
+
+    @pytest.mark.parametrize(
+        "rows", [np.ones((4, 4), np.float64), np.ones((4, 8), np.float32)]
+    )
+    def test_rows_of_another_dtype_or_width_raise(self, rows):
+        out = np.zeros((8, 4), dtype=np.float32)
+        with pytest.raises(PipelineError):
+            _scatter_rows(out, np.arange(4), rows)
 
 
 class TestFetchStreamReference:

@@ -13,6 +13,8 @@ from repro.verify.goldens import (
     default_goldens_root,
     frame_digest_text,
 )
+from repro.verify.report import VerifyConfig
+from repro.verify.runner import oracle_golden_frame
 
 PARAMS = {"scale": 0.5, "frames": 1}
 
@@ -95,3 +97,13 @@ def test_golden_experiment_specs_are_plain_json():
     # Specs are stored in manifests verbatim; keep them JSON-native.
     for spec in GOLDEN_EXPERIMENTS.values():
         assert json.loads(json.dumps(spec)) == spec
+
+
+def test_the_committed_frame_golden_matches_a_fresh_capture():
+    # The capture kernels must keep every captured array's bytes: this
+    # renders the golden's frame under the manifest's parameters and
+    # compares it with tests/goldens, as `repro verify` does.
+    result = oracle_golden_frame(VerifyConfig())
+    assert not result.skipped, result.details
+    assert result.passed, result.details
+    assert result.details["status"] == STATUS_MATCH
